@@ -1,8 +1,21 @@
-"""Finite fields GF(p^e), root-of-unity extensions, and trace predicates."""
+"""Finite fields GF(p^e), root-of-unity extensions, and trace predicates.
+
+GF(q), q = p^e, is GF(p)[x]/(F) with F the lex-least monic irreducible of
+degree e (F = x when e = 1); its elements are tuples of e coefficients over
+GF(p), low degree first.  The extension GF(q^o) carrying an m-th root of
+unity xi is GF(q)[y]/(f) with f the lex-least monic irreducible of degree o
+over GF(q).  Its elements are flat int64 vectors of length o*e over GF(p),
+entry j*e + s being the coefficient of x^s y^j.  A product is one
+np.convolve and one matmul with the reduction matrix of f, and a relative
+trace is one matmul with the trace functional; the extension methods also
+accept the tuple of o base-field tuples.  Both modulus searches, for F and
+for f, are the same Ben-Or irreducibility test over the same enumeration.
+"""
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,6 +45,10 @@ class FieldTooLarge(FieldError):
     pass
 
 
+class NotInBaseField(FieldError):
+    pass
+
+
 # Largest extension degree we materialise as an explicit field.  Beyond this,
 # traces of composite-order roots are assembled from coprime-degree subfields.
 DIRECT_DEGREE_CAP = 200
@@ -58,7 +75,8 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int) -> Dict[int, int]:
     """Prime factorisation by trial division (inputs here stay desk-sized)."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"can only factorise positive integers, got {n}")
     out: Dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -76,7 +94,8 @@ def factorize(n: int) -> Dict[int, int]:
 
 
 def v_adic(n: int, p: int) -> int:
-    assert n != 0
+    if n == 0 or p < 2:
+        raise ValueError(f"v_adic needs n != 0 and p >= 2, got n={n}, p={p}")
     v = 0
     while n % p == 0:
         n //= p
@@ -114,47 +133,6 @@ def mult_order(q: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(p): 1-D int64 arrays, low degree first
-
-
-def _trim(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    if len(nz) == 0:
-        return a[:1] * 0
-    return a[: nz[-1] + 1]
-
-
-def _pmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return np.convolve(a, b) % p
-
-
-def _pdivmod(a: np.ndarray, b: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
-    b = _trim(b)
-    db = len(b) - 1
-    assert db >= 0 and b[db] != 0
-    inv_lead = pow(int(b[db]), p - 2, p)
-    r = a.copy() % p
-    if len(r) - 1 < db:
-        return np.zeros(1, dtype=np.int64), _trim(r)
-    quo = np.zeros(len(r) - db, dtype=np.int64)
-    for d in range(len(r) - 1, db - 1, -1):
-        c = r[d] % p
-        if c:
-            f = (c * inv_lead) % p
-            quo[d - db] = f
-            r[d - db : d + 1] = (r[d - db : d + 1] - f * b) % p
-    return _trim(quo), _trim(r)
-
-
-def _pgcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    a, b = _trim(a % p), _trim(b % p)
-    while len(b) > 1 or b[0] != 0:
-        _, r = _pdivmod(a, b, p)
-        a, b = b, r
-    return a
-
-
-# ---------------------------------------------------------------------------
 # GF(p^e) contexts
 
 
@@ -173,7 +151,15 @@ class FieldCtx:
         self.e = e
         self.q = p**e
         self.modulus = modulus
-        self._mod_low = np.array(modulus[:e], dtype=np.int64)
+        # _xmul[s][t] = x^(s+t) mod the modulus, for s < 2e - 1 and t < e, so
+        # c @ _xmul[s] is c * x^s for a coefficient vector c
+        xp = np.zeros((3 * e - 2, e), dtype=np.int64)
+        xp[:e] = np.eye(e, dtype=np.int64)
+        low = np.array(modulus[:e], dtype=np.int64)
+        for k in range(e, 3 * e - 2):
+            xp[k, 1:] = xp[k - 1, :-1]
+            xp[k] = (xp[k] - xp[k - 1, e - 1] * low) % p
+        self._xmul = np.stack([xp[s : s + e] for s in range(2 * e - 1)])
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -259,58 +245,14 @@ class FieldCtx:
     def is_zero(self, a: BaseElem) -> bool:
         return all(x == 0 for x in a)
 
+    def _mulmat(self, c) -> np.ndarray:
+        """The e x e matrix over GF(p) of multiplication by c."""
+        e = self.e
+        rows = np.asarray(c, dtype=np.int64) @ self._xmul[:e].reshape(e, e * e)
+        return rows.reshape(e, e) % self.p
+
 
 _FIELD_CACHE: Dict[Tuple[int, int], FieldCtx] = {}
-
-
-def _prime_irreducible(p: int, e: int) -> Tuple[int, ...]:
-    """Lex-least monic irreducible of degree e over GF(p) (tuple, low first).
-
-    Lex order compares the constant coefficient first; candidates with zero
-    constant term are divisible by x, so enumeration starts at c0 = 1.
-    """
-    if e == 1:
-        return (0, 1)  # the polynomial x, degree-1 convention for prime fields
-    for c0 in range(1, p):
-        for rest in range(p ** (e - 1)):
-            digits = []
-            nn = rest
-            for _ in range(e - 1):
-                digits.append(nn % p)
-                nn //= p
-            low = (c0,) + tuple(reversed(digits))
-            f = np.array(low + (1,), dtype=np.int64)
-            if _poly_is_irreducible(f, p):
-                return low + (1,)
-    raise FieldError("no irreducible found")  # unreachable
-
-
-def _poly_is_irreducible(f: np.ndarray, p: int) -> bool:
-    """x^(p^k) distinct-degree sieve with early exit on any small factor."""
-    d = len(f) - 1
-    if d == 1:
-        return True
-    x = np.array([0, 1], dtype=np.int64)
-    h = x.copy()
-    for _ in range(d // 2):
-        # h <- h^p mod f
-        acc = np.array([1], dtype=np.int64)
-        base = h
-        n = p
-        while n:
-            if n & 1:
-                acc = _pdivmod(_pmul(acc, base, p), f, p)[1]
-            base = _pdivmod(_pmul(base, base, p), f, p)[1]
-            n >>= 1
-        h = acc
-        diff = h.copy()
-        if len(diff) < 2:
-            diff = np.concatenate([diff, np.zeros(2 - len(diff), dtype=np.int64)])
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(diff, f, p)
-        if len(g) > 1:
-            return False
-    return True
 
 
 def make_field(p: int, e: int = 1) -> FieldCtx:
@@ -321,180 +263,181 @@ def make_field(p: int, e: int = 1) -> FieldCtx:
     key = (p, e)
     ctx = _FIELD_CACHE.get(key)
     if ctx is None:
-        ctx = FieldCtx(p, e, _prime_irreducible(p, e))
+        if e == 1:
+            modulus: Tuple[int, ...] = (0, 1)  # x, the degree-1 convention
+        else:
+            modulus = tuple(int(c) for c in _irreducible(make_field(p), e)[:, 0])
+        ctx = FieldCtx(p, e, modulus)
         _FIELD_CACHE[key] = ctx
     return ctx
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(q) via Kronecker-packed int64 arrays
+# GF(q)[y]/(f) in matrix form
 #
-# A degree-(rows-1) polynomial over GF(q), q = p^e, is stored as an
-# (rows, e) int64 array.  Multiplication packs each base coefficient into a
-# width-(2e-1) block so a single np.convolve computes the bivariate product
-# without cross-block carries.
+# For a monic f of degree o over GF(q), q = p^e, an element of GF(q)[y]/(f)
+# is a flat int64 vector of length o*e over GF(p): entry j*e + s is the
+# coefficient of x^s y^j.  A product packs each GF(q) coefficient into a
+# width-(2e-1) block so that one np.convolve forms the bivariate product
+# without carries; entry j*(2e-1) + s of that product is the coefficient of
+# x^s y^j, and one matmul with the reduction matrix, whose row j*(2e-1) + s
+# is x^s y^j mod (modulus, f), reduces it back to a flat vector.
 
 
-class _ExtPoly:
-    """Helper arithmetic for polynomials over a FieldCtx base."""
+ExtElem = np.ndarray
 
-    def __init__(self, base: FieldCtx):
+
+class _QuotientRing:
+    """GF(q)[y]/(f) for a monic f of degree o >= 1, given as (o+1, e) rows."""
+
+    def __init__(self, base: FieldCtx, f: np.ndarray):
         self.base = base
-        self.W = 2 * base.e - 1
+        self.p = base.p
+        self.o = f.shape[0] - 1
+        self.n = self.o * base.e
+        self._f = f
 
-    def pack(self, rows: np.ndarray) -> np.ndarray:
-        n, e = rows.shape
-        if e == 1:
-            return rows[:, 0].copy()
-        out = np.zeros(n * self.W, dtype=np.int64)
-        for s in range(e):
-            out[s :: self.W][:n] = rows[:, s]
+    @cached_property
+    def _red(self) -> np.ndarray:
+        """((2o-1)(2e-1), o*e) reduction matrix: row j*(2e-1)+s is x^s y^j mod f.
+
+        It is float64 so that products use BLAS.  Every sum they form has at
+        most (2o-1)(2e-1) terms below p^2, so they are exact below 2^53.
+        """
+        base, o, e, p = self.base, self.o, self.base.e, self.p
+        if (2 * o - 1) * (2 * e - 1) * (p - 1) ** 2 >= 2**53:
+            raise FieldTooLarge(f"degree {o} over GF({p}^{e}) is past exact float64 products")
+        # c @ lead is c * (f - y^o) for c in GF(q): subtracting it cancels c y^o
+        lead = np.einsum("iv,tvu->tiu", self._f[:o], base._xmul[:e]).reshape(e, o * e) % p
+        ypow = np.zeros((2 * o - 1, o, e), dtype=np.int64)  # y^j mod f
+        ypow[np.arange(o), np.arange(o), 0] = 1
+        for j in range(o, 2 * o - 1):
+            ypow[j, 1:] = ypow[j - 1, :-1]
+            ypow[j] = (ypow[j] - (ypow[j - 1, o - 1] @ lead).reshape(o, e)) % p
+        # row (j, s) is x^s times each coefficient of y^j: one matmul, then
+        # reorder the axes (j, i, s, u) to (j, s, i, u)
+        xmul = base._xmul.transpose(1, 0, 2).reshape(e, -1)
+        red = (ypow.reshape(-1, e) @ xmul % p).reshape(2 * o - 1, o, 2 * e - 1, e)
+        return red.transpose(0, 2, 1, 3).reshape(-1, self.n).astype(np.float64)
+
+    def _vec(self, a) -> np.ndarray:
+        """An element as a flat vector; tuple-of-tuples input is accepted."""
+        return np.asarray(a, dtype=np.int64).reshape(self.n) % self.p
+
+    def _pack(self, a) -> np.ndarray:
+        """Float64 copy of a with each GF(q) coefficient in a (2e-1)-block."""
+        e = self.base.e
+        out = np.zeros((self.o, 2 * e - 1))
+        out[:, :e] = self._vec(a).reshape(self.o, e)
+        return out.ravel()
+
+    def zero(self) -> ExtElem:
+        return np.zeros(self.n, dtype=np.int64)
+
+    def one(self) -> ExtElem:
+        out = self.zero()
+        out[0] = 1
         return out
 
-    def unpack(self, flat: np.ndarray, nrows: int) -> np.ndarray:
-        e = self.base.e
-        if e == 1:
-            out = np.zeros((nrows, 1), dtype=np.int64)
-            k = min(len(flat), nrows)
-            out[:k, 0] = flat[:k]
-            return out
-        out = np.zeros((nrows, self.W), dtype=np.int64)
-        total = nrows * self.W
-        buf = np.zeros(total, dtype=np.int64)
-        k = min(len(flat), total)
-        buf[:k] = flat[:k]
-        return buf.reshape(nrows, self.W)
+    def add(self, a, b) -> ExtElem:
+        return (self._vec(a) + self._vec(b)) % self.p
 
-    def reduce_x(self, rows: np.ndarray) -> np.ndarray:
-        """Reduce every row modulo the base modulus; return (n, e) array."""
-        p, e = self.base.p, self.base.e
-        if e == 1:
-            return rows.reshape(len(rows), 1) % p
-        rows = rows % p
-        mod_low = self.base._mod_low
-        for col in range(rows.shape[1] - 1, e - 1, -1):
-            c = rows[:, col]
-            rows[:, col - e : col] = (rows[:, col - e : col] - c[:, None] * mod_low) % p
-            rows[:, col] = 0
-        return rows[:, :e] % p
+    def sub(self, a, b) -> ExtElem:
+        return (self._vec(a) - self._vec(b)) % self.p
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Plain product of (na, e) x (nb, e) -> (na+nb-1, e), x-reduced."""
-        flat = np.convolve(self.pack(a), self.pack(b))
-        rows = self.unpack(flat, a.shape[0] + b.shape[0] - 1)
-        return self.reduce_x(rows)
+    def mul(self, a, b) -> ExtElem:
+        red = self._red
+        prod = np.convolve(self._pack(a), self._pack(b))[: red.shape[0]] % self.p
+        return (prod @ red % self.p).astype(np.int64)
 
-    def mulmod(self, a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Product modulo the monic (deg, e)-row polynomial f."""
-        return self.rem(self.mul(a, b), f)
-
-    def rem(self, rows: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """rows mod f where f is monic of degree d stored as (d+1, e)."""
-        base = self.base
-        p = base.p
-        d = f.shape[0] - 1
-        rows = rows % p
-        if rows.shape[0] <= d:
-            out = np.zeros((d, base.e), dtype=np.int64)
-            out[: rows.shape[0]] = rows
-            return out
-        low = f[:d]
-        low_flat = self.pack(low)
-        for top in range(rows.shape[0] - 1, d - 1, -1):
-            c = rows[top]
-            if c.any():
-                contrib = np.convolve(low_flat, c) if base.e > 1 else low_flat * c[0]
-                block = self.unpack(contrib, d)
-                block = self.reduce_x(block)
-                rows[top - d : top] = (rows[top - d : top] - block) % p
-            rows[top] = 0
-        return rows[:d] % p
-
-    def powmod(self, a: np.ndarray, n: int, f: np.ndarray) -> np.ndarray:
-        d = f.shape[0] - 1
-        result = np.zeros((d, self.base.e), dtype=np.int64)
-        result[0] = np.array(self.base.one(), dtype=np.int64)
-        base_pow = self.rem(a.copy(), f)
-        while n:
-            if n & 1:
-                result = self.mulmod(result, base_pow, f)
-            base_pow = self.mulmod(base_pow, base_pow, f)
-            n >>= 1
+    def pow(self, a, n: int) -> ExtElem:
+        if n == 0:
+            return self.one()
+        a = self._vec(a)
+        result = a
+        for bit in bin(n)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
         return result
 
-    def gcd_is_trivial(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """True iff gcd(a, b) over GF(q)[y] is a nonzero constant."""
-        base = self.base
+    def is_zero(self, a) -> bool:
+        return not self._vec(a).any()
 
-        def degree(r):
-            for i in range(r.shape[0] - 1, -1, -1):
-                if r[i].any():
-                    return i
-            return -1
-
-        A, B = a % base.p, b % base.p
-        da, db = degree(A), degree(B)
-        if da < db:
-            A, B, da, db = B, A, db, da
-        while db > 0:
-            inv_lead = np.array(base.inv(tuple(int(v) for v in B[db])), dtype=np.int64)
-            R = A.copy()
-            dr = da
-            while dr >= db:
-                c = R[dr]
-                if c.any():
-                    fac = self.reduce_x(
-                        self.unpack(
-                            np.convolve(self.pack(c.reshape(1, -1)), inv_lead)
-                            if base.e > 1
-                            else c * inv_lead,
-                            1,
-                        )
-                    )[0]
-                    shifted = np.zeros_like(R)
-                    prod = self.mul(B[: db + 1], fac.reshape(1, -1))
-                    shifted[dr - db : dr - db + prod.shape[0]] = prod
-                    R = (R - shifted) % base.p
-                dr = degree(R)
-            A, B = B, R
-            da, db = degree(A), degree(B)
-        return db == 0  # gcd is a nonzero constant
+    def is_one(self, a) -> bool:
+        a = self._vec(a)
+        return bool(a[0] == 1 and not a[1:].any())
 
 
-def _ext_irreducible(base: FieldCtx, d: int) -> np.ndarray:
-    """Lex-least monic irreducible of degree d over GF(q), as (d+1, e) rows."""
+def _degree(a: np.ndarray) -> int:
+    """Degree of a polynomial stored as (rows, e); -1 for zero."""
+    nz = np.flatnonzero(a.any(axis=1))
+    return int(nz[-1]) if len(nz) else -1
+
+
+def _coprime(base: FieldCtx, a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff gcd(a, b) over GF(q)[y] is a nonzero constant; a, b are (rows, e)."""
+    p = base.p
+    da, db = _degree(a), _degree(b)
+    while db > 0:
+        # make b monic, then cancel the leading terms of a from the top down
+        b = b[: db + 1] @ base._mulmat(base.inv(tuple(int(v) for v in b[db]))) % p
+        a = a[: da + 1].copy()
+        while da >= db:
+            a[da - db : da + 1] = (a[da - db : da + 1] - b @ base._mulmat(a[da])) % p
+            da = _degree(a[:da])
+        a, b, da, db = b, a, db, da
+    return db == 0
+
+
+def _is_irreducible(base: FieldCtx, f: np.ndarray) -> bool:
+    """Ben-Or test: f of degree d is irreducible over GF(q) iff
+    gcd(y^(q^i) - y, f) = 1 for every i <= d/2.
+
+    The differences are multiplied together and one gcd is taken per block
+    of steps, the blocks doubling (1, 2, 3-4, 5-8, ...): a reducible f
+    usually fails in the first blocks, an irreducible one costs log d gcds.
+    """
+    d = f.shape[0] - 1
     if d == 1:
-        f = np.zeros((2, base.e), dtype=np.int64)
-        f[1] = np.array(base.one(), dtype=np.int64)
-        return f
-    arith = _ExtPoly(base)
+        return True
+    ring = _QuotientRing(base, f)
+    y = ring.zero()
+    y[base.e] = 1
+    h, acc, check = y, ring.one(), 1
+    for i in range(1, d // 2 + 1):
+        h = ring.pow(h, base.q)
+        acc = ring.mul(acc, h - y)
+        if i == check or i == d // 2:
+            if not _coprime(base, acc.reshape(d, base.e), f):
+                return False
+            acc, check = ring.one(), 2 * i
+    return True
+
+
+def _irreducible(base: FieldCtx, d: int) -> np.ndarray:
+    """Lex-least monic irreducible of degree d over GF(q), as (d+1, e) rows.
+
+    Lex order compares the constant coefficient first, each coefficient in
+    the base field's counter order; candidates with zero constant term are
+    divisible by y, so enumeration starts at c0 = 1.
+    """
     q = base.q
-    y = np.zeros((2, base.e), dtype=np.int64)
-    y[1] = np.array(base.one(), dtype=np.int64)
-    # zero constant term means a factor of y, so lex enumeration starts c0 = 1
+    f = np.zeros((d + 1, base.e), dtype=np.int64)
+    f[d] = base.one()
+    if d == 1:
+        return f  # y itself, the degree-1 convention
     for c0 in range(1, q):
+        f[0] = base.element_by_counter(c0)
         for rest in range(q ** (d - 1)):
-            digits = [c0]
-            nn = rest
-            low = []
-            for _ in range(d - 1):
-                low.append(nn % q)
-                nn //= q
-            digits.extend(reversed(low))
-            f = np.zeros((d + 1, base.e), dtype=np.int64)
-            for i, dig in enumerate(digits):
-                f[i] = np.array(base.element_by_counter(dig), dtype=np.int64)
-            f[d] = np.array(base.one(), dtype=np.int64)
-            h = y.copy()[:d] if d > 1 else y.copy()[:1]
-            ok = True
-            for _ in range(d // 2):
-                h = arith.powmod(h, q, f)
-                diff = h.copy()
-                diff[1] = (diff[1] - y[1]) % base.p
-                if not arith.gcd_is_trivial(diff, f):
-                    ok = False
-                    break
-            if ok:
+            # rest's digits fill c_{d-1}, c_{d-2}, ... from least significant
+            f[1:d] = 0
+            nn, i = rest, d - 1
+            while nn:
+                nn, digit = divmod(nn, q)
+                f[i] = base.element_by_counter(digit)
+                i -= 1
+            if _is_irreducible(base, f):
                 return f
     raise FieldError("no irreducible found")  # unreachable
 
@@ -503,74 +446,55 @@ def _ext_irreducible(base: FieldCtx, d: int) -> np.ndarray:
 # extension contexts carrying a root of unity
 
 
-ExtElem = Tuple[BaseElem, ...]
-
-
-class ExtFieldCtx:
+class ExtFieldCtx(_QuotientRing):
     """GF(q^o) over a FieldCtx base, with xi a fixed element of order m.
 
     o is the multiplicative order of q modulo m, so GF(q^o) is the least
-    extension containing an m-th root of unity.
+    extension containing an m-th root of unity.  Elements are flat GF(p)
+    vectors of length o*e (see _QuotientRing); every method also accepts
+    the tuple of o base-field tuples.
     """
 
-    def __init__(self, base: FieldCtx, m: int, o: int, modulus: np.ndarray):
-        self.base = base
+    def __init__(self, base: FieldCtx, m: int, modulus: np.ndarray):
+        super().__init__(base, modulus)
         self.m = m
-        self.o = o
         self.q = base.q
-        self._f = modulus  # (o+1, e) rows, monic
-        self._arith = _ExtPoly(base)
-        self.order = base.q**o
-        self.xi: ExtElem = self._find_xi()
-        self.modulus: Tuple[ExtElem, ...] = tuple(
+        self.order = base.q**self.o
+        self.modulus: Tuple[BaseElem, ...] = tuple(
             tuple(int(v) for v in row) for row in modulus
         )
+        self.xi: ExtElem = self._find_xi()
+        self.xi.flags.writeable = False
 
     def __repr__(self):
         return f"GF({self.base.q}^{self.o}) with xi_{self.m}"
 
-    # -- element plumbing ----------------------------------------------------
-    def _rows(self, x: ExtElem) -> np.ndarray:
-        return np.array(x, dtype=np.int64).reshape(self.o, self.base.e)
-
-    def _elem(self, rows: np.ndarray) -> ExtElem:
-        return tuple(tuple(int(v) for v in row) for row in rows)
-
-    def zero(self) -> ExtElem:
-        return self._elem(np.zeros((self.o, self.base.e), dtype=np.int64))
-
-    def one(self) -> ExtElem:
-        rows = np.zeros((self.o, self.base.e), dtype=np.int64)
-        rows[0] = np.array(self.base.one(), dtype=np.int64)
-        return self._elem(rows)
-
     def embed(self, c: BaseElem) -> ExtElem:
-        rows = np.zeros((self.o, self.base.e), dtype=np.int64)
-        rows[0] = np.array(c, dtype=np.int64)
-        return self._elem(rows)
+        out = self.zero()
+        out[: self.base.e] = c
+        return out
 
-    def add(self, a: ExtElem, b: ExtElem) -> ExtElem:
-        return self._elem((self._rows(a) + self._rows(b)) % self.base.p)
+    def is_scalar(self, a) -> bool:
+        return not self._vec(a)[self.base.e :].any()
 
-    def sub(self, a: ExtElem, b: ExtElem) -> ExtElem:
-        return self._elem((self._rows(a) - self._rows(b)) % self.base.p)
+    def as_base(self, a) -> BaseElem:
+        a = self._vec(a)
+        if a[self.base.e :].any():
+            raise NotInBaseField("element does not lie in the base field")
+        return tuple(int(v) for v in a[: self.base.e])
 
-    def mul(self, a: ExtElem, b: ExtElem) -> ExtElem:
-        return self._elem(self._arith.mulmod(self._rows(a), self._rows(b), self._f))
+    @cached_property
+    def _trace_map(self) -> np.ndarray:
+        """(o*e, e) matrix of the relative trace to GF(q) over GF(p).
 
-    def pow(self, a: ExtElem, n: int) -> ExtElem:
-        return self._elem(self._arith.powmod(self._rows(a), n, self._f))
-
-    def is_zero(self, a: ExtElem) -> bool:
-        return not self._rows(a).any()
-
-    def is_scalar(self, a: ExtElem) -> bool:
-        return not self._rows(a)[1:].any()
-
-    def as_base(self, a: ExtElem) -> BaseElem:
-        rows = self._rows(a)
-        assert not rows[1:].any(), "element does not lie in the base field"
-        return tuple(int(v) for v in rows[0])
+        tau_j = tr(y^j) is the trace of multiplication by y^j, the sum over
+        i of the y^i-coefficient of y^(i+j) mod f; row j*e + s is x^s tau_j.
+        """
+        o, e = self.o, self.base.e
+        ypow = self._red.reshape(2 * o - 1, 2 * e - 1, o, e)[:, 0].astype(np.int64)
+        i = np.arange(o)
+        tau = ypow[i[:, None] + i[None, :], i[None, :]].sum(axis=1)
+        return np.einsum("jt,stu->jsu", tau, self.base._xmul[:e]).reshape(self.n, e) % self.p
 
     # -- xi construction -----------------------------------------------------
     def _find_xi(self) -> ExtElem:
@@ -579,19 +503,17 @@ class ExtFieldCtx:
             return self.one()
         s = (self.order - 1) // m
         mf = factorize(m)
+        w = np.zeros((self.o, self.base.e), dtype=np.int64)
         for n in range(1, min(self.order, 1 << 20)):
-            w_rows = np.zeros((self.o, self.base.e), dtype=np.int64)
-            counter = n
-            # counter order mirrors the base-field lex rule across rows
-            digits = []
-            for _ in range(self.o):
-                digits.append(counter % self.q)
-                counter //= self.q
-            digits.reverse()
-            for i, dig in enumerate(digits):
-                w_rows[i] = np.array(self.base.element_by_counter(dig), dtype=np.int64)
-            y = self._arith.powmod(w_rows, s, self._f)
-            cand = self._elem(y)
+            # counter order mirrors the base-field lex rule across rows: the
+            # least significant base-q digit of n is the y^(o-1) coefficient;
+            # rows above n's leading digit stay zero, as n only grows
+            counter, i = n, self.o - 1
+            while counter:
+                counter, digit = divmod(counter, self.q)
+                w[i] = self.base.element_by_counter(digit)
+                i -= 1
+            cand = self.pow(w, s)
             if self.is_zero(cand):
                 continue
             if self._has_exact_order(cand, m, mf):
@@ -605,12 +527,6 @@ class ExtFieldCtx:
             if self.is_one(self.pow(x, m // ell)):
                 return False
         return True
-
-    def is_one(self, a: ExtElem) -> bool:
-        rows = self._rows(a)
-        if rows[1:].any():
-            return False
-        return tuple(int(v) for v in rows[0]) == self.base.one()
 
 
 _EXT_CACHE: Dict[Tuple[int, int, int], ExtFieldCtx] = {}
@@ -629,45 +545,16 @@ def extension_for_root(ctx: FieldCtx, m: int) -> ExtFieldCtx:
     mod_key = (ctx.p, ctx.e, o)
     modulus = _EXT_MOD_CACHE.get(mod_key)
     if modulus is None:
-        modulus = _ext_irreducible(ctx, o)
+        modulus = _irreducible(ctx, o)
         _EXT_MOD_CACHE[mod_key] = modulus
-    ext = ExtFieldCtx(ctx, m, o, modulus)
+    ext = ExtFieldCtx(ctx, m, modulus)
     _EXT_CACHE[key] = ext
     return ext
 
 
-def rel_trace(ext: ExtFieldCtx, x: ExtElem) -> BaseElem:
+def rel_trace(ext: ExtFieldCtx, x) -> BaseElem:
     """tr_{GF(q^o)/GF(q)}(x) = sum of x^(q^j), j < o; lands in GF(q)."""
-    acc = x
-    t = x
-    for _ in range(ext.o - 1):
-        t = ext.pow(t, ext.q)
-        acc = ext.add(acc, t)
-    return ext.as_base(acc)
-
-
-def primitive_element(ext: ExtFieldCtx) -> ExtElem:
-    """Least element of full multiplicative order (small fields only)."""
-    n = ext.order - 1
-    if n >= 1 << 48:
-        raise FieldTooLarge("q^o - 1 too large to certify a primitive element")
-    nf = factorize(n)
-    for counter in range(1, ext.order):
-        digits = []
-        c = counter
-        for _ in range(ext.o):
-            digits.append(c % ext.q)
-            c //= ext.q
-        digits.reverse()
-        rows = np.zeros((ext.o, ext.base.e), dtype=np.int64)
-        for i, dig in enumerate(digits):
-            rows[i] = np.array(ext.base.element_by_counter(dig), dtype=np.int64)
-        cand = ext._elem(rows)
-        if ext.is_zero(cand):
-            continue
-        if ext._has_exact_order(cand, n, nf):
-            return cand
-    raise FieldError("no primitive element found")  # unreachable
+    return tuple(int(v) for v in ext._vec(x) @ ext._trace_map % ext.p)
 
 
 # ---------------------------------------------------------------------------
@@ -702,30 +589,12 @@ def trace_table(ctx: FieldCtx, m: int, relabel: int = 1) -> List[BaseElem]:
 
 def _trace_table_direct(ctx: FieldCtx, m: int, relabel: int) -> List[BaseElem]:
     ext = extension_for_root(ctx, m)
-    xi = ext.pow(ext.xi, relabel) if relabel != 1 else ext.xi
-    powers = [ext.one()]
-    for _ in range(1, m):
-        powers.append(ext.mul(powers[-1], xi))
-    o = ext.o
-    table: List[Optional[BaseElem]] = [None] * m
-    seen = [False] * m
-    for t0 in range(m):
-        if seen[t0]:
-            continue
-        orbit = []
-        t = t0
-        while not seen[t]:
-            seen[t] = True
-            orbit.append(t)
-            t = (t * ctx.q) % m
-        acc = powers[orbit[0]]
-        for s in orbit[1:]:
-            acc = ext.add(acc, powers[s])
-        mult = (o // len(orbit)) % ctx.p
-        value = ctx.smul(mult, ext.as_base(acc))
-        for s in orbit:
-            table[s] = value
-    return table  # type: ignore[return-value]
+    xi = ext.pow(ext.xi, relabel)
+    powers = np.empty((m, ext.n), dtype=np.int64)
+    powers[0] = ext.one()
+    for t in range(1, m):
+        powers[t] = ext.mul(powers[t - 1], xi)
+    return [tuple(row) for row in (powers @ ext._trace_map % ctx.p).tolist()]
 
 
 def _coprime_split(q: int, m: int) -> Optional[Tuple[int, int]]:
@@ -755,11 +624,6 @@ def _trace_table_split(ctx: FieldCtx, m: int, relabel: int) -> List[BaseElem]:
     t1 = trace_table(ctx, m1, relabel % m1 if m1 > 1 else 0)
     t2 = trace_table(ctx, m2, relabel % m2 if m2 > 1 else 0)
     return [ctx.mul(t1[t % m1], t2[t % m2]) for t in range(m)]
-
-
-def root_trace(ctx: FieldCtx, m: int, k: int, relabel: int = 1) -> BaseElem:
-    """tr(xi_m^k) over GF(q), via the cached table."""
-    return trace_table(ctx, m, relabel)[k % m]
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +678,8 @@ def trace_vanishes_2power(q: int, i: int) -> bool:
 
 def odd_prime_i0(q: int, p: int) -> int:
     """Largest j with ord_{p^j}(q) = ord_p(q), for an odd prime p."""
-    assert p % 2 == 1 and is_prime(p)
+    if p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"p={p} must be an odd prime")
     if math.gcd(q, p) != 1:
         raise NotCoprime(f"gcd({q}, {p}) != 1")
     return v_adic(q ** mult_order(q, p) - 1, p)
@@ -834,7 +699,8 @@ def _orbit_sum_is_zero(q: int, M: int, k: int) -> bool:
 
 def _prime_power_field(q: int) -> FieldCtx:
     fac = factorize(q)
-    assert len(fac) == 1, f"q={q} is not a prime power"
+    if len(fac) != 1:
+        raise NonPrimeCharacteristic(f"q={q} is not a prime power")
     ((p, e),) = fac.items()
     return make_field(p, e)
 

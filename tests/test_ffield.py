@@ -1,5 +1,13 @@
+import hashlib
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -12,12 +20,14 @@ from helpers import (
 )
 
 
-def enumerate_least_irreducible_quadratic(p):
-    """Independent oracle: monic quadratics in lex order, root search."""
-    for c0 in range(p):
-        for c1 in range(p):
-            if all((x * x + c1 * x + c0) % p for x in range(p)):
-                return (c0, c1, 1)
+def least_rootless_monic(p, e):
+    """Independent oracle: monic polynomials of degree e in lex order (c0
+    first), the first without a root in GF(p).  For e <= 3 a polynomial
+    without a root is irreducible, so this is the lex-least irreducible."""
+    for low in itertools.product(range(p), repeat=e):
+        f = low + (1,)
+        if all(sum(c * x**i for i, c in enumerate(f)) % p for x in range(p)):
+            return f
     raise AssertionError
 
 
@@ -28,9 +38,9 @@ def test_make_field_prime_conventions():
         ff.make_field(6)
 
 
-def test_make_field_gf9_lex_least_modulus():
-    expected = enumerate_least_irreducible_quadratic(3)
-    assert ff.make_field(3, 2).modulus == expected
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7) for e in (2, 3)])
+def test_make_field_lex_least_modulus(p, e):
+    assert ff.make_field(p, e).modulus == least_rootless_monic(p, e)
 
 
 def test_make_field_idempotent():
@@ -43,6 +53,94 @@ def test_make_field_idempotent():
 )
 def test_mult_order(q, m, o):
     assert ff.mult_order(q, m) == o
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 over (extension modulus, xi, trace table) for every m <= 64 coprime
+# to q, and over make_field(p, e).modulus for p <= 13, 2 <= e <= 6.  Changes
+# to the field arithmetic must leave every bit of these unchanged.
+PINNED_EXTENSION_DIGESTS = {
+    2: "4ad7093b0ad7ba1dea6b60e05d2d9657c50af59a1793a76ec4d729d66392dde3",
+    3: "a0e078793e1c46aced2fc088adebf938fba04939b3778e6de6a1853eaffd6187",
+    4: "4c3ce38bf46d19836afa76721244e9050ff767b6a8b757b563348054dd45dc47",
+    5: "9a7c99740dfc56cf40c55ab9fed6a2451ea476161b72d00ddacb25d7f99d0d95",
+    7: "f70f9082949ff1098973cbf7a736c862f717ae6e6b98485cff61de32abcd014e",
+    9: "0e9624dab26dd836b3dacab032fa8fc223fa8e8b633c3bce34d25e7384d3ebe3",
+}
+PINNED_BASE_MODULI_DIGEST = "fc7e805ddf0bf6f2795f9dc5f9c541e02d3188dd541814dc3b776f9cd643069d"
+
+
+def _extension_digest(q):
+    ctx = base_field_of(q)
+    arrays = []
+    for m in range(1, 65):
+        if math.gcd(q, m) != 1:
+            continue
+        E = ff.extension_for_root(ctx, m)
+        arrays += [E.modulus, E.xi, ff.trace_table(ctx, m)]
+    return _digest(arrays)
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_EXTENSION_DIGESTS))
+def test_extension_bit_identity(q):
+    assert _extension_digest(q) == PINNED_EXTENSION_DIGESTS[q]
+
+
+def test_base_moduli_bit_identity():
+    moduli = [
+        ff.make_field(p, e).modulus
+        for p in (2, 3, 5, 7, 11, 13)
+        for e in range(2, 7)
+    ]
+    assert _digest(moduli) == PINNED_BASE_MODULI_DIGEST
+
+
+def test_typed_errors():
+    with pytest.raises(ValueError):
+        ff.factorize(0)
+    with pytest.raises(ValueError):
+        ff.v_adic(0, 3)
+    with pytest.raises(ValueError):
+        ff.odd_prime_i0(5, 2)
+    with pytest.raises(ValueError):
+        ff.odd_prime_i0(5, 9)
+    with pytest.raises(ff.NonPrimeCharacteristic):
+        ff._prime_power_field(6)
+    E = ff.extension_for_root(ff.make_field(2), 7)
+    with pytest.raises(ff.NotInBaseField):
+        E.as_base(E.xi)
+    assert E.as_base(E.embed((1,))) == (1,)
+    big = 100_000_007  # (big - 1)^2 alone passes 2^53, the float64 exactness bound
+    assert ff.is_prime(big) and ff.mult_order(big, 3) == 2
+    with pytest.raises(ff.FieldTooLarge):
+        ff.extension_for_root(ff.make_field(big), 3)
+
+
+def test_typed_errors_survive_python_O():
+    # an assert guard vanishes under -O, and factorize(0) and v_adic(0, p)
+    # would then loop forever: the guards must be raised errors
+    script = (
+        "from metacode import ffield as ff\n"
+        "for f, args in ((ff.factorize, (0,)), (ff.v_adic, (0, 3))):\n"
+        "    try:\n"
+        "        f(*args)\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+    )
+    src = str(Path(ff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised", "raised"]
 
 
 def test_mult_order_not_coprime():
@@ -120,9 +218,8 @@ def test_xi_exact_order_full_sweep(q):
         if math.gcd(q, m) != 1:
             continue
         if ff.mult_order(q, m) > 300:
-            E = None
             try:
-                table = ff.trace_table(ctx, m)
+                ff.trace_table(ctx, m)
             except ff.FieldTooLarge:
                 pytest.skip(f"m={m} needs an unsplittable huge field")
             continue
