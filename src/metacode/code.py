@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ffield import mult_order, odd_prime_i0, v_adic
+from .ffield import factorize, mult_order, odd_prime_i0, v_adic
 from .groups import FiniteGroup, Subgroup, quotient_is_cyclic
 from .idem import GroupAlgebra, Idempotent, census
 DEFAULT_BUDGET = 500_000_000
@@ -26,6 +25,15 @@ class ZeroCode(CodeError):
 
 class QuotientNotCyclic(CodeError):
     pass
+
+
+class CertificateError(CodeError):
+    """An internal check of a distance certificate failed."""
+
+
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise CertificateError(what)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +63,7 @@ def ref_mod(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
             M[r + 1 + hot] = (M[r + 1 + hot] - np.outer(rest[hot], M[r])) % p
         pivots.append(c)
         r += 1
-    return M[:r], pivots
+    return M[:r].copy(), pivots  # a view would keep all nrows rows alive
 
 
 def rref_mod(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
@@ -145,39 +153,145 @@ def min_distance(
     code: LinearCode,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    workers: Optional[int] = None,
 ) -> Tuple[int, int, Optional[np.ndarray]]:
-    """Exact distance when affordable, otherwise an honest interval.
+    """``(d_lo, d_hi, witness)``, also stored on ``code``: exact when affordable.
 
-    Exact routes: full message-space enumeration (q^k within budget) or the
-    MacWilliams transform of the dual weight distribution (q^(n-k) within
-    budget).  Fallback: bounded weight-enumeration lower bound plus an
-    information-set sampling upper bound.
+    Routes: Brouwer-Zimmermann enumeration over disjoint information sets
+    when q^k <= budget (exact; at most the (q^k - 1)/(q - 1) message classes,
+    far fewer once a few sets prove the minimum); the MacWilliams transform of
+    the dual weight distribution when q^(n-k) <= budget (exact); otherwise a
+    bounded weight-enumeration lower bound and a seeded information-set upper
+    bound.  The witness has weight d_hi.  Failed internal checks (MacWilliams
+    integrality, witness weight and membership) raise `CertificateError`.
     """
     if code.k == 0:
         raise ZeroCode("zero-dimensional code has no distance")
     q, n, k = code.q, code.n, code.k
-    if workers is None:
-        workers = int(os.environ.get("METACODE_THREADS", "1"))
     if q**k <= budget:
-        d, witness = _exact_enumeration(code.genmat, q, workers)
-        code.d_lo = code.d_hi = d
-        code.witness = witness
-        return d, d, witness
-    if q ** (n - k) <= budget:
-        d = _macwilliams_distance(code, budget)
-        witness = _find_weight_word(code, d, budget)
-        code.d_lo = code.d_hi = d
-        code.witness = witness
-        return d, d, witness
-    lo = _weight_enum_lower(code, budget)
-    hi, witness = _information_set_upper(code, budget, seed)
+        lo, witness, _ = _brouwer_zimmermann(code.genmat, code.pivots, q)
+        hi = lo
+    elif q ** (n - k) <= budget:
+        lo = hi = _macwilliams_distance(code, budget)
+        witness = _find_weight_word(code, lo, budget)
+    else:
+        lo = _weight_enum_lower(code, budget)
+        hi, witness = _information_set_upper(code, budget, seed)
     code.d_lo, code.d_hi, code.witness = lo, hi, witness
     return lo, hi, witness
 
 
+_BZ_ROWS = 1 << 14  # codewords per enumeration block
+_BZ_CELLS = 1 << 20  # and symbols per block, for long codes
+
+
+def _brouwer_zimmermann(
+    genmat: np.ndarray, pivots: List[int], q: int
+) -> Tuple[int, np.ndarray, int]:
+    """(d, witness, codewords examined) for the code with RREF genmat.
+
+    Disjoint information sets P_1 = pivots, P_2, ... (rank r_j <= k, each
+    built from the columns no earlier set took when a round first reaches
+    it).  Round w enumerates the messages of weight w, first nonzero symbol
+    1, on each set's systematic generator matrix.  A codeword not yet seen
+    has at least w_j + 1 - (k - r_j) nonzero symbols on P_j (w_j the last
+    round on set j); the search stops when the sum reaches the lightest
+    weight seen, or set 1 reaches weight k.  After set 1 of each round it
+    finishes on set 1 alone if the other sets (unbuilt ones at full rank)
+    would examine no fewer codewords than that, or take the count past
+    (q^k - 1)/(q - 1).  Zimmermann (1996); Grassl (2006).
+    """
+    k, n = genmat.shape
+    size = [math.comb(k, w) * (q - 1) ** max(0, w - 1) for w in range(k + 1)]
+    left = [sum(size[w:]) for w in range(k + 2)]  # set 1 alone from round w on
+    gammas, ranks, done = [genmat], [k], [0]  # per set: systematic generator, rank, rounds
+    free = np.setdiff1d(np.arange(n), pivots)
+    best, word, examined, solo, lo = n + 1, None, 0, False, 1  # lo: bound summed over sets
+
+    def bound(r: int, w: int) -> int:  # nonzero symbols on a rank-r set after round w
+        return max(0, w + 1 - (k - r))
+
+    def rest_cost(w: int) -> int:  # codewords the other sets take until lo >= best
+        rk, dn, cols = list(ranks), list(done), len(free)
+        while cols:
+            rk.append(min(rk[-1], cols))
+            dn.append(-1)
+            cols -= rk[-1]
+        at, cost = lo, 0
+        for v in range(w, k + 1):
+            for j in range(1 if v == w else 0, len(rk)):
+                if v + 1 <= k - rk[j]:
+                    break
+                at, cost = at + bound(rk[j], v) - bound(rk[j], dn[j]), cost + size[v]
+                dn[j] = v
+                if at >= best or dn[0] == k:
+                    return cost
+        return cost
+
+    for w in range(1, k + 1):
+        for j in count():
+            if j == 1:
+                if not solo:
+                    cost = rest_cost(w)
+                    solo = cost >= left[w + 1] or examined + cost > left[1]
+                if solo:
+                    break
+            if j == len(gammas):
+                if len(free) == 0:
+                    break
+                order = np.concatenate([free, np.setdiff1d(np.arange(n), free)])
+                R, piv = rref_mod(genmat[:, order], q)
+                piv = [int(order[c]) for c in piv if c < len(free)]
+                free = np.setdiff1d(free, piv) if piv else free[:0]
+                if not piv:
+                    break
+                gammas.append(R[:, np.argsort(order)])  # identity on piv, rows >= r vanish on free
+                ranks.append(len(piv))
+                done.append(0)
+                lo += bound(len(piv), 0)
+            if w + 1 <= k - ranks[j]:
+                break
+            weight, cw = _weight_round(gammas[j], q, w)
+            lo += bound(ranks[j], w) - bound(ranks[j], done[j])
+            examined, done[j] = examined + size[w], w
+            if weight < best:
+                best, word = weight, cw
+            if lo >= best:
+                break
+        if lo >= best or done[0] == k:
+            break
+    _check(np.count_nonzero(word) == best and np.array_equal((word[pivots] @ genmat) % q, word),
+           "enumerated witness is not a codeword of weight d")
+    return best, word, examined
+
+
+def _weight_round(gamma: np.ndarray, q: int, w: int) -> Tuple[int, np.ndarray]:
+    """Lightest codeword m @ gamma over the C(k, w) (q-1)^(w-1) messages m of
+    weight w with first nonzero symbol 1."""
+    k, n = gamma.shape
+    messages = math.comb(k, w) * (q - 1) ** (w - 1)
+    acc_t = np.uint8 if k * (q - 1) < 256 else np.int64  # holds sums of k reduced terms
+    # row a*k + i is a * gamma[i] (q*k*n entries); weight 1 needs only a = 1
+    table = (np.arange(q if w > 1 else 2)[:, None, None] * gamma % q).astype(acc_t).reshape(-1, n)
+    # binom[i, c] = C(c, i) unranks supports in the combinatorial number system
+    binom = np.array([[math.comb(c, i) for c in range(k)] for i in range(w + 1)])
+    best, word, rows = n + 1, None, max(1, min(_BZ_ROWS, _BZ_CELLS // n))
+    for start in range(0, messages, rows):
+        sup, pat = np.divmod(np.arange(start, min(start + rows, messages)), (q - 1) ** (w - 1))
+        acc = np.zeros((len(sup), n), dtype=acc_t)
+        for i in range(w, 0, -1):  # support c_w > ... > c_1; c_1 has coefficient 1
+            c = np.searchsorted(binom[i], sup, side="right") - 1
+            sup -= binom[i, c]
+            pat, a = np.divmod(pat, q - 1) if i > 1 else (pat, 0)
+            acc += table[c + (a + 1) * k]
+        acc %= q
+        weights = np.count_nonzero(acc, axis=1)
+        i = int(np.argmin(weights))
+        if weights[i] < best:
+            best, word = int(weights[i]), acc[i].astype(np.int64)
+    return best, word
+
+
 _BLOCK = 1 << 17
-_TABLE_CAP = 1 << 14
 
 
 def _digits_block(idx: np.ndarray, q: int, width: int, out: np.ndarray) -> np.ndarray:
@@ -188,104 +302,11 @@ def _digits_block(idx: np.ndarray, q: int, width: int, out: np.ndarray) -> np.nd
     return out[: len(idx)]
 
 
-def _digits_of(value: int, q: int, width: int) -> np.ndarray:
-    out = np.empty(width, dtype=np.int64)
-    for pos in range(width - 1, -1, -1):
-        out[pos] = value % q
-        value //= q
-    return out
-
-
-def _suffix_table(rows: np.ndarray, q: int) -> np.ndarray:
-    """All GF(q) combinations of the given rows, reduced mod q (uint8).
-
-    Index digits follow _digits_of: rows[0] is the most significant digit.
-    """
-    w, n = rows.shape
-    table = np.zeros((q**w, n), dtype=np.uint8)
-    span = 1
-    for pos in range(w - 1, -1, -1):
-        row = (rows[pos] % q).astype(np.uint8)
-        for digit in range(1, q):
-            scaled = (digit * row) % q
-            table[digit * span : (digit + 1) * span] = (table[:span] + scaled) % q
-        span *= q
-    return table
-
-
-def _enum_range(
-    genmat: np.ndarray, q: int, lead: int, start: int, stop: int, w_lo: int
-) -> Tuple[int, Optional[np.ndarray]]:
-    """Scan messages with first nonzero symbol 1 at `lead`.
-
-    The last w_lo tail digits are tabulated once; [start, stop) ranges over
-    the remaining prefix digits.  Pure integer arithmetic throughout.
-    """
-    k, n = genmat.shape
-    width = k - lead - 1
-    w_hi = width - w_lo
-    base = genmat[lead] % q
-    tail = genmat[lead + 1 :] % q
-    table = (_suffix_table(tail[w_hi:], q) + base.astype(np.uint8)) % q
-    lut = np.array([1 if v % q else 0 for v in range(2 * q)], dtype=np.uint8)
-    best_w, best_msg = n + 1, None
-    hi_rows = tail[:w_hi]
-    buf = np.empty_like(table)
-    counts = np.empty(table.shape[0], dtype=np.int32)
-    for prefix in range(start, stop):
-        if w_hi:
-            digits_hi = _digits_of(prefix, q, w_hi)
-            pre = (digits_hi @ hi_rows) % q
-            np.add(table, pre.astype(np.uint8), out=buf)
-        else:
-            buf[:] = table
-        np.take(lut, buf, out=buf)
-        np.sum(buf, axis=1, dtype=np.int32, out=counts)
-        i = int(np.argmin(counts))
-        if counts[i] < best_w:
-            best_w = int(counts[i])
-            best_msg = np.zeros(k, dtype=np.int64)
-            best_msg[lead] = 1
-            if w_hi:
-                best_msg[lead + 1 : lead + 1 + w_hi] = _digits_of(prefix, q, w_hi)
-            best_msg[lead + 1 + w_hi :] = _digits_of(i, q, w_lo)
-    return best_w, best_msg
-
-
-def _exact_enumeration(genmat: np.ndarray, q: int, workers: int = 1):
-    """Minimum weight over one representative per scalar class of messages."""
-    k, n = genmat.shape
-    tasks = []
-    for lead in range(k):
-        width = k - lead - 1
-        w_lo = 0
-        while w_lo < width and q ** (w_lo + 1) <= _TABLE_CAP:
-            w_lo += 1
-        prefixes = q ** (width - w_lo)
-        chunk = max(1, min(prefixes, 1 << 12))
-        for start in range(0, prefixes, chunk):
-            tasks.append((genmat, q, lead, start, min(start + chunk, prefixes), w_lo))
-    if workers > 1 and len(tasks) > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(workers) as pool:
-            results = pool.starmap(_enum_range, tasks, chunksize=1)
-    else:
-        results = [_enum_range(*t) for t in tasks]
-    best_w, best_msg = n + 1, None
-    for w, msg in results:
-        if w < best_w:
-            best_w, best_msg = w, msg
-    witness = (best_msg @ genmat) % q
-    assert np.count_nonzero(witness) == best_w
-    return best_w, witness
-
-
 def _dual_weight_distribution(code: LinearCode, budget: int) -> np.ndarray:
     q, n, k = code.q, code.n, code.k
     H = parity_check(code.genmat, code.pivots, q)
     r = H.shape[0]
-    assert q**r <= budget
+    _check(q**r <= budget, f"dual space q^{r} exceeds the budget {budget}")
     counts = np.zeros(n + 1, dtype=object)
     counts[0] += 1  # zero dual codeword
     Hf = H.astype(np.float32)
@@ -320,7 +341,7 @@ def _macwilliams_distance(code: LinearCode, budget: int) -> int:
     q, n, k = code.q, code.n, code.k
     B = _dual_weight_distribution(code, budget)
     dual_size = q ** (n - k)
-    assert sum(int(b) for b in B) == dual_size
+    _check(sum(int(b) for b in B) == dual_size, "dual weight distribution does not sum to q^(n-k)")
     d = None
     total = 0
     for w in range(n + 1):
@@ -329,16 +350,16 @@ def _macwilliams_distance(code: LinearCode, budget: int) -> int:
             b = int(B[j])
             if b:
                 acc += b * _krawtchouk(n, q, w, j)
-        assert acc % dual_size == 0, "MacWilliams transform must be integral"
+        _check(acc % dual_size == 0, f"MacWilliams transform is not integral at weight {w}")
         Aw = acc // dual_size
-        assert Aw >= 0
+        _check(Aw >= 0, f"MacWilliams transform is negative at weight {w}")
         total += Aw
         if w == 0:
-            assert Aw == 1
+            _check(Aw == 1, "MacWilliams transform gives A_0 != 1")
         elif Aw > 0 and d is None:
             d = w
-    assert total == q**k
-    assert d is not None
+    _check(total == q**k, "MacWilliams transform does not sum to q^k")
+    _check(d is not None, "MacWilliams transform has no nonzero weight")
     return d
 
 
@@ -514,9 +535,10 @@ def theorem21_bounds(
 
 def theorem61_params(G, q: int, j1: int, beta: int) -> TheoremBounds:
     """Predicted dimension and distance window for e_{p1^j1,k} <b^beta>^ codes."""
-    p1, m = _prime_power(G.N)
-    p2, l = _prime_power(G.M)
-    assert p1 is not None and p2 is not None, "Eq.(3)-shaped group required"
+    f1, f2 = factorize(G.N), factorize(G.M)
+    if len(f1) != 1 or len(f2) != 1:
+        raise CodeError("Eq.(3)-shaped group required: N and M prime powers")
+    ((p1, m),), ((p2, l),) = f1.items(), f2.items()
     o = mult_order(q, p1**j1)
     lam = v_adic(math.gcd(beta, p2**l), p2) if beta % p2**l else l
     qgrp = {pow(q, j, p1**j1) for j in range(o)}
@@ -533,17 +555,6 @@ def theorem61_params(G, q: int, j1: int, beta: int) -> TheoremBounds:
     return TheoremBounds(
         "thm-6.1", dim, lo, hi, details={"lambda": lam, "lambda0": lam0, "omega0": omega0}
     )
-
-
-def _prime_power(n: int):
-    if n < 2:
-        return None, 0
-    p = min(f for f in range(2, n + 1) if n % f == 0)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else (None, 0)
 
 
 # ---------------------------------------------------------------------------

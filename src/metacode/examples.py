@@ -118,7 +118,7 @@ def _pair_by_K(G: FiniteGroup, K) -> shoda.ShodaPair:
     raise KeyError("no (G, K) pair with that K")
 
 
-def run_claim(claim: Dict, budget: int, workers: Optional[int] = None) -> Dict:
+def run_claim(claim: Dict, budget: int) -> Dict:
     G = group_from_spec(claim["group"])
     alg = idem.GroupAlgebra(G, claim["q"])
     f = build_idempotent(alg, claim["build"])
@@ -127,7 +127,7 @@ def run_claim(claim: Dict, budget: int, workers: Optional[int] = None) -> Dict:
     expect = claim["expect"]
     result: Dict = {"tag": claim["tag"], "claim": claim.get("note", "")}
     if c.k:
-        lo, hi, _ = code_mod.min_distance(c, budget=budget, workers=workers)
+        lo, hi, _ = code_mod.min_distance(c, budget=budget)
     else:
         lo = hi = None
     measured = {"n": c.n, "k": c.k, "d_lo": lo, "d_hi": hi}
@@ -149,14 +149,10 @@ def run_claim(claim: Dict, budget: int, workers: Optional[int] = None) -> Dict:
     return result
 
 
-def run_examples(
-    only: Optional[str] = None,
-    budget: int = code_mod.DEFAULT_BUDGET,
-    workers: Optional[int] = None,
-) -> List[Dict]:
+def run_examples(only: Optional[str] = None, budget: int = code_mod.DEFAULT_BUDGET) -> List[Dict]:
     out = []
     for claim in load_claims():
         if only and only not in claim["tag"]:
             continue
-        out.append(run_claim(claim, budget, workers))
+        out.append(run_claim(claim, budget))
     return out

@@ -171,14 +171,6 @@ def ssp_ordinary_metacyclic(G: MetacyclicGroup) -> List[ShodaPair]:
     return out
 
 
-# Same pairs as ssp_ordinary_metacyclic at p = 2, in the shape of the
-# dedicated 2-group statement; kept separate so both lists are testable.
-def ssp_ordinary_metacyclic_2(G: MetacyclicGroup) -> List[ShodaPair]:
-    if G.M != 2:
-        raise NotGenericFamily(f"{G.name} is not a 2-group")
-    return ssp_ordinary_metacyclic(G)
-
-
 def ssp_generic_split(G: MetacyclicGroup) -> List[ShodaPair]:
     """S(G) for split C_{p1^m} x| C_{p2^l} with faithful action."""
     p1, m = _prime_power(G.N)

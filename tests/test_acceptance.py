@@ -1,7 +1,6 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line."""
 
 import math
-import os
 import time
 
 import numpy as np
@@ -16,8 +15,6 @@ from metacode import units as un
 from metacode.examples import run_examples
 from conftest import suite_groups
 from helpers import odd_prime_powers_leq, oracle_vanishes, phi_all_vanish
-
-WORKERS = min(2, os.cpu_count() or 1)
 
 
 def _report(num, text):
@@ -170,7 +167,7 @@ def test_criterion_4_isomorphism():
 
 def test_criterion_5_paper_code_parameters(code_registry):
     t0 = time.time()
-    results = run_examples(workers=WORKERS)
+    results = run_examples()
     failures = [r for r in results if r["status"] == "FAIL"]
     assert not failures, failures
     for r in results:
@@ -199,7 +196,7 @@ def test_criterion_6_bound_audits():
                 c = co.ideal_to_code(alg, e)
                 if c.k == 0 or q**c.k > 100_000_000 and q ** (c.n - c.k) > 100_000_000:
                     continue
-                d = co.min_distance(c, workers=WORKERS)[0]
+                d = co.min_distance(c)[0]
                 if pair.H.order == G.order:
                     tb = co.theorem21_bounds(alg, pair.K, e)
                     assert c.k == tb.dim, (G.name, q, pair.label())
@@ -243,7 +240,7 @@ def test_criterion_6_bound_audits():
         o = ff.mult_order(q, 9)
         omega0 = od.omega0
         assert c.k == 3 * o * math.gcd(omega0, 3)
-        d = co.min_distance(c, workers=WORKERS)[0]
+        d = co.min_distance(c)[0]
         i0p = ff.odd_prime_i0(q, 3)
         hi = 3**2 if 2 <= i0p else 3**i0p
         assert 2 <= d <= hi, (q, d, hi)
@@ -266,7 +263,7 @@ def test_criterion_6_bound_audits():
         c = co.ideal_to_code(alg, f)
         tb = co.theorem61_params(G, q, 1, 1)
         assert c.k == tb.dim, (G.name, q)
-        d = co.min_distance(c, workers=WORKERS)[0]
+        d = co.min_distance(c)[0]
         if expect_d is not None:
             assert d == expect_d
         assert tb.contains(d), (G.name, q, d, tb)
@@ -329,8 +326,8 @@ def test_criterion_7_unit_suite():
         c0 = co.ideal_to_code(alg, base)
         c1 = co.ideal_to_code(alg, f)
         assert c0.k == c1.k, (G.name, q)  # conjugation preserves the rank
-        d0 = co.min_distance(c0, workers=WORKERS)[0]
-        d1 = co.min_distance(c1, workers=WORKERS)[0]
+        d0 = co.min_distance(c0)[0]
+        d1 = co.min_distance(c1)[0]
         assert d0 <= d1, (G.name, q, d0, d1)
         checked.append(f"{kind}@{G.name}/F{q}")
     _report(7, f"unit invertibility and distance monotonicity: {len(checked)} checks")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +10,7 @@ from metacode import code as co
 from metacode import groups as gr
 from metacode import idem as id_
 from metacode import shoda as sh
+from metacode.examples import build_idempotent, load_claims
 from helpers import brute_force_min_weight
 
 
@@ -51,6 +57,118 @@ def test_exact_enumeration_matches_bruteforce():
             d, _, w = co.min_distance(c)
             assert d == brute_force_min_weight(genmat, q)
             assert np.count_nonzero(w) == d
+
+
+def _padded_code(rng, q, k, n):
+    """A random [n, k] code: k independent columns, then a zero column and
+    columns from a span of rank < k with one repeated, so that information
+    sets after the first have rank below k."""
+    while co.rank_mod(head := rng.integers(0, q, size=(k, k)), q) < k:
+        pass
+    span = rng.integers(0, q, size=(k, max(1, int(rng.integers(0, k)))))
+    cols = [np.zeros(k, dtype=np.int64)]
+    cols += [span @ rng.integers(0, q, size=span.shape[1]) % q for _ in range(n - k - 1)]
+    cols[-1] = cols[1]
+    return co.rref_mod(np.hstack([head, np.array(cols).T])[:, rng.permutation(n)], q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_brouwer_zimmermann_matches_bruteforce(q):
+    rng = np.random.default_rng(100 + q)
+    for k in range(1, 7):
+        for _ in range(6 if q**k <= 5_000 else 2 if q**k <= 20_000 else 1):
+            genmat, pivots = _padded_code(rng, q, k, int(rng.integers(k + 3, 15)))
+            d, w, _ = co._brouwer_zimmermann(genmat, pivots, q)
+            assert d == brute_force_min_weight(genmat, q), (q, genmat)
+            assert np.count_nonzero(w) == d
+            assert np.array_equal((w[pivots] @ genmat) % q, w)
+
+
+def test_brouwer_zimmermann_work_counts():
+    # codewords examined, against the (q^k - 1)/(q - 1) message classes that
+    # full enumeration walks
+    seen = {}
+    for claim in load_claims():
+        alg = id_.GroupAlgebra(gr.group_from_spec(claim["group"]), claim["q"])
+        c = co.ideal_to_code(alg, build_idempotent(alg, claim["build"]))
+        seen[claim["tag"]] = co._brouwer_zimmermann(c.genmat, c.pivots, c.q)[2]
+        assert seen[claim["tag"]] <= (c.q**c.k - 1) // (c.q - 1), claim["tag"]
+    assert len(seen) == 18
+    assert seen["f5-g39-improved"] <= 2_500_000
+    G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                          gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    alg = id_.GroupAlgebra(G, 2)
+    pair = [p for p in sh.ssp_catalog(G) if p.index == 7 and p.H.order != G.order][0]
+    od = id_.cosets_and_orbits(G, pair, 2)
+    c = co.ideal_to_code(alg, id_.pci(alg, pair, od.orbit_reps[0]))
+    assert (c.n, c.k) == (1155, 9)
+    d, w, examined = co._brouwer_zimmermann(c.genmat, c.pivots, 2)
+    assert examined <= 2**9 - 1
+    assert np.count_nonzero(w) == d
+
+
+def _macwilliams_code():
+    mat = np.random.default_rng(21).integers(0, 2, size=(7, 10)).astype(np.int64)
+    genmat, pivots = co.rref_mod(mat, 2)
+    c = co.LinearCode(2, 10, genmat, pivots, 1, 10)
+    return c, 2 ** (10 - c.k) + 10  # a budget that forces the dual route
+
+
+@pytest.mark.parametrize("corrupt", ["total", "shift"])
+def test_certificate_errors_are_typed(monkeypatch, corrupt):
+    c, budget = _macwilliams_code()
+    assert c.q**c.k > budget >= c.q ** (c.n - c.k)
+    assert co.min_distance(c, budget=budget)[0] == co.min_distance(c)[0]
+    real = co._dual_weight_distribution
+
+    def corrupted(code, budget):
+        B = real(code, budget)
+        j = next(j for j in range(1, len(B)) if B[j])
+        B[j] -= 1
+        if corrupt == "shift":  # same total, one dual word moved up a weight
+            B[j + 1] += 1
+        return B
+
+    monkeypatch.setattr(co, "_dual_weight_distribution", corrupted)
+    with pytest.raises(co.CertificateError):
+        co.min_distance(c, budget=budget)
+
+
+def test_enumeration_witness_check(monkeypatch):
+    genmat, pivots = co.rref_mod(np.array([[1, 1, 0, 1], [0, 1, 1, 1]]), 3)
+    assert co._brouwer_zimmermann(genmat, pivots, 3)[0] == 2
+    monkeypatch.setattr(co, "_weight_round", lambda gamma, q, w: (2, np.zeros(4, int)))
+    with pytest.raises(co.CertificateError):
+        co._brouwer_zimmermann(genmat, pivots, 3)
+
+
+def test_certificate_errors_survive_python_O():
+    # under -O an assert guard would vanish and the corrupted transform
+    # would yield a distance: the checks must be raised errors
+    script = (
+        "import numpy as np\n"
+        "from metacode import code as co\n"
+        "mat = np.random.default_rng(21).integers(0, 2, size=(7, 10)).astype(np.int64)\n"
+        "g, piv = co.rref_mod(mat, 2)\n"
+        "c = co.LinearCode(2, 10, g, piv, 1, 10)\n"
+        "real = co._dual_weight_distribution\n"
+        "def bad(code, budget):\n"
+        "    B = real(code, budget)\n"
+        "    B[0] += 1\n"
+        "    return B\n"
+        "co._dual_weight_distribution = bad\n"
+        "try:\n"
+        "    co.min_distance(c, budget=2 ** (10 - c.k) + 10)\n"
+        "except co.CertificateError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(co.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised"]
 
 
 def test_macwilliams_path_matches_enumeration():
