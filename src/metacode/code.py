@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, count
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -189,76 +189,72 @@ def _brouwer_zimmermann(
 ) -> Tuple[int, np.ndarray, int]:
     """(d, witness, codewords examined) for the code with RREF genmat.
 
-    Disjoint information sets P_1 = pivots, P_2, ... (rank r_j <= k, each
-    built from the columns no earlier set took when a round first reaches
-    it).  Round w enumerates the messages of weight w, first nonzero symbol
-    1, on each set's systematic generator matrix.  A codeword not yet seen
-    has at least w_j + 1 - (k - r_j) nonzero symbols on P_j (w_j the last
-    round on set j); the search stops when the sum reaches the lightest
-    weight seen, or set 1 reaches weight k.  After set 1 of each round it
-    finishes on set 1 alone if the other sets (unbuilt ones at full rank)
-    would examine no fewer codewords than that, or take the count past
-    (q^k - 1)/(q - 1).  Zimmermann (1996); Grassl (2006).
+    Disjoint information sets P_0 = pivots, P_1, ... of rank r_j <= k, each
+    an RREF with the columns no earlier set took ordered first.  Round w
+    enumerates the messages of weight w, first nonzero symbol 1, on each
+    searched set's systematic generator matrix; a set waits while w <= k - r_j
+    and then catches up on the rounds it skipped.  Once set j has run rounds
+    1..w_j, a codeword not yet seen has at least max(0, w_j + 1 - (k - r_j))
+    nonzero symbols on P_j; the search stops when the sum reaches the lightest
+    weight seen, or set 0 has run round k.  At the end of each round it goes
+    on with the first s sets for the s whose projected count (at the lightest
+    weight so far, which can only fall) is least and keeps the total within
+    (q^k - 1)/(q - 1); the current s always does, so the total never passes
+    it.  The next set is built only when that choice takes it at full rank.
+    Zimmermann (1996); Grassl (2006).
     """
     k, n = genmat.shape
     size = [math.comb(k, w) * (q - 1) ** max(0, w - 1) for w in range(k + 1)]
-    left = [sum(size[w:]) for w in range(k + 2)]  # set 1 alone from round w on
-    gammas, ranks, done = [genmat], [k], [0]  # per set: systematic generator, rank, rounds
-    free = np.setdiff1d(np.arange(n), pivots)
-    best, word, examined, solo, lo = n + 1, None, 0, False, 1  # lo: bound summed over sets
+    left = [sum(size[w:]) for w in range(k + 2)]  # codewords of rounds w..k on one set
+    gammas, ranks, done = [genmat], [k], [0]  # per set: systematic generator, rank, last round
+    free = np.setdiff1d(np.flatnonzero(genmat.any(axis=0)), pivots)  # zero columns join no set
+    best, word, examined = n + 1, None, 0
 
-    def bound(r: int, w: int) -> int:  # nonzero symbols on a rank-r set after round w
+    def bound(r: int, w: int) -> int:  # on a rank-r set, for codewords unseen after rounds 1..w
         return max(0, w + 1 - (k - r))
 
-    def rest_cost(w: int) -> int:  # codewords the other sets take until lo >= best
-        rk, dn, cols = list(ranks), list(done), len(free)
-        while cols:
-            rk.append(min(rk[-1], cols))
-            dn.append(-1)
-            cols -= rk[-1]
-        at, cost = lo, 0
-        for v in range(w, k + 1):
-            for j in range(1 if v == w else 0, len(rk)):
-                if v + 1 <= k - rk[j]:
-                    break
-                at, cost = at + bound(rk[j], v) - bound(rk[j], dn[j]), cost + size[v]
-                dn[j] = v
-                if at >= best or dn[0] == k:
-                    return cost
-        return cost
+    def after(s: int, w: int, j: int) -> Tuple[int, int]:  # next step when s sets are searched
+        return (w, j + 1) if j + 1 < s and bound(ranks[j + 1], w) else (w + 1, 0)
 
-    for w in range(1, k + 1):
-        for j in count():
-            if j == 1:
-                if not solo:
-                    cost = rest_cost(w)
-                    solo = cost >= left[w + 1] or examined + cost > left[1]
-                if solo:
-                    break
-            if j == len(gammas):
-                if len(free) == 0:
-                    break
-                order = np.concatenate([free, np.setdiff1d(np.arange(n), free)])
-                R, piv = rref_mod(genmat[:, order], q)
-                piv = [int(order[c]) for c in piv if c < len(free)]
-                free = np.setdiff1d(free, piv) if piv else free[:0]
-                if not piv:
-                    break
-                gammas.append(R[:, np.argsort(order)])  # identity on piv, rows >= r vanish on free
-                ranks.append(len(piv))
-                done.append(0)
-                lo += bound(len(piv), 0)
-            if w + 1 <= k - ranks[j]:
-                break
-            weight, cw = _weight_round(gammas[j], q, w)
-            lo += bound(ranks[j], w) - bound(ranks[j], done[j])
-            examined, done[j] = examined + size[w], w
+    def stops(dn: List[int]) -> bool:  # the bound meets the lightest weight, or set 0 is done
+        return sum(map(bound, ranks, dn)) >= best or dn[0] == k
+
+    def cost(s: int, w: int, j: int) -> int:  # codewords s sets take from set j of round w on
+        dn, total = done + [0] * (len(ranks) - len(done)), 0
+        while True:
+            total, dn[j] = total + left[dn[j] + 1] - left[w + 1], w
+            if stops(dn):
+                return total
+            w, j = after(s, w, j)
+
+    def pick(w: int, j: int) -> int:
+        return min(range(1, len(ranks) + 1), key=lambda s: (
+            examined + (c := cost(s, *after(s, w, j))) > left[1], c, s))
+
+    s, w, j = 1, 1, 0  # the first s sets are searched; set j runs round w next
+    while True:
+        for v in range(done[j] + 1, w + 1):
+            weight, cw = _weight_round(gammas[j], q, v)
             if weight < best:
                 best, word = weight, cw
-            if lo >= best:
-                break
-        if lo >= best or done[0] == k:
+        examined, done[j] = examined + left[done[j] + 1] - left[w + 1], w
+        if stops(done):
             break
+        if after(s, w, j)[0] > w:  # end of round w
+            if len(free):
+                ranks.append(min(k, len(free)))  # the next set's rank, at most
+                if pick(w, j) < len(ranks):
+                    ranks.pop()
+                else:
+                    order = np.concatenate([free, np.setdiff1d(np.arange(n), free)])
+                    R, piv = rref_mod(genmat[:, order], q)
+                    piv = [int(order[c]) for c in piv if c < len(free)]
+                    free = np.setdiff1d(free, piv)
+                    gammas.append(R[:, np.argsort(order)])  # identity on piv, rows >= r vanish on free
+                    ranks[-1] = len(piv)
+                    done.append(0)
+            s = pick(w, j)
+        w, j = after(s, w, j)
     _check(np.count_nonzero(word) == best and np.array_equal((word[pivots] @ genmat) % q, word),
            "enumerated witness is not a codeword of weight d")
     return best, word, examined

@@ -72,16 +72,34 @@ def _padded_code(rng, q, k, n):
     return co.rref_mod(np.hstack([head, np.array(cols).T])[:, rng.permutation(n)], q)
 
 
+def _stacked_code(rng, q, k, n):
+    """[I_k | Y | Y | ...] cut to n columns, in this order: the later
+    information sets take copies of Y and have rank at most its width."""
+    Y = rng.integers(0, q, size=(k, int(rng.integers(1, k + 1))))
+    return co.rref_mod(np.hstack([np.eye(k, dtype=np.int64)] + [Y] * n)[:, :n], q)
+
+
+# [14,6,3]_2 = [I_6 | Y | Y]: the second information set has rank 4 and waits
+# for round 2, and the unique weight-3 word e0 + e2 + e3 is a weight-1
+# message on it, so its bound holds only if it then runs round 1 too
+_Y = np.array([[int(c) for c in row] for row in "1010 1111 0110 1100 1110 1101".split()])
+_LATE_LOW_RANK = np.hstack([np.eye(6, dtype=np.int64), _Y, _Y])
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_brouwer_zimmermann_matches_bruteforce(q):
     rng = np.random.default_rng(100 + q)
+    codes = [co.rref_mod(_LATE_LOW_RANK, 2)] if q == 2 else []
     for k in range(1, 7):
         for _ in range(6 if q**k <= 5_000 else 2 if q**k <= 20_000 else 1):
-            genmat, pivots = _padded_code(rng, q, k, int(rng.integers(k + 3, 15)))
-            d, w, _ = co._brouwer_zimmermann(genmat, pivots, q)
-            assert d == brute_force_min_weight(genmat, q), (q, genmat)
-            assert np.count_nonzero(w) == d
-            assert np.array_equal((w[pivots] @ genmat) % q, w)
+            codes += [make(rng, q, k, int(rng.integers(k + 3, 15)))
+                      for make in (_padded_code, _stacked_code)]
+    for genmat, pivots in codes:
+        d, w, examined = co._brouwer_zimmermann(genmat, pivots, q)
+        assert d == brute_force_min_weight(genmat, q), (q, genmat)
+        assert np.count_nonzero(w) == d
+        assert np.array_equal((w[pivots] @ genmat) % q, w)
+        assert examined <= (q ** len(pivots) - 1) // (q - 1)
 
 
 def test_brouwer_zimmermann_work_counts():
