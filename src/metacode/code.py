@@ -9,9 +9,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .ffield import factorize, mult_order, odd_prime_i0, v_adic
+from .ffield import (
+    coset_order, factorize, mult_order, odd_prime_i0, rank_mod, ref_mod, rref_mod, v_adic,
+)
 from .groups import FiniteGroup, Subgroup, quotient_is_cyclic
-from .idem import GroupAlgebra, Idempotent, census
+from .idem import GroupAlgebra, Idempotent, InvariantError, census
 DEFAULT_BUDGET = 500_000_000
 
 
@@ -31,55 +33,17 @@ class CertificateError(CodeError):
     """An internal check of a distance certificate failed."""
 
 
+class GenmatFormatError(CodeError):
+    """Generator-matrix text that is malformed or outside the digit format."""
+
+
 def _check(ok: bool, what: str) -> None:
     if not ok:
         raise CertificateError(what)
 
 
 # ---------------------------------------------------------------------------
-# GF(p) linear algebra
-
-
-def ref_mod(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Row echelon form mod p; returns (nonzero rows, pivot columns)."""
-    M = mat.copy() % p
-    nrows, ncols = M.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
-        rest = M[r + 1 :, c]
-        hot = np.nonzero(rest)[0]
-        if len(hot):
-            M[r + 1 + hot] = (M[r + 1 + hot] - np.outer(rest[hot], M[r])) % p
-        pivots.append(c)
-        r += 1
-    return M[:r].copy(), pivots  # a view would keep all nrows rows alive
-
-
-def rref_mod(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form mod p."""
-    R, pivots = ref_mod(mat, p)
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        above = R[:i, c]
-        hot = np.nonzero(above)[0]
-        if len(hot):
-            R[hot] = (R[hot] - np.outer(above[hot], R[i])) % p
-    return R, pivots
-
-
-def rank_mod(mat: np.ndarray, p: int) -> int:
-    return len(ref_mod(mat, p)[1])
+# GF(p) linear algebra (echelon forms live in ffield)
 
 
 def parity_check(genmat: np.ndarray, pivots: List[int], p: int) -> np.ndarray:
@@ -517,14 +481,10 @@ def theorem21_bounds(
         return TheoremBounds("thm-2.1", 1, G.order, G.order, G.order, details)
     wt = e.value.weight()
     d_exact = None
-    if t % 2 == 1 and t > 1:
-        p = min(f for f in range(2, t + 1) if t % f == 0)
-        j, tt = 0, t
-        while tt % p == 0:
-            tt //= p
-            j += 1
-        phi = p ** (j - 1) * (p - 1)
-        if tt == 1 and p % 2 == 1 and dim == phi:
+    f = factorize(t)
+    if len(f) == 1 and t % 2 == 1:
+        ((p, j),) = f.items()
+        if dim == p ** (j - 1) * (p - 1):
             d_exact = 2 * K.order
     return TheoremBounds("thm-2.1", dim, 2 * K.order, wt, d_exact, details)
 
@@ -537,12 +497,7 @@ def theorem61_params(G, q: int, j1: int, beta: int) -> TheoremBounds:
     ((p1, m),), ((p2, l),) = f1.items(), f2.items()
     o = mult_order(q, p1**j1)
     lam = v_adic(math.gcd(beta, p2**l), p2) if beta % p2**l else l
-    qgrp = {pow(q, j, p1**j1) for j in range(o)}
-    r = G.r % (p1**j1)
-    omega0, t = 1, r
-    while t not in qgrp:
-        t = (t * r) % (p1**j1)
-        omega0 += 1
+    omega0 = coset_order(G.r, q, p1**j1)
     lam0 = v_adic(math.gcd(omega0, p2**l), p2) if omega0 % p2**l else l
     dim = o * p2 ** (lam + lam0)
     i01 = odd_prime_i0(q, p1)
@@ -575,7 +530,8 @@ def wedderburn_report(G: FiniteGroup, q: int) -> WedderburnReport:
         tally[(r.matrix_size, r.field_degree)] = tally.get((r.matrix_size, r.field_degree), 0) + 1
     comps = [(size, deg, mult) for (size, deg), mult in sorted(tally.items())]
     total = sum(r.dim for r in rows)
-    assert total == G.order, f"Wedderburn dimension {total} != |G| = {G.order}"
+    if total != G.order:
+        raise InvariantError(f"Wedderburn dimension {total} != |G| = {G.order}")
     return WedderburnReport(q, G.name, comps, total)
 
 
@@ -590,7 +546,8 @@ def algebra_isomorphic(G1: FiniteGroup, G2: FiniteGroup, q: int) -> bool:
 
 def emit_genmat(code: LinearCode) -> str:
     """Header `q n k`, then k rows of GF(q) digits (prime fields)."""
-    assert code.q < 10, "digit format covers prime fields up to q = 7"
+    if code.q >= 10:
+        raise GenmatFormatError("digit format covers prime fields up to q = 7")
     lines = [f"{code.q} {code.n} {code.k}"]
     for row in code.genmat:
         lines.append("".join(str(int(v)) for v in row))
@@ -598,11 +555,17 @@ def emit_genmat(code: LinearCode) -> str:
 
 
 def parse_genmat(text: str) -> LinearCode:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    q, n, k = (int(v) for v in lines[0].split())
-    rows = np.array([[int(ch) for ch in ln.strip()] for ln in lines[1 : k + 1]],
-                    dtype=np.int64)
-    assert rows.shape == (k, n)
+    """Inverse of `emit_genmat`; malformed text raises GenmatFormatError."""
+    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    head = lines[0].split() if lines else []
+    if len(head) != 3 or not all(v.isdecimal() for v in head):
+        raise GenmatFormatError(f"header must be 'q n k', got {' '.join(head)!r}")
+    q, n, k = (int(v) for v in head)
+    body = lines[1:]
+    if len(body) != k or any(len(ln) != n or not ln.isdecimal() for ln in body):
+        raise GenmatFormatError(f"expected {k} rows of {n} digits")
+    rows = np.array([[int(ch) for ch in ln] for ln in body], dtype=np.int64).reshape(k, n)
     genmat, pivots = rref_mod(rows, q)
-    assert genmat.shape[0] == k, "rows of a generator matrix must be independent"
+    if genmat.shape[0] != k:
+        raise GenmatFormatError("rows of a generator matrix must be independent")
     return LinearCode(q, n, genmat, pivots, 1, n)

@@ -87,7 +87,8 @@ def build_idempotent(alg: idem.GroupAlgebra, spec: Dict) -> idem.AlgebraElement:
     if kind == "c2q8_best":
         # 1 - (e1 + e2 + e3): drop the trivial, the Q8-kernel, and one
         # matrix-component idempotent of C2 x Q8
-        assert isinstance(G, ProductGroup)
+        if not isinstance(G, ProductGroup):
+            raise idem.RegimeMismatch(f"c2q8_best needs C2 x Q8, got {G.name}")
         q8 = G.right
         e1 = alg.hat(full_subgroup(G))
         K2 = subgroup_closure(G, [G.pair(0, q8.a), G.pair(0, q8.b)])
@@ -122,7 +123,8 @@ def run_claim(claim: Dict, budget: int) -> Dict:
     G = group_from_spec(claim["group"])
     alg = idem.GroupAlgebra(G, claim["q"])
     f = build_idempotent(alg, claim["build"])
-    assert f * f == f, f"{claim['tag']}: built element is not idempotent"
+    if f * f != f:
+        raise idem.InvariantError(f"{claim['tag']}: built element is not idempotent")
     c = code_mod.ideal_to_code(alg, f, provenance={"tag": claim["tag"]})
     expect = claim["expect"]
     result: Dict = {"tag": claim["tag"], "claim": claim.get("note", "")}

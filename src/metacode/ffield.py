@@ -132,6 +132,63 @@ def mult_order(q: int, m: int) -> int:
     return out
 
 
+def coset_order(r: int, q: int, m: int) -> int:
+    """Order of r<q> in (Z/m)^*/<q>: the least w >= 1 with r^w in <q> mod m."""
+    if math.gcd(r, m) != 1:  # a unit r has r^w = 1 in <q> for some w
+        raise NotCoprime(f"gcd({r}, {m}) != 1")
+    qgrp = {pow(q, j, m) for j in range(mult_order(q, m))}
+    w, t = 1, r % m
+    while t not in qgrp:
+        w, t = w + 1, t * r % m
+    return w
+
+
+# ---------------------------------------------------------------------------
+# GF(p) linear algebra
+
+
+def ref_mod(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """Row echelon form mod p; returns (nonzero rows, pivot columns)."""
+    M = mat.copy() % p
+    nrows, ncols = M.shape
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        col = M[r:, c]
+        nz = np.nonzero(col)[0]
+        if len(nz) == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            M[[r, piv]] = M[[piv, r]]
+        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
+        rest = M[r + 1 :, c]
+        hot = np.nonzero(rest)[0]
+        if len(hot):
+            M[r + 1 + hot] = (M[r + 1 + hot] - np.outer(rest[hot], M[r])) % p
+        pivots.append(c)
+        r += 1
+    return M[:r].copy(), pivots  # a view would keep all nrows rows alive
+
+
+def rref_mod(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form mod p."""
+    R, pivots = ref_mod(mat, p)
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        above = R[:i, c]
+        hot = np.nonzero(above)[0]
+        if len(hot):
+            R[hot] = (R[hot] - np.outer(above[hot], R[i])) % p
+    return R, pivots
+
+
+def rank_mod(mat: np.ndarray, p: int) -> int:
+    return len(ref_mod(mat, p)[1])
+
+
 # ---------------------------------------------------------------------------
 # GF(p^e) contexts
 
@@ -200,10 +257,6 @@ class FieldCtx:
     def sub(self, a: BaseElem, b: BaseElem) -> BaseElem:
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a: BaseElem) -> BaseElem:
-        p = self.p
-        return tuple((-x) % p for x in a)
 
     def smul(self, c: int, a: BaseElem) -> BaseElem:
         p = self.p

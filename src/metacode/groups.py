@@ -9,6 +9,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .ffield import factorize
+
 
 class GroupError(Exception):
     pass
@@ -104,17 +106,42 @@ class FiniteGroup:
                 cache[key] = t
         return t
 
+    def power(self, x, n):
+        """x^n by repeated squaring; x and n may be scalars or arrays that broadcast."""
+        base, n = np.asarray(x, dtype=np.int64), np.asarray(n, dtype=np.int64)
+        if (n < 0).any():
+            base, n = np.where(n < 0, self.inv_vec(base), base), np.abs(n)
+        out = np.full(np.broadcast_shapes(base.shape, n.shape), self.identity, dtype=np.int64)
+        while n.any():
+            out = np.where(n & 1, self.mul_vec(out, base), out)
+            n = n >> 1
+            base = self.mul_vec(base, base) if n.any() else base
+        return int(out) if out.ndim == 0 else out
+
     def element_order(self, x: int) -> int:
-        o = 1
-        t = x
-        while t != self.identity:
-            t = self.mul(t, x)
-            o += 1
+        o = self.order
+        for p in factorize(o):
+            while o % p == 0 and self.power(x, o // p) == self.identity:
+                o //= p
         return o
 
     def conjugate(self, g: int, x: int) -> int:
         """g^x = x^-1 g x."""
         return self.mul(self.mul(self.inv(x), g), x)
+
+    def conj_vec(self, g: int, xs) -> np.ndarray:
+        """x^-1 g x for each x in xs."""
+        xs = np.asarray(xs, dtype=np.int64)
+        return self.mul_vec(self.mul_vec(self.inv_vec(xs), g), xs)
+
+    def conj_mask(self, ss: Iterable[int], target: Iterable[int], xs) -> np.ndarray:
+        """For each x in xs, whether x^-1 s x lies in target for every s in ss."""
+        inside = np.zeros(self.order, dtype=bool)
+        inside[list(target)] = True
+        mask = np.ones(len(xs), dtype=bool)
+        for s in ss:
+            mask &= inside[self.conj_vec(s, xs)]
+        return mask
 
 
 class MetacyclicGroup(FiniteGroup):
@@ -261,12 +288,6 @@ class ProductGroup(FiniteGroup):
         gens += [g for g in self.right.generators() if g != self.right.identity]
         return gens or [0]
 
-    def embed_left(self, x: int) -> int:
-        return x * self.right.order
-
-    def embed_right(self, x: int) -> int:
-        return x
-
     def pair(self, x1: int, x2: int) -> int:
         return x1 * self.right.order + x2
 
@@ -325,19 +346,16 @@ class Subgroup:
     def is_normal_in_G(self) -> bool:
         if self._is_normal is None:
             G = self.group
-            gens = self.gens or self.elements
-            self._is_normal = all(
-                G.conjugate(h, x) in self._set for x in G.generators() for h in gens
+            self._is_normal = bool(
+                G.conj_mask(self.gens or self.elements, self.elements, G.generators()).all()
             )
         return self._is_normal
 
     @property
     def is_cyclic(self) -> bool:
         if self._is_cyclic is None:
-            n = self.order
-            self._is_cyclic = any(
-                self.group.element_order(h) == n for h in self.elements
-            )
+            trivial = trivial_subgroup(self.group)
+            self._is_cyclic = cyclic_quotient_generator(self.group, self, trivial) is not None
         return self._is_cyclic
 
 
@@ -368,53 +386,44 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    gens = H.gens or H.elements
-    members = [
-        x
-        for x in G.elements()
-        if all(G.conjugate(h, x) in H for h in gens)
-    ]
-    return Subgroup(G, members, gens=())
+    mask = G.conj_mask(H.gens or H.elements, H.elements, G.elements())
+    return Subgroup(G, np.flatnonzero(mask).tolist(), gens=())
 
 
 def centralizer_mod(G: FiniteGroup, N: Subgroup, h0: int, K: Subgroup) -> List[int]:
-    """Elements x of N with [x, h0] in K (centraliser of h0K in N/K)."""
-    out = []
-    for x in N.elements:
-        comm = G.mul(G.inv(G.mul(h0, x)), G.mul(x, h0))
-        if comm in K:
-            out.append(x)
-    return out
+    """Elements x of N with [x, h0] in K (centraliser of h0K in N/K).
+
+    [x, h0] = x^-1 h0^-1 x h0 lies in K exactly when x^-1 h0 x lies in h0 K.
+    """
+    h0K = G.mul_vec(np.full(K.order, h0), np.array(K.elements))
+    return [x for x, ok in zip(N.elements, G.conj_mask([h0], h0K, N.elements)) if ok]
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    gens = G.generators()
-    members = [x for x in G.elements() if all(G.mul(x, g) == G.mul(g, x) for g in gens)]
-    return Subgroup(G, members, gens=())
+    mask = np.logical_and.reduce([G.conj_mask([g], [g], G.elements()) for g in G.generators()])
+    return Subgroup(G, np.flatnonzero(mask).tolist(), gens=())
 
 
 def cyclic_quotient_generator(
     G: FiniteGroup, H: Subgroup, K: Subgroup
 ) -> Optional[int]:
-    """A representative h0 with <h0 K> = H/K, or None if H/K is not cyclic.
+    """The first h of H.elements with <h K> = H/K, or None if H/K is not cyclic.
 
-    K must be normal in H; raises NotNormal otherwise.
+    K must be normal in H; raises NotNormal otherwise.  The least o >= 1 with
+    h^o in K is m = [H:K] exactly when h^m lies in K and h^(m/p) does not, for
+    every prime p | m.
     """
-    hgens = H.gens or H.elements
-    for x in hgens:
-        for k in K.gens or K.elements:
-            if G.conjugate(k, x) not in K:
-                raise NotNormal("K is not normal in H")
-    target = H.order // K.order
-    for h in H.elements:
-        t = h
-        o = 1
-        while t not in K:
-            t = G.mul(t, h)
-            o += 1
-        if o == target:
-            return h
-    return None
+    if not G.conj_mask(K.gens or K.elements, K.elements, H.gens or H.elements).all():
+        raise NotNormal("K is not normal in H")
+    m = H.order // K.order
+    if m == 0:  # K is larger than H
+        return None
+    in_K = np.zeros(G.order, dtype=bool)
+    in_K[list(K.elements)] = True
+    hs = np.array(H.elements, dtype=np.int64)
+    lands = in_K[G.power(hs[:, None], [m] + [m // p for p in factorize(m)])]
+    first = np.flatnonzero(lands[:, 0] & ~lands[:, 1:].any(axis=1))
+    return int(hs[first[0]]) if len(first) else None
 
 
 def quotient_is_cyclic(G: FiniteGroup, K: Subgroup) -> Optional[int]:

@@ -9,6 +9,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ffield import (
+    coset_order,
+    factorize,
     is_prime,
     mult_order,
     odd_prime_i0,
@@ -31,6 +33,15 @@ class NotSemisimple(AlgebraError):
 
 class RegimeMismatch(AlgebraError):
     pass
+
+
+class InvariantError(AlgebraError):
+    """An invariant the construction guarantees failed to hold."""
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise InvariantError(what)
 
 
 class GroupAlgebra:
@@ -158,7 +169,7 @@ class AlgebraElement:
 
     # -- multiplicative structure -----------------------------------------------
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        assert self.alg is other.alg
+        _require(self.alg is other.alg, "factors belong to different algebras")
         G, q = self.alg.G, self.alg.q
         if self.parts is not None and self.weight() > 4 * len(self.parts) * 8:
             return _mul_structured(self.parts, other)
@@ -177,18 +188,14 @@ class AlgebraElement:
     def conjugate(self, x: int) -> "AlgebraElement":
         """x^-1 * self * x."""
         G = self.alg.G
-        xinv = G.inv(x)
-        vec = self.vec[G.conj_table(xinv)]
+        vec = self.vec[G.conj_table(G.inv(x))]
         parts = None
         if self.parts is not None:
+            tab = G.conj_table(x).tolist()
             parts = tuple(
                 (
-                    Subgroup(
-                        G,
-                        [G.conjugate(s, x) for s in K.elements],
-                        gens=tuple(G.conjugate(s, x) for s in (K.gens or ())),
-                    ),
-                    {G.conjugate(h, x): c for h, c in terms.items()},
+                    Subgroup(G, [tab[s] for s in K.elements], gens=[tab[s] for s in K.gens]),
+                    {tab[h]: c for h, c in terms.items()},
                 )
                 for K, terms in self.parts
             )
@@ -276,31 +283,17 @@ def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
     o = mult_order(q, m)
 
     # label each element of H by its K-coset exponent t (h in K h0^t)
-    coset_of: Dict[int, int] = {}
-    t_elem = G.identity
-    for t in range(m):
-        for kk in K.elements:
-            coset_of[G.mul(kk, t_elem)] = t
-        t_elem = G.mul(t_elem, h0)
+    coset_of = np.full(G.order, -1, dtype=np.int64)
+    ts = np.arange(m)
+    coset_of[G.mul_vec(np.array(K.elements)[None, :], G.power(h0, ts)[:, None])] = ts[:, None]
 
-    # N = N_G(H) cap N_G(K), vectorised membership test
+    # N = N_G(H) cap N_G(K), and the exponent t with x^-1 h0 x in K h0^t for x in N
     all_idx = np.arange(G.order, dtype=np.int64)
-    inv_all = G.inv_vec(all_idx)
-    mask = np.ones(G.order, dtype=bool)
-    h_set = np.zeros(G.order, dtype=bool)
-    h_set[list(H.elements)] = True
-    k_set = np.zeros(G.order, dtype=bool)
-    k_set[list(K.elements)] = True
-    for s in H.gens or H.elements:
-        conj = G.mul_vec(G.mul_vec(inv_all, np.full(G.order, s)), all_idx)
-        mask &= h_set[conj]
-    for s in K.gens or K.elements:
-        conj = G.mul_vec(G.mul_vec(inv_all, np.full(G.order, s)), all_idx)
-        mask &= k_set[conj]
-    N_elems = np.nonzero(mask)[0]
-
-    exps = sorted({coset_of[G.conjugate(h0, int(x))] for x in N_elems})
-    t_of_x = {int(x): coset_of[G.conjugate(h0, int(x))] for x in N_elems}
+    mask = G.conj_mask(H.gens or H.elements, H.elements, all_idx)
+    mask &= G.conj_mask(K.gens or K.elements, K.elements, all_idx)
+    N_elems = np.flatnonzero(mask)
+    t_of_N = coset_of[G.conj_vec(h0, N_elems)]
+    exps = sorted(set(t_of_N.tolist()))
 
     cosets = cyclotomic_cosets(m, q)
     by_rep = {c.rep: c for c in cosets}
@@ -325,38 +318,22 @@ def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
         orbits.append(tuple(sorted(orbit)))
     orbit_reps = [min(o_) for o_ in orbits]
 
-    # stabiliser index [E:H] from the first orbit (all agree; asserted)
+    # stabiliser index [E:H] from the first orbit (all agree; checked)
     stab_indices = []
     for rep in orbit_reps:
-        members = set(by_rep[rep].members)
-        count = sum(1 for x in N_elems if (rep * t_of_x[int(x)]) % m in members)
-        assert count % H.order == 0
+        count = int(np.isin(rep * t_of_N % m, by_rep[rep].members).sum())
+        _require(count % H.order == 0, "stabiliser count is not a multiple of |H|")
         stab_indices.append(count // H.order)
-    assert len(set(stab_indices)) <= 1, "orbits of one pair must have equal stabilisers"
-    sizes = {len(o_) for o_ in orbits}
-    assert len(sizes) <= 1, "orbits of one pair must have equal size"
+    _require(len(set(stab_indices)) <= 1, "orbits of one pair must have equal stabilisers")
+    _require(len({len(o_) for o_ in orbits}) <= 1, "orbits of one pair must have equal size")
 
-    # omega0: least w with t_b^w in <q> mod m, for cyclic N/H
-    omega0 = None
-    qgrp = {pow(q, j, m) for j in range(o)} if m > 1 else {0}
-    if m > 1:
-        H_set = set(H.elements)
-        non_H = [int(x) for x in N_elems if int(x) not in H_set]
-        if non_H:
-            # use the action exponent of a coset generator of N/H if one exists
-            Nsub = Subgroup(G, [int(x) for x in N_elems])
-            x0 = cyclic_quotient_generator(G, Nsub, pair.H) if _normal_in(G, H, Nsub) else None
-            if x0 is not None:
-                t0 = t_of_x[int(x0)] if int(x0) in t_of_x else coset_of[G.conjugate(h0, int(x0))]
-                w, t = 1, t0 % m
-                while t not in qgrp and w <= m:
-                    t = (t * t0) % m
-                    w += 1
-                omega0 = w if t in qgrp else None
-        else:
-            omega0 = 1
-    else:
-        omega0 = 1
+    # omega0: least w with t_b^w in <q> mod m, from a generator x0 of N/H when
+    # it is cyclic (N normalises H, so H is normal in N)
+    omega0 = 1
+    if m > 1 and len(N_elems) > H.order:
+        x0 = cyclic_quotient_generator(G, Subgroup(G, N_elems.tolist()), H)
+        t0 = None if x0 is None else int(t_of_N[np.searchsorted(N_elems, x0)])
+        omega0 = None if x0 is None else coset_order(t0, q, m)
 
     return OrbitData(
         pair=pair,
@@ -371,10 +348,6 @@ def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
         action_exps=tuple(exps),
         omega0=omega0,
     )
-
-
-def _normal_in(G: FiniteGroup, H: Subgroup, N: Subgroup) -> bool:
-    return all(G.conjugate(s, x) in H for x in N.gens or N.elements for s in H.gens or H.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -401,23 +374,10 @@ def epsilon(alg: GroupAlgebra, pair: ShodaPair, k: int, relabel: int = 1) -> Alg
     if math.gcd(m, q) != 1:
         raise NotCoprime(f"[H:K] = {m} not invertible mod {q}")
     h0 = cyclic_quotient_generator(G, H, K)
-    assert h0 is not None, "pair does not have cyclic quotient"
+    _require(h0 is not None, "pair does not have cyclic quotient")
     tt = trace_table(alg.field, m, relabel)
     inv_m = pow(m % q, -1, q)
-    inv_k = pow(len(K.elements), -1, q)
-    K_arr = np.array(K.elements, dtype=np.int64)
-    vec = np.zeros(G.order, dtype=np.int64)
-    terms: Dict[int, int] = {}
-    h_inv = G.identity
-    h0_inv = G.inv(h0)
-    for t in range(m):
-        tr = tt[(k * t) % m][0]
-        if tr:
-            c = (tr * inv_m) % q
-            terms[h_inv] = c
-            vec[G.mul_vec(K_arr, np.full(len(K_arr), h_inv))] += c * inv_k
-        h_inv = G.mul(h_inv, h0_inv)
-    return AlgebraElement(alg, vec % q, parts=((K, terms),))
+    return _assemble(alg, K, h0, m, {t: tt[(k * t) % m][0] * inv_m % q for t in range(m)})
 
 
 def pci(alg: GroupAlgebra, pair: ShodaPair, k: int, relabel: int = 1) -> Idempotent:
@@ -488,17 +448,6 @@ def sum_idempotents(alg: GroupAlgebra, idems: Sequence[Idempotent]) -> AlgebraEl
 # closed forms from the family tables
 
 
-def _prime_power_of(m: int) -> Tuple[int, int]:
-    p = min(f for f in range(2, m + 1) if m % f == 0)
-    k, n = 0, m
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
-        raise RegimeMismatch(f"index {m} is not a prime power")
-    return p, k
-
-
 def _i0_for(q: int, p: int) -> int:
     # largest level with a surviving trace: the truncation threshold
     if p == 2:
@@ -522,23 +471,12 @@ def _assemble(
 ) -> AlgebraElement:
     """sum_t coeffs[t] * hat(K) * g0^(-t), coefficients already scaled by 1/m."""
     G, q = alg.G, alg.q
-    inv_k = pow(len(K.elements), -1, q)
-    K_arr = np.array(K.elements, dtype=np.int64)
-    vec = np.zeros(G.order, dtype=np.int64)
-    g0_inv = G.inv(g0)
-    h = G.identity
-    terms: Dict[int, int] = {}
-    for t in range(m):
-        c = coeffs.get(t, 0) % q
-        if c:
-            terms[h] = (terms.get(h, 0) + c) % q
-            vec[G.mul_vec(K_arr, np.full(len(K_arr), h))] += c * inv_k
-        h = G.mul(h, g0_inv)
-    return AlgebraElement(alg, vec % q, parts=((K, terms),))
-
-
-def _subgroup_power_order(q: int, m: int) -> set:
-    return {pow(q, j, m) for j in range(mult_order(q, m))} if m > 1 else {0}
+    ts = np.array([t for t in range(m) if coeffs.get(t, 0) % q], dtype=np.int64)
+    cs = np.array([coeffs[t] % q for t in ts.tolist()], dtype=np.int64)
+    hs = G.power(g0, -ts)
+    vec = np.zeros(G.order, dtype=np.int64)  # the cosets K g0^-t are disjoint
+    vec[G.mul_vec(np.array(K.elements)[None, :], hs[:, None])] = (cs * pow(K.order, -1, q))[:, None]
+    return AlgebraElement(alg, vec % q, parts=((K, dict(zip(hs.tolist(), cs.tolist()))),))
 
 
 def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempotent:
@@ -568,12 +506,12 @@ def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempot
             coeffs = {t: (tt[(k * t) % m][0] * inv_m) % q for t in range(m)}
             return Idempotent(_assemble(alg, K, g0, m, coeffs), pair, k, "central")
         # (⟨a⟩, ⟨a^{2^j}⟩) rows
-        p, j = _prime_power_of(m)
-        if p != 2:
+        j = factorize(m).get(2, 0)
+        if 2**j != m:
             raise RegimeMismatch("a-type rows of the 2-group tables have 2-power index")
         i0 = _i0_for(q, 2)
         idxs = _truncated_indices(m, 2, j, i0)
-        merged = (-1) % m not in _subgroup_power_order(q, m)
+        merged = coset_order(-1, q, m) > 1  # -1 is not in <q> mod m
         coeffs = {}
         for t in idxs:
             tr = tt[(k * t) % m][0]
@@ -587,8 +525,8 @@ def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempot
     if fam == "OM":
         p = G.M
         i0 = _i0_for(q, p)
-        pm, j = _prime_power_of(m)
-        if pm != p:
+        j = factorize(m).get(p, 0)
+        if p**j != m:
             raise RegimeMismatch("ordinary metacyclic rows have p-power index")
         g0 = cyclic_quotient_generator(G, H, K)
         idxs = _truncated_indices(m, p, j, i0)
@@ -601,19 +539,8 @@ def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempot
             return Idempotent(_assemble(alg, K, g0, m, coeffs), pair, k, "central")
         # (⟨a⟩, 1) row: sum over the transversal T of <r^omega0> in <r>
         r = G.r % m
-        qgrp = _subgroup_power_order(q, m)
-        omega0 = 1
-        t = r
-        while t not in qgrp:
-            t = (t * r) % m
-            omega0 += 1
-        rpow = 1
-        transversal = []
-        for _ in range(omega0):
-            transversal.append(rpow)
-            rpow = (rpow * r) % m
         coeffs: Dict[int, int] = {}
-        for tau in transversal:
+        for tau in (pow(r, i, m) for i in range(coset_order(r, q, m))):
             for t in idxs:
                 tr = tt[(k * tau * t) % m][0]
                 if tr:
@@ -648,7 +575,7 @@ def census(G: FiniteGroup, q: int, pairs: Optional[Sequence[ShodaPair]] = None) 
     for pair in pairs:
         od = cosets_and_orbits(G, pair, q)
         size = G.order // pair.H.order
-        assert od.o % od.stab_index == 0
+        _require(od.o % od.stab_index == 0, "stabiliser index does not divide the orbit degree")
         deg = od.o // od.stab_index
         for rep in od.orbit_reps:
             key = (pair.H.elements, pair.K.elements, rep)

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .ffield import is_prime, mult_order
+from .ffield import factorize, is_prime, mult_order
 from .groups import (
     FiniteGroup,
     GroupError,
     MetacyclicGroup,
+    NotCoprimeOrders,
+    NotNormal,
     ProductGroup,
     Subgroup,
     centralizer_mod,
@@ -74,15 +76,8 @@ def ssp_cyclic(G: MetacyclicGroup) -> List[ShodaPair]:
     top = full_subgroup(G)
     out = []
     for d in _divisors(G.order):
-        K = subgroup_closure(G, [_power(G, gen, d)])
+        K = subgroup_closure(G, [G.power(gen, d)])
         out.append(_pair(top, K, "cyclic", d=d))
-    return out
-
-
-def _power(G: FiniteGroup, g: int, n: int) -> int:
-    out = G.identity
-    for _ in range(n):
-        out = G.mul(out, g)
     return out
 
 
@@ -153,12 +148,8 @@ def ssp_ordinary_metacyclic(G: MetacyclicGroup) -> List[ShodaPair]:
     p = G.M
     if not is_prime(p):
         raise NotGenericFamily(f"{G.name}: M = {p} is not prime")
-    n = 0
-    N = G.N
-    while N % p == 0:
-        N //= p
-        n += 1
-    if N != 1 or n < 2 or G.s != 0 or G.r != p ** (n - 1) + 1:
+    n = factorize(G.N).get(p, 0)
+    if p**n != G.N or n < 2 or G.s != 0 or G.r != p ** (n - 1) + 1:
         raise NotGenericFamily(f"{G.name} is not the G_(p^(n+1)) family")
     top = full_subgroup(G)
     A = subgroup_closure(G, [G.a])
@@ -173,10 +164,10 @@ def ssp_ordinary_metacyclic(G: MetacyclicGroup) -> List[ShodaPair]:
 
 def ssp_generic_split(G: MetacyclicGroup) -> List[ShodaPair]:
     """S(G) for split C_{p1^m} x| C_{p2^l} with faithful action."""
-    p1, m = _prime_power(G.N)
-    p2, l = _prime_power(G.M)
-    if p1 is None or p2 is None or p1 == p2 or G.s != 0:
+    f1, f2 = factorize(G.N), factorize(G.M)
+    if len(f1) != 1 or len(f2) != 1 or f1.keys() == f2.keys() or G.s != 0:
         raise NotGenericFamily(f"{G.name} is not the split two-prime family")
+    ((p1, m),), ((p2, l),) = f1.items(), f2.items()
     if mult_order(G.r, G.N) != G.M:
         raise NotGenericFamily(f"{G.name}: action of b is not faithful")
     top = full_subgroup(G)
@@ -190,17 +181,6 @@ def ssp_generic_split(G: MetacyclicGroup) -> List[ShodaPair]:
             _pair(A, subgroup_closure(G, [_ab(G, p1**j1 % G.N, 0)]), "generic", j1=j1)
         )
     return out
-
-
-def _prime_power(n: int) -> Tuple[Optional[int], int]:
-    if n < 2:
-        return None, 0
-    p = min(f for f in range(2, n + 1) if n % f == 0)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else (None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +283,6 @@ def ssp_product(
 ) -> List[ShodaPair]:
     """Componentwise pairs (H1 x H2, K1 x K2) for coprime factors."""
     if not G.coprime:
-        from .groups import NotCoprimeOrders
-
         raise NotCoprimeOrders(f"{G.name}: factors share an order factor")
     out = []
     for sp1 in pairs1:
@@ -429,11 +407,10 @@ def verify_ssp(G: FiniteGroup, pair: ShodaPair, bound: int = 10_000):
         return False, "K is not contained in H"
     if not H.is_normal_in_G:
         return False, "H is not normal in G"
-    for x in H.gens or H.elements:
-        for k in K.gens or K.elements:
-            if G.conjugate(k, x) not in K:
-                return False, "K is not normal in H"
-    h0 = cyclic_quotient_generator(G, H, K)
+    try:
+        h0 = cyclic_quotient_generator(G, H, K)
+    except NotNormal:
+        return False, "K is not normal in H"
     if h0 is None:
         return False, "H/K is not cyclic"
     N = normalizer(G, K)

@@ -6,6 +6,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from .ffield import rref_mod
 from .groups import Subgroup, subgroup_closure
 from .idem import AlgebraElement, GroupAlgebra, Idempotent
 
@@ -43,12 +46,8 @@ def group_sum(alg: GroupAlgebra, g: int) -> AlgebraElement:
 
 def power_sum(alg: GroupAlgebra, g: int, k: int) -> AlgebraElement:
     """1 + g + ... + g^(k-1)."""
-    out = {}
-    t = alg.G.identity
-    for _ in range(k):
-        out[t] = out.get(t, 0) + 1
-        t = alg.G.mul(t, g)
-    return alg.element(out)
+    powers = alg.G.power(g, np.arange(k))
+    return AlgebraElement(alg, np.bincount(powers, minlength=alg.G.order))
 
 
 def bicyclic(alg: GroupAlgebra, g: int, h: int, mirrored: bool = False) -> UnitElement:
@@ -80,10 +79,7 @@ def bass(alg: GroupAlgebra, x: int, k: int, m: int) -> UnitElement:
         return acc + group_sum(alg, base).scaled(scalar)
 
     l = pow(k, -1, n)
-    xk = alg.G.identity
-    for _ in range(k):
-        xk = alg.G.mul(xk, x)
-    return UnitElement(u(x, k), u(xk, l), "bass", alg.one())
+    return UnitElement(u(x, k), u(alg.G.power(x, k), l), "bass", alg.one())
 
 
 def alternating(alg: GroupAlgebra, g: int, k: int) -> UnitElement:
@@ -96,10 +92,7 @@ def alternating(alg: GroupAlgebra, g: int, k: int) -> UnitElement:
     if math.gcd(k, 2 * n) != 1:
         raise BadParameters(f"k={k} not coprime to 2*{n}")
     k1 = pow(k, -1, n)
-    gk = alg.G.identity
-    for _ in range(k):
-        gk = alg.G.mul(gk, g)
-    inv = power_sum(alg, gk, k1)
+    inv = power_sum(alg, alg.G.power(g, k), k1)
     if k1 % 2 == 0:
         inv = inv + group_sum(alg, g)
     return UnitElement(power_sum(alg, g, k), inv, "alternating", alg.one())
@@ -119,11 +112,8 @@ def constructed_unit(
     G = alg.G
     if a is None:
         a = getattr(G, "a")
-    ak = G.identity
-    for _ in range(k):
-        ak = G.mul(ak, a)
     bh = alg.hat(B)
-    mid = ((bh * alg.basis(ak, s)) * (alg.one() - bh)) * e.value
+    mid = ((bh * alg.basis(G.power(a, k), s)) * (alg.one() - bh)) * e.value
     return UnitElement(e.value + mid, e.value - mid, "constructed", e.value)
 
 
@@ -133,10 +123,6 @@ def unit_from_element(alg: GroupAlgebra, x: AlgebraElement) -> UnitElement:
     Used for ad-hoc conjugators like 1 + a that carry no closed-form inverse;
     the groups involved are small, so exact elimination is cheap.
     """
-    import numpy as np
-
-    from .code import rref_mod
-
     G, q = alg.G, alg.q
     n = G.order
     A = np.empty((n, n), dtype=np.int64)
@@ -165,11 +151,7 @@ def conjugate_idempotent(
     opposite one loses distance on the order-57 instance.
     """
     G = alg.G
-    b = getattr(G, "b")
-    bb = G.identity
-    for _ in range(beta):
-        bb = G.mul(bb, b)
-    B = subgroup_closure(G, [bb])
+    B = subgroup_closure(G, [G.power(getattr(G, "b"), beta)])
     f = e.value * alg.hat(B)
     if u is not None:
         f = (u.value * f) * u.inverse

@@ -129,3 +129,76 @@ def brute_force_min_weight(genmat: np.ndarray, q: int) -> int:
         if w < best:
             best = w
     return best
+
+
+# ---------------------------------------------------------------------------
+# scalar group oracles: one G.mul / G.inv at a time, no index tables
+
+
+def scalar_conjugate(G, g: int, x: int) -> int:
+    return G.mul(G.mul(G.inv(x), g), x)
+
+
+def _conjugates_land(G, ss, target, x: int) -> bool:
+    return all(scalar_conjugate(G, s, x) in target for s in ss)
+
+
+def oracle_is_normal(G, S) -> bool:
+    elems = set(S.elements)
+    return all(_conjugates_land(G, S.gens or S.elements, elems, x) for x in G.generators())
+
+
+def oracle_normalizer(G, S) -> List[int]:
+    elems = set(S.elements)
+    return [x for x in G.elements() if _conjugates_land(G, S.gens or S.elements, elems, x)]
+
+
+def oracle_center(G) -> List[int]:
+    gens = G.generators()
+    return [x for x in G.elements() if all(G.mul(x, g) == G.mul(g, x) for g in gens)]
+
+
+def oracle_centralizer_mod(G, N, h0: int, K) -> List[int]:
+    """x in N with the commutator (h0 x)^-1 (x h0) in K."""
+    kset = set(K.elements)
+    return [x for x in N.elements if G.mul(G.inv(G.mul(h0, x)), G.mul(x, h0)) in kset]
+
+
+def oracle_quotient_generator(G, H, K):
+    """First h of H.elements whose coset hK has order [H:K], or "not normal"."""
+    kset = set(K.elements)
+    if not all(_conjugates_land(G, K.gens or K.elements, kset, x) for x in H.gens or H.elements):
+        return "not normal"
+    target = H.order // K.order
+    for h in H.elements:
+        t, o = h, 1
+        while t not in kset:
+            t, o = G.mul(t, h), o + 1
+        if o == target:
+            return h
+    return None
+
+
+def oracle_verify_ssp(G, H, K):
+    """The strong Shoda pair verdict and reason, one conjugate at a time."""
+    if not set(K.elements) <= set(H.elements):
+        return False, "K is not contained in H"
+    if not oracle_is_normal(G, H):
+        return False, "H is not normal in G"
+    h0 = oracle_quotient_generator(G, H, K)
+    if h0 == "not normal":
+        return False, "K is not normal in H"
+    if h0 is None:
+        return False, "H/K is not cyclic"
+    N = oracle_normalizer(G, K)
+    cent = oracle_centralizer_mod(G, type(H)(G, N), h0, K)
+    if set(cent) != set(H.elements):
+        return False, "H/K is not maximal abelian in N_G(K)/K"
+    return True, ""
+
+
+def oracle_element_order(G, x: int) -> int:
+    t, o = x, 1
+    while t != G.identity:
+        t, o = G.mul(t, x), o + 1
+    return o

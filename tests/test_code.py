@@ -308,6 +308,55 @@ def test_emit_parse_roundtrip():
     assert co.min_distance(back)[0] == 8
 
 
+MALFORMED_GENMATS = {
+    "missing row": "2 3 2\n111\n",
+    "dependent rows": "2 3 2\n111\n111\n",
+    "short row": "2 3 1\n11\n",
+    "bad header": "2 3\n111\n",
+    "not digits": "2 3 1\n1x1\n",
+}
+
+
+def test_parse_genmat_rejects_malformed_text():
+    for what, text in MALFORMED_GENMATS.items():
+        with pytest.raises(co.GenmatFormatError):
+            co.parse_genmat(text)
+        assert issubclass(co.GenmatFormatError, co.CodeError), what
+    big = co.LinearCode(11, 2, np.array([[1, 1]], dtype=np.int64), [0], 1, 2)
+    with pytest.raises(co.GenmatFormatError):
+        co.emit_genmat(big)
+
+
+def test_parse_genmat_errors_survive_python_O():
+    # under -O the shape and independence asserts vanished, and each of these
+    # texts was read as the code [3, 1, 1..3]_2
+    script = (
+        "import sys\n"
+        "from metacode import code as co\n"
+        "for text in sys.argv[1:]:\n"
+        "    try:\n"
+        "        print(co.parse_genmat(text))\n"
+        "    except co.GenmatFormatError:\n"
+        "        print('raised')\n"
+    )
+    src = str(Path(co.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script, *MALFORMED_GENMATS.values()],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised"] * len(MALFORMED_GENMATS)
+
+
+def test_algebra_invariants_raise_typed_errors():
+    D8 = gr.dihedral(8)
+    a3, a5 = id_.GroupAlgebra(D8, 3), id_.GroupAlgebra(D8, 5)
+    with pytest.raises(id_.InvariantError):
+        a3.one() * a5.one()
+    with pytest.raises(id_.RegimeMismatch):
+        build_idempotent(a3, {"kind": "c2q8_best"})
+
+
 def test_central_left_right_spans_coincide():
     # for a central idempotent the left span equals the two-sided ideal:
     # right translates stay inside the row space

@@ -353,3 +353,21 @@ def test_fast_mult_order_matches_naive():
                 o += 1
             naive = 1 if m == 1 else o
             assert ff.mult_order(q, m) == naive, (q, m)
+
+
+def test_coset_order_matches_the_power_loop():
+    # least w >= 1 with r^w in <q> mod m, by walking the powers of r
+    for m in range(1, 60):
+        for q in (2, 3, 5, 13):
+            if math.gcd(q, m) != 1:
+                continue
+            qgrp = {pow(q, j, m) for j in range(m + 1)}
+            for r in range(-m, m):
+                if math.gcd(r, m) != 1:
+                    continue
+                w = 1
+                while pow(r, w, m) not in qgrp:
+                    w += 1
+                assert ff.coset_order(r, q, m) == w, (r, q, m)
+    with pytest.raises(ff.NotCoprime):
+        ff.coset_order(3, 2, 9)

@@ -4,7 +4,9 @@ import random
 import numpy as np
 import pytest
 
+import helpers
 from metacode import groups as gr
+from metacode import shoda as sh
 
 
 def test_d8_multiplication():
@@ -149,3 +151,68 @@ def test_generic_family_faithfulness():
 
     G = gr.MetacyclicGroup(13, 3, 9)
     assert mult_order(G.r, G.N) == G.M  # faithful action for the Eq-3 family
+
+
+def analogue_1155():
+    G1 = gr.MetacyclicGroup(7, 3, 4, name="G21")
+    G2 = gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55")
+    return gr.direct_product(G1, G2)
+
+
+def _candidate_pairs(G):
+    """The catalogued pairs plus pairs that fail each strong Shoda condition."""
+    top, triv = gr.full_subgroup(G), gr.trivial_subgroup(G)
+    pairs = [(p.H, p.K) for p in sh.ssp_catalog(G)]
+    out = list(pairs) + [(K, H) for H, K in pairs] + [(top, triv)]
+    for g in G.generators():
+        cyc = gr.subgroup_closure(G, [g])
+        out += [(top, cyc), (cyc, triv)]
+    return out
+
+
+def test_conjugation_layer_matches_scalar_oracle(matrix):
+    groups = {G.name: G for G, _q in matrix}
+    groups["G21 x G55"] = analogue_1155()
+    for G in groups.values():
+        assert gr.center(G).elements == tuple(helpers.oracle_center(G)), G.name
+        for H, K in _candidate_pairs(G):
+            where = (G.name, H, K)
+            assert H.is_normal_in_G == helpers.oracle_is_normal(G, H), where
+            assert gr.normalizer(G, K).elements == tuple(helpers.oracle_normalizer(G, K)), where
+            expect = helpers.oracle_quotient_generator(G, H, K)
+            if expect == "not normal":
+                with pytest.raises(gr.NotNormal):
+                    gr.cyclic_quotient_generator(G, H, K)
+            else:
+                assert gr.cyclic_quotient_generator(G, H, K) == expect, where
+            if expect not in ("not normal", None):
+                N = gr.normalizer(G, K)
+                assert gr.centralizer_mod(G, N, expect, K) == \
+                    helpers.oracle_centralizer_mod(G, N, expect, K), where
+            pair = sh.ShodaPair(H, K, "test")
+            assert sh.verify_ssp(G, pair) == helpers.oracle_verify_ssp(G, H, K), where
+
+
+def test_cyclic_quotient_generator_not_normal_d8():
+    D8 = gr.dihedral(8)
+    B = gr.subgroup_closure(D8, [D8.b])
+    assert helpers.oracle_quotient_generator(D8, gr.full_subgroup(D8), B) == "not normal"
+    with pytest.raises(gr.NotNormal):
+        gr.cyclic_quotient_generator(D8, gr.full_subgroup(D8), B)
+    assert sh.verify_ssp(D8, sh.ShodaPair(gr.full_subgroup(D8), B, "test")) == \
+        (False, "K is not normal in H")
+
+
+def test_power_matches_repeated_multiplication():
+    for G in (gr.quaternion(16), gr.c2_x_q8(), analogue_1155()):
+        xs = np.arange(G.order, dtype=np.int64)
+        ref = np.full(G.order, G.identity, dtype=np.int64)
+        for n in range(12):
+            assert np.array_equal(G.power(xs, n), ref), (G.name, n)
+            assert G.power(5 % G.order, n) == ref[5 % G.order]
+            ref = G.mul_vec(ref, xs)
+        x = 7 % G.order
+        assert np.array_equal(G.power(x, np.arange(4)),
+                              [G.identity, x, G.mul(x, x), G.mul(G.mul(x, x), x)])
+        assert G.power(x, -1) == G.inv(x)
+        assert G.element_order(x) == helpers.oracle_element_order(G, x)

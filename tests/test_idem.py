@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -193,3 +194,67 @@ def test_closed_form_regime_mismatch():
     pair = find_pair(D14, 7)
     with pytest.raises(id_.RegimeMismatch):
         id_.pci_table_closed_form(alg, pair, 1)  # not a 2-power dihedral
+
+
+# (h0, orbit_reps, stab_index, action_exps, omega0, SHA-256 of the int64 pci
+# vectors of all orbit reps, concatenated) for each catalogued pair of the
+# order-1155 analogue G21 x G55, in catalog order
+ANALOGUE_1155_PINS = {
+    2: [
+        (0, [0], 1, (0,), 1,
+         "1f358c99146d40e7b82bae1cfff6113eb0d82ba5dd9efbfed63ba9c3e417ce6f"),
+        (1, [1], 1, (1,), 1,
+         "f5022aca8e6e5a417a855590afb17e809ca08b46befc4001192a790e7320e7c5"),
+        (5, [1], 5, (1, 3, 4, 5, 9), 1,
+         "52225c794043523d486c5214690ef7a79929c6016d583dfdc34d20c01f2f368d"),
+        (55, [1], 1, (1,), 1,
+         "80cc4775bf9a7d11879dfd125f7a5f47fb7ab0f2438100d3d1db46ef7dc7a050"),
+        (56, [1, 7], 1, (1,), 1,
+         "d95ac113963b330181ed51b724bf634df03c602dc0c2d00d2def694c2da00e50"),
+        (60, [1, 5], 5, (1, 4, 16, 25, 31), 1,
+         "a992d2f3921e9a79661718ba7a8123b09b07510d7d54c40195566afd2ada08e2"),
+        (165, [1, 3], 3, (1, 2, 4), 1,
+         "5c56940fb9de86ab1313944a47088ac14685c63246a4bf278e410e34e4b8dbb8"),
+        (166, [1, 3], 3, (1, 11, 16), 1,
+         "aecddbcf13bd076c5463eb800f65d65ead6caa15604bfd80722cf1d79284a899"),
+        (170, [1, 3], 15, (1, 4, 9, 15, 16, 23, 25, 36, 37, 53, 58, 60, 64, 67, 71), 1,
+         "2d33a3f3f01d60ea0210777623dbbd31915a8dd81dce9fc7e75deb6c79f2731e"),
+    ],
+    13: [
+        (0, [0], 1, (0,), 1,
+         "7daf4c7726e1b05ce9e79842d6f79c5e10dc09cde8b54feaee826b1a3bcffb31"),
+        (1, [1], 1, (1,), 1,
+         "39d1e2404c626331cf196e34559a58baaacd3eae289ff0ec1c51bf1547e2ba6d"),
+        (5, [1], 5, (1, 3, 4, 5, 9), 1,
+         "87196a267c2345fc842a95ad26197368547b258eb43635b38da794d121c92ed3"),
+        (55, [1, 2], 1, (1,), 1,
+         "06c78990c21305fe59b06c4b260506e191e1c090e2a785160f52259f193bf728"),
+        (56, [1, 2], 1, (1,), 1,
+         "f87b40d833abea6b88672ba18a6286873c08753c4a25dfa6b96c5c41aa898155"),
+        (60, [1, 2], 5, (1, 4, 16, 25, 31), 1,
+         "0d84409d57770c7252d214948e7142c2b505c07cb2e8e6b563e7e59af1405d0d"),
+        (165, [1], 1, (1, 2, 4), 3,
+         "50f1fece358bbda08df5b7005b57d39af070cc951fd37d18c3f48722285274f3"),
+        (166, [1, 2], 1, (1, 11, 16), 3,
+         "b38d4177aab310942b32d693f451104a1c2c34692c7e0b0b6cd9484839e86bcd"),
+        (170, [1, 2], 5, (1, 4, 9, 15, 16, 23, 25, 36, 37, 53, 58, 60, 64, 67, 71), 3,
+         "ae92696d89c981545c2bdb6afb05db96f52bc6bcda77f3e04510116b26fc9e1d"),
+    ],
+}
+
+
+@pytest.mark.parametrize("q", sorted(ANALOGUE_1155_PINS))
+def test_analogue_1155_orbit_data_and_pcis_pinned(q):
+    G1 = gr.MetacyclicGroup(7, 3, 4, name="G21")
+    G2 = gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55")
+    G = gr.direct_product(G1, G2)
+    alg = id_.GroupAlgebra(G, q)
+    pairs = sh.ssp_catalog(G)
+    assert len(pairs) == len(ANALOGUE_1155_PINS[q])
+    for pair, pin in zip(pairs, ANALOGUE_1155_PINS[q]):
+        od = id_.cosets_and_orbits(G, pair, q)
+        digest = hashlib.sha256()
+        for k in od.orbit_reps:
+            digest.update(id_.pci(alg, pair, k).value.vec.tobytes())
+        got = (od.h0, od.orbit_reps, od.stab_index, od.action_exps, od.omega0, digest.hexdigest())
+        assert got == pin, pair.label()
