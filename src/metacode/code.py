@@ -94,9 +94,9 @@ def ideal_to_code(
         e = e.value
     G, q = alg.G, alg.q
     n = G.order
-    rows = np.empty((n, n), dtype=np.int64)
-    for g in range(n):
-        rows[g] = e.vec[G.lmul_table(G.inv(g))]
+    rows = np.empty((n, n), dtype=np.int64)  # row g is g*e: (g*e)[x] = e[g^-1 x]
+    for start, block in G.grid(G.inv_vec(np.arange(n)), G.elements()):
+        rows[start:start + len(block)] = e.vec[block]
     genmat, pivots = rref_mod(rows, q)
     prov = dict(provenance or {})
     prov.setdefault("side", side)

@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ffield import factorize
+
+# entries per block of FiniteGroup.grid: bounds the temporary arrays of every
+# product-table pass whatever the group order
+_GRID_CELLS = 1 << 16
 
 
 class GroupError(Exception):
@@ -63,47 +67,23 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    # -- cached index tables -------------------------------------------------
-    def _table_cache(self) -> Dict:
-        cache = getattr(self, "_tables", None)
-        if cache is None:
-            cache = {}
-            self._tables = cache
-        return cache
-
-    def lmul_table(self, x: int) -> np.ndarray:
-        """Indices of x*h for h = 0..order-1."""
-        cache = self._table_cache()
-        key = ("l", x)
-        t = cache.get(key)
-        if t is None:
-            all_idx = np.arange(self.order, dtype=np.int64)
-            t = self.mul_vec(np.full(self.order, x, dtype=np.int64), all_idx)
-            if len(cache) < 64:
-                cache[key] = t
-        return t
-
-    def rmul_table(self, x: int) -> np.ndarray:
-        """Indices of h*x for h = 0..order-1."""
-        cache = self._table_cache()
-        key = ("r", x)
-        t = cache.get(key)
-        if t is None:
-            all_idx = np.arange(self.order, dtype=np.int64)
-            t = self.mul_vec(all_idx, np.full(self.order, x, dtype=np.int64))
-            if len(cache) < 64:
-                cache[key] = t
-        return t
+    def grid(self, xs, ys):
+        """The product table xs × ys in row blocks: yields (start, block) with
+        block[i, j] = xs[start + i] * ys[j] and at most _GRID_CELLS entries
+        per block (at least one row)."""
+        xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+        rows = max(1, _GRID_CELLS // max(len(ys), 1))
+        for start in range(0, len(xs), rows):
+            yield start, self.mul_vec(xs[start:start + rows, None], ys[None, :])
 
     def conj_table(self, x: int) -> np.ndarray:
-        """Indices of x^-1 * h * x for h = 0..order-1."""
-        cache = self._table_cache()
-        key = ("c", x)
-        t = cache.get(key)
+        """Indices of x^-1 * h * x for h = 0..order-1, cached when x is a generator."""
+        cache = self.__dict__.setdefault("_conj_tables", {})
+        t = cache.get(x)
         if t is None:
-            t = self.rmul_table(x)[self.lmul_table(self.inv(x))]
-            if len(cache) < 64:
-                cache[key] = t
+            t = self.conj_vec(np.arange(self.order), x)
+            if x in self.generators():
+                cache[x] = t
         return t
 
     def power(self, x, n):
@@ -129,8 +109,8 @@ class FiniteGroup:
         """g^x = x^-1 g x."""
         return self.mul(self.mul(self.inv(x), g), x)
 
-    def conj_vec(self, g: int, xs) -> np.ndarray:
-        """x^-1 g x for each x in xs."""
+    def conj_vec(self, g, xs) -> np.ndarray:
+        """x^-1 g x, with g and xs scalars or arrays that broadcast."""
         xs = np.asarray(xs, dtype=np.int64)
         return self.mul_vec(self.mul_vec(self.inv_vec(xs), g), xs)
 
@@ -319,7 +299,6 @@ class Subgroup:
         self.gens = tuple(gens)
         self._set = frozenset(self.elements)
         self._is_normal: Optional[bool] = None
-        self._is_cyclic: Optional[bool] = None
 
     def __repr__(self):
         gens = ", ".join(self.group.elem_label(g) for g in self.gens) or "1"
@@ -351,30 +330,21 @@ class Subgroup:
             )
         return self._is_normal
 
-    @property
-    def is_cyclic(self) -> bool:
-        if self._is_cyclic is None:
-            trivial = trivial_subgroup(self.group)
-            self._is_cyclic = cyclic_quotient_generator(self.group, self, trivial) is not None
-        return self._is_cyclic
-
 
 def subgroup_closure(G: FiniteGroup, gens: Sequence[int]) -> Subgroup:
-    """Least subgroup containing gens (BFS over right multiplication)."""
+    """Least subgroup containing gens (BFS over right multiplication, a whole
+    frontier at a time)."""
     if len(gens) == 0:
         raise ValueError("gens must be nonempty")
-    seen = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return Subgroup(G, seen, gens=tuple(dict.fromkeys(gens)))
+    seen = np.zeros(G.order, dtype=bool)
+    seen[G.identity] = True
+    frontier = np.array([G.identity], dtype=np.int64)
+    while len(frontier):
+        before = seen.copy()
+        for _, block in G.grid(frontier, gens):
+            seen[block] = True
+        frontier = np.flatnonzero(seen & ~before)
+    return Subgroup(G, np.flatnonzero(seen).tolist(), gens=tuple(dict.fromkeys(gens)))
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:

@@ -173,25 +173,26 @@ class AlgebraElement:
         G, q = self.alg.G, self.alg.q
         if self.parts is not None and self.weight() > 4 * len(self.parts) * 8:
             return _mul_structured(self.parts, other)
-        out = np.zeros(G.order, dtype=np.int64)
         sa, sb = self.support(), other.support()
         if len(sa) <= len(sb):
-            for g in sa:
-                tab = G.lmul_table(G.inv(int(g)))
-                out = (out + int(self.vec[g]) * other.vec[tab]) % q
+            out = _left_translates(G, q, sa, self.vec[sa], other.vec)
         else:
-            for h in sb:
-                tab = G.rmul_table(G.inv(int(h)))
-                out = (out + int(other.vec[h]) * self.vec[tab]) % q
+            # (self * other)[x] = sum over h of other[h] * self[x h^-1]
+            out = np.empty(G.order, dtype=np.int64)
+            cs = other.vec[sb]
+            for start, block in G.grid(G.elements(), G.inv_vec(sb)):
+                out[start:start + len(block)] = (self.vec[block] * cs % q).sum(axis=1) % q
         return AlgebraElement(self.alg, out)
 
     def conjugate(self, x: int) -> "AlgebraElement":
         """x^-1 * self * x."""
         G = self.alg.G
-        vec = self.vec[G.conj_table(G.inv(x))]
+        tab = G.conj_table(x)
+        vec = np.empty_like(self.vec)
+        vec[tab] = self.vec
         parts = None
         if self.parts is not None:
-            tab = G.conj_table(x).tolist()
+            tab = tab.tolist()
             parts = tuple(
                 (
                     Subgroup(G, [tab[s] for s in K.elements], gens=[tab[s] for s in K.gens]),
@@ -211,16 +212,27 @@ class AlgebraElement:
         return self * self == self
 
 
+def _left_translates(G: FiniteGroup, q: int, hs, cs, vec: np.ndarray) -> np.ndarray:
+    """sum_i cs[i] * hs[i] * vec: the weighted sum of the left translates of vec.
+
+    Each product is reduced before the sum, so the sum stays exact in int64
+    for every q with (q - 1)^2 < 2^63.
+    """
+    out = np.zeros(G.order, dtype=np.int64)
+    cs = np.asarray(cs, dtype=np.int64) % q
+    for start, block in G.grid(G.inv_vec(np.asarray(hs, dtype=np.int64)), G.elements()):
+        c = cs[start:start + len(block), None]
+        out = (out + (c * vec[block] % q).sum(axis=0)) % q
+    return out
+
+
 def _mul_structured(parts: Parts, x: AlgebraElement) -> AlgebraElement:
     """(sum_i hat(K_i) * w_i) * x, exact, in O(sum_i |w_i|) vector passes."""
     alg = x.alg
     G, q = alg.G, alg.q
     out = np.zeros(G.order, dtype=np.int64)
     for K, terms in parts:
-        y = np.zeros(G.order, dtype=np.int64)
-        for h, c in terms.items():
-            if c % q:
-                y = (y + c * x.vec[G.lmul_table(G.inv(h))]) % q
+        y = _left_translates(G, q, list(terms), list(terms.values()), x.vec)
         ids = alg.left_coset_ids(K)
         sums = np.bincount(ids, weights=y.astype(np.float64))
         coset_sums = np.rint(sums).astype(np.int64) % q
@@ -277,7 +289,7 @@ class OrbitData:
 def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
     H, K = pair.H, pair.K
     m = pair.index
-    h0 = cyclic_quotient_generator(G, H, K)
+    h0 = pair.h0
     if h0 is None:
         raise AlgebraError(f"H/K is not cyclic for {pair.label()}")
     o = mult_order(q, m)
@@ -368,16 +380,15 @@ class Idempotent:
 
 def epsilon(alg: GroupAlgebra, pair: ShodaPair, k: int, relabel: int = 1) -> AlgebraElement:
     """The building-block idempotent from one cyclotomic class of H/K."""
-    G, q = alg.G, alg.q
-    H, K = pair.H, pair.K
+    q = alg.q
     m = pair.index
     if math.gcd(m, q) != 1:
         raise NotCoprime(f"[H:K] = {m} not invertible mod {q}")
-    h0 = cyclic_quotient_generator(G, H, K)
+    h0 = pair.h0
     _require(h0 is not None, "pair does not have cyclic quotient")
     tt = trace_table(alg.field, m, relabel)
     inv_m = pow(m % q, -1, q)
-    return _assemble(alg, K, h0, m, {t: tt[(k * t) % m][0] * inv_m % q for t in range(m)})
+    return _assemble(alg, pair.K, h0, m, {t: tt[(k * t) % m][0] * inv_m % q for t in range(m)})
 
 
 def pci(alg: GroupAlgebra, pair: ShodaPair, k: int, relabel: int = 1) -> Idempotent:
@@ -502,7 +513,7 @@ def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempot
         if H.order == G.order:
             if m != 2:
                 raise RegimeMismatch("(G,K) rows of the 2-group tables have index <= 2")
-            g0 = cyclic_quotient_generator(G, H, K)
+            g0 = pair.h0
             coeffs = {t: (tt[(k * t) % m][0] * inv_m) % q for t in range(m)}
             return Idempotent(_assemble(alg, K, g0, m, coeffs), pair, k, "central")
         # (⟨a⟩, ⟨a^{2^j}⟩) rows
@@ -519,7 +530,7 @@ def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempot
                 tr = (tr + tt[(-k * t) % m][0]) % q
             if tr:
                 coeffs[t] = (tr * inv_m) % q
-        g0 = cyclic_quotient_generator(G, H, K)
+        g0 = pair.h0
         return Idempotent(_assemble(alg, K, g0, m, coeffs), pair, k, "central")
 
     if fam == "OM":
@@ -528,7 +539,7 @@ def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempot
         j = factorize(m).get(p, 0)
         if p**j != m:
             raise RegimeMismatch("ordinary metacyclic rows have p-power index")
-        g0 = cyclic_quotient_generator(G, H, K)
+        g0 = pair.h0
         idxs = _truncated_indices(m, p, j, i0)
         if H.order == G.order:
             coeffs = {}

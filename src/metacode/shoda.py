@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 from .ffield import factorize, is_prime, mult_order
 from .groups import (
@@ -50,6 +51,12 @@ class ShodaPair:
     def index(self) -> int:
         """[H:K], the order of the cyclic quotient."""
         return self.H.order // self.K.order
+
+    @cached_property
+    def h0(self) -> Optional[int]:
+        """`cyclic_quotient_generator` of H/K (None when not cyclic), computed
+        once per pair; raises NotNormal when K is not normal in H."""
+        return cyclic_quotient_generator(self.group, self.H, self.K)
 
     def label(self) -> str:
         return f"({self.H!r}, {self.K!r})"
@@ -408,7 +415,7 @@ def verify_ssp(G: FiniteGroup, pair: ShodaPair, bound: int = 10_000):
     if not H.is_normal_in_G:
         return False, "H is not normal in G"
     try:
-        h0 = cyclic_quotient_generator(G, H, K)
+        h0 = pair.h0
     except NotNormal:
         return False, "K is not normal in H"
     if h0 is None:

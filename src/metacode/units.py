@@ -125,9 +125,9 @@ def unit_from_element(alg: GroupAlgebra, x: AlgebraElement) -> UnitElement:
     """
     G, q = alg.G, alg.q
     n = G.order
-    A = np.empty((n, n), dtype=np.int64)
-    for h in range(n):
-        A[:, h] = x.vec[G.rmul_table(G.inv(h))]
+    A = np.empty((n, n), dtype=np.int64)  # (x*y)[g] = sum_h x[g h^-1] y[h]
+    for start, block in G.grid(G.elements(), G.inv_vec(np.arange(n))):
+        A[start:start + len(block)] = x.vec[block]
     rhs = np.zeros((n, 1), dtype=np.int64)
     rhs[G.identity, 0] = 1
     R, pivots = rref_mod(np.hstack([A, rhs]), q)

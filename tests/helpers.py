@@ -202,3 +202,13 @@ def oracle_element_order(G, x: int) -> int:
     while t != G.identity:
         t, o = G.mul(t, x), o + 1
     return o
+
+
+def oracle_closure(G, gens) -> List[int]:
+    """Sorted elements of <gens>, one scalar product at a time."""
+    seen = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        frontier = [y for y in {G.mul(x, g) for x in frontier for g in gens} if y not in seen]
+        seen.update(frontier)
+    return sorted(seen)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -33,6 +34,33 @@ def test_ideal_to_code_identity_and_hat():
     c = co.ideal_to_code(alg, hg)
     assert (c.n, c.k) == (39, 1)
     assert co.min_distance(c)[0] == 39  # the repetition-like code
+
+
+# SHA-256 of the RREF generator matrix (int64) then the pivots (int64) of the
+# five proper-H analogue codes over GF(2), in catalog order: [H:K], k, digest
+ANALOGUE_1155_GENMAT_PINS = [
+    (11, 50, "93f468b2036a37b34f6a5a8fcb64af9b6c2f4108c3f6ff4ed7efb100dd062eb1"),
+    (33, 50, "813284873cb5e689b6c249a095364a0eef5fac59aec7b558f0777d85df65513b"),
+    (7, 9, "3c027ca66113044cac2d272c0dfde5585bc56c7db2fec21d220b3aa47ce6c0cd"),
+    (35, 36, "7ab97e40b1943a8e4dcaa7b4c456687ed39f3504c9ba13b00cb20db67814ddcd"),
+    (77, 450, "528b79281ad67c6dbc6d6496347fcb1d5380bf659d7832028c726caadd7f5166"),
+]
+
+
+def test_analogue_1155_genmat_pinned():
+    G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                          gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    alg = id_.GroupAlgebra(G, 2)
+    got = []
+    for pair in sh.ssp_catalog(G):
+        if pair.H.order == G.order:
+            continue
+        e = id_.pci(alg, pair, id_.cosets_and_orbits(G, pair, 2).orbit_reps[0])
+        c = co.ideal_to_code(alg, e)
+        digest = hashlib.sha256(np.ascontiguousarray(c.genmat, dtype=np.int64).tobytes())
+        digest.update(np.asarray(c.pivots, dtype=np.int64).tobytes())
+        got.append((pair.index, c.k, digest.hexdigest()))
+    assert got == ANALOGUE_1155_GENMAT_PINS
 
 
 def test_zero_code_raises():

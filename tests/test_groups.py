@@ -44,16 +44,23 @@ def test_associativity_and_inverses_random():
 
 
 def test_vectorised_tables_agree_with_scalar():
-    G = gr.MetacyclicGroup(9, 3, 4, name="OM27")
+    g1155 = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                              gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
     rng = random.Random(3)
-    for _ in range(10):
-        x = rng.randrange(G.order)
-        tab = G.lmul_table(x)
-        for h in range(G.order):
-            assert tab[h] == G.mul(x, h)
-        conj = G.conj_table(x)
-        for h in range(G.order):
-            assert conj[h] == G.conjugate(h, x)
+    for G in (gr.MetacyclicGroup(9, 3, 4, name="OM27"), gr.c2_x_q8(), g1155):
+        ys = [rng.randrange(G.order) for _ in range(min(G.order, 300))]
+        rows = gr._GRID_CELLS // len(ys)
+        xs = [rng.randrange(G.order) for _ in range(rows + 3)]  # two blocks
+        starts = []
+        for start, block in G.grid(xs, ys):
+            assert block.size <= gr._GRID_CELLS
+            starts.append(start)
+            for i, x in enumerate(xs[start:start + len(block)]):
+                assert block[i].tolist() == [G.mul(x, y) for y in ys]
+        assert starts == [0, rows]
+        for x in rng.sample(range(G.order), 5):
+            conj = G.conj_table(x)
+            assert conj.tolist() == [G.conjugate(h, x) for h in range(G.order)]
 
 
 def test_subgroup_closure():
@@ -64,7 +71,8 @@ def test_subgroup_closure():
     assert H.order == 4
     G39 = gr.MetacyclicGroup(13, 3, 9)
     A = gr.subgroup_closure(G39, [G39.a])
-    assert A.order == 13 and A.is_normal_in_G and A.is_cyclic
+    assert A.order == 13 and A.is_normal_in_G
+    assert gr.cyclic_quotient_generator(G39, A, gr.trivial_subgroup(G39)) is not None
 
 
 def test_quotient_is_cyclic():
@@ -191,6 +199,18 @@ def test_conjugation_layer_matches_scalar_oracle(matrix):
                     helpers.oracle_centralizer_mod(G, N, expect, K), where
             pair = sh.ShodaPair(H, K, "test")
             assert sh.verify_ssp(G, pair) == helpers.oracle_verify_ssp(G, H, K), where
+
+
+def test_subgroup_closure_matches_scalar_bfs(matrix):
+    groups = {G.name: G for G, _q in matrix}
+    groups["G21 x G55"] = analogue_1155()
+    for G in groups.values():
+        gen_sets = [G.generators(), [G.identity], G.generators() + G.generators()[:1]]
+        gen_sets += [list(S.gens) for p in sh.ssp_catalog(G) for S in (p.H, p.K) if S.gens]
+        for gens in gen_sets:
+            S = gr.subgroup_closure(G, gens)
+            assert list(S.elements) == helpers.oracle_closure(G, gens), (G.name, gens)
+            assert S.gens == tuple(dict.fromkeys(gens))
 
 
 def test_cyclic_quotient_generator_not_normal_d8():

@@ -46,20 +46,60 @@ def test_hat_not_coprime_is_guarded():
         alg.hat(forged)
 
 
+def naive_product(G, a, b, q):
+    """a * b by Python-int convolution over the two supports."""
+    out = [0] * G.order
+    for g in a.support().tolist():
+        for h in b.support().tolist():
+            out[G.mul(g, h)] += int(a.vec[g]) * int(b.vec[h])
+    return [c % q for c in out]
+
+
 def test_mul_matches_naive_convolution():
     import random
 
     rng = random.Random(5)
-    G = gr.quaternion(16)
-    alg = id_.GroupAlgebra(G, 3)
-    for _ in range(20):
-        a = alg.element({rng.randrange(16): rng.randrange(3) for _ in range(5)})
-        b = alg.element({rng.randrange(16): rng.randrange(3) for _ in range(5)})
-        naive = np.zeros(16, dtype=np.int64)
-        for g in range(16):
-            for h in range(16):
-                naive[G.mul(g, h)] += a.vec[g] * b.vec[h]
-        assert np.array_equal((a * b).vec, naive % 3)
+    for G in (gr.quaternion(16), gr.c2_x_q8()):
+        alg = id_.GroupAlgebra(G, 3)
+        for _ in range(20):
+            a = alg.element({rng.randrange(16): rng.randrange(3) for _ in range(5)})
+            b = alg.element({rng.randrange(16): rng.randrange(3) for _ in range(5)})
+            assert (a * b).vec.tolist() == naive_product(G, a, b, 3), G.name
+    # q = 2^31 - 1 with coefficients near q: an int64 sum of three unreduced
+    # products already overflows
+    G, q = gr.quaternion(16), 2**31 - 1
+    alg = id_.GroupAlgebra(G, q)
+    for wa, wb in ((12, 16), (16, 12)):
+        a = alg.element({g: q - 1 - rng.randrange(1000) for g in rng.sample(range(16), wa)})
+        b = alg.element({g: q - 1 - rng.randrange(1000) for g in rng.sample(range(16), wb)})
+        assert (a * b).vec.tolist() == naive_product(G, a, b, q)
+
+
+def test_mul_spanning_several_grid_blocks(monkeypatch):
+    import random
+
+    G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                          gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    q = 13
+    alg = id_.GroupAlgebra(G, q)
+    rng = random.Random(7)
+    small, large = (
+        alg.element({g: rng.randrange(1, q) for g in rng.sample(range(G.order), size)})
+        for size in (70, 100)
+    )
+    calls = []
+    grid = G.grid
+
+    def spy(xs, ys):
+        blocks = list(grid(xs, ys))
+        calls.append((len(xs), len(ys), len(blocks)))
+        return iter(blocks)
+
+    monkeypatch.setattr(G, "grid", spy)
+    assert (small * large).vec.tolist() == naive_product(G, small, large, q)
+    assert (large * small).vec.tolist() == naive_product(G, large, small, q)
+    # left translates of `large`, then right translates of `large`; two blocks each
+    assert calls == [(70, G.order, 2), (G.order, 70, 2)]
 
 
 def test_structured_mul_matches_dense():
