@@ -10,7 +10,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .ffield import (
-    coset_order, factorize, mult_order, odd_prime_i0, rank_mod, ref_mod, rref_mod, v_adic,
+    coset_order, factorize, matmul_mod, mult_order, odd_prime_i0, rank_mod, ref_mod, rref_mod,
+    v_adic,
 )
 from .groups import FiniteGroup, Subgroup, quotient_is_cyclic
 from .idem import GroupAlgebra, Idempotent, InvariantError, census
@@ -49,12 +50,11 @@ def _check(ok: bool, what: str) -> None:
 def parity_check(genmat: np.ndarray, pivots: List[int], p: int) -> np.ndarray:
     """Parity-check matrix of the code with RREF generator matrix genmat."""
     k, n = genmat.shape
-    free = [c for c in range(n) if c not in set(pivots)]
+    free = np.setdiff1d(np.arange(n), pivots)
     H = np.zeros((n - k, n), dtype=np.int64)
-    for i, c in enumerate(free):
-        H[i, c] = 1
-        H[i, pivots] = (-genmat[:, c]) % p
-    return H % p
+    H[np.arange(n - k), free] = 1
+    H[:, pivots] = (-genmat[:, free].T) % p
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -89,18 +89,44 @@ class LinearCode:
 def ideal_to_code(
     alg: GroupAlgebra, e, side: str = "left", provenance: Optional[Dict] = None
 ) -> LinearCode:
-    """Row-reduced span of {g*e : g in G}: the left ideal as a linear code."""
+    """The left ideal A*e as a linear code: the RREF of span{g*e : g in G}.
+
+    The span is spun out of e (the MeatAxe spin; Parker 1984).  Each round
+    takes the rows the last round added to the basis, maps them by every
+    generator s of G, (s*v)[x] = v[s^-1 x], a fixed column permutation,
+    reduces the images against the basis with one product, row-reduces the
+    rest and folds their pivots back into the basis with another.  A round
+    that adds no rank ends the spin: the span is then closed under G, so it
+    is the ideal, and as an RREF is unique it is the one of the |G| stacked
+    translates, built from about |gens|*k rows and without an n x n array.
+    """
     if isinstance(e, Idempotent):
         e = e.value
     G, q = alg.G, alg.q
     n = G.order
-    rows = np.empty((n, n), dtype=np.int64)  # row g is g*e: (g*e)[x] = e[g^-1 x]
-    for start, block in G.grid(G.inv_vec(np.arange(n)), G.elements()):
-        rows[start:start + len(block)] = e.vec[block]
-    genmat, pivots = rref_mod(rows, q)
+    # row i is the permutation of generator s_i: (s_i*v)[x] = v[perms[i, x]]
+    perms = G.mul_vec(G.inv_vec(np.array(G.generators()))[:, None], np.arange(n)[None, :])
+    basis, pivots, is_free = np.zeros((0, n), dtype=np.int64), [], np.ones(n, dtype=bool)
+    new = e.vec[None, :]
+    while True:
+        # reduced against the basis the images vanish on its pivots: keep the rest
+        free = is_free.nonzero()[0]
+        cand = matmul_mod(new[:, pivots], basis[:, free], q, new[:, free]) if pivots else new
+        R, piv = rref_mod(cand, q)
+        if not piv:
+            break
+        new = np.zeros((len(piv), n), dtype=np.int64)
+        new[:, free] = R
+        piv = free[piv].tolist()
+        if pivots:
+            basis = matmul_mod(basis[:, piv], new, q, basis)
+        basis, pivots = np.concatenate([basis, new]), pivots + piv
+        is_free[piv] = False
+        new = new[:, perms].transpose(1, 0, 2).reshape(-1, n)
+    order = np.argsort(pivots)
     prov = dict(provenance or {})
     prov.setdefault("side", side)
-    return LinearCode(q, n, genmat, pivots, 1, n, provenance=prov)
+    return LinearCode(q, n, basis[order], [pivots[i] for i in order], 1, n, provenance=prov)
 
 
 def code_from_rows(alg_q: int, rows: np.ndarray, provenance=None) -> LinearCode:
@@ -368,23 +394,12 @@ def _weight_enum_lower(code: LinearCode, budget: int) -> int:
     # w = 1: a zero column of H
     if not H.any(axis=0).all():
         return 1
-    lo = 2
-    # w = 2: two proportional columns, detected by normalised hashing
-    normed = H.copy()
-    for c in range(n):
-        col = normed[:, c]
-        nz = np.nonzero(col)[0]
-        if len(nz):
-            normed[:, c] = (col * pow(int(col[nz[0]]), -1, q)) % q
-    seen = set()
-    pair_found = False
-    for c in range(n):
-        key = normed[:, c].tobytes()
-        if key in seen:
-            pair_found = True
-            break
-        seen.add(key)
-    if pair_found:
+    # w = 2: two proportional columns, equal once each is scaled by the
+    # inverse of its first nonzero entry
+    lead, which = np.unique(H[(H != 0).argmax(axis=0), np.arange(n)], return_inverse=True)
+    inv = np.array([pow(int(a), -1, q) for a in lead])
+    cols = np.ascontiguousarray((H * inv[which] % q).T)
+    if len({col.tobytes() for col in cols}) < n:  # hashing beats np.unique(axis=1)'s sort
         return 2
     lo = 3
     w = 3
@@ -420,13 +435,15 @@ def _information_set_upper(code: LinearCode, budget: int, seed: int):
         i = int(np.argmin(weights))
         if weights[i] < best_w:
             best_w, best = int(weights[i]), R[i].copy()
-        # a few sparse random combinations of rows
-        for _ in range(16):
-            coeffs = rng.integers(0, q, size=k)
-            word = (coeffs @ code.genmat) % q
-            wgt = int(np.count_nonzero(word))
-            if 0 < wgt < best_w:
-                best_w, best = wgt, word.copy()
+        # a few random combinations of rows, drawn one message at a time and
+        # multiplied out together; the first lightest nonzero word counts
+        coeffs = np.array([rng.integers(0, q, size=k) for _ in range(16)])
+        words = matmul_mod(coeffs, code.genmat, q)
+        weights = np.count_nonzero(words, axis=1)
+        weights[weights == 0] = n + 1
+        i = int(np.argmin(weights))
+        if weights[i] < best_w:
+            best_w, best = int(weights[i]), words[i]
     return best_w, best
 
 

@@ -53,6 +53,14 @@ class NotInBaseField(FieldError):
 # traces of composite-order roots are assembled from coprime-degree subfields.
 DIRECT_DEGREE_CAP = 200
 
+# Largest table of power matrices (q x (d+1) x e x e entries) that the modulus
+# search builds to drop candidates with a root.
+_ROOT_TABLE_CELLS = 1 << 20
+
+# Zero columns ref_mod steps over one at a time before it scans for the end of
+# the run: a rank-deficient matrix then stops soon after its last pivot.
+_LOOKAHEAD = 64
+
 
 # ---------------------------------------------------------------------------
 # elementary number theory
@@ -149,27 +157,32 @@ def coset_order(r: int, q: int, m: int) -> int:
 
 def ref_mod(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     """Row echelon form mod p; returns (nonzero rows, pivot columns)."""
-    M = mat.copy() % p
+    M = mat % p  # a new array
     nrows, ncols = M.shape
     pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
+    r = c = misses = 0
+    while r < nrows and c < ncols:
+        nz = M[r:, c].nonzero()[0]
         if len(nz) == 0:
+            misses += 1
+            c += 1
+            if misses % _LOOKAHEAD == 0:  # a long zero run: find its end, or that rows r.. are zero
+                ahead = M[r:, c:].any(axis=0).nonzero()[0]
+                if len(ahead) == 0:
+                    break
+                c += int(ahead[0])
             continue
+        misses = 0
         piv = r + int(nz[0])
         if piv != r:
             M[[r, piv]] = M[[piv, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
-        rest = M[r + 1 :, c]
-        hot = np.nonzero(rest)[0]
+        if M[r, c] != 1:
+            M[r, c:] = (M[r, c:] * pow(int(M[r, c]), -1, p)) % p
+        hot = r + 1 + M[r + 1:, c].nonzero()[0]  # rows below, all zero left of c
         if len(hot):
-            M[r + 1 + hot] = (M[r + 1 + hot] - np.outer(rest[hot], M[r])) % p
+            M[hot, c:] = (M[hot, c:] - np.outer(M[hot, c], M[r, c:])) % p
         pivots.append(c)
-        r += 1
+        r, c = r + 1, c + 1
     return M[:r].copy(), pivots  # a view would keep all nrows rows alive
 
 
@@ -181,12 +194,34 @@ def rref_mod(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
         above = R[:i, c]
         hot = np.nonzero(above)[0]
         if len(hot):
-            R[hot] = (R[hot] - np.outer(above[hot], R[i])) % p
+            R[hot, c:] = (R[hot, c:] - np.outer(above[hot], R[i, c:])) % p
     return R, pivots
 
 
 def rank_mod(mat: np.ndarray, p: int) -> int:
     return len(ref_mod(mat, p)[1])
+
+
+def matmul_mod(A: np.ndarray, B: np.ndarray, p: int, c: Optional[np.ndarray] = None) -> np.ndarray:
+    """A @ B mod p, or c - A @ B mod p when c is given, exact, for integer
+    arrays with entries in [0, p).
+
+    The products run in float64 BLAS over slabs of the inner dimension, each
+    short enough that the running total t, reduced after every slab, keeps
+    |t| below 2^53 - p: then t and floor(t / p) are exact.  FieldTooLarge
+    when not even one term fits, that is for p > 94906265 ((p-1)^2 near 2^53).
+    """
+    slab = (2**53 - 2 * p) // max(1, (p - 1) ** 2)
+    if slab < 1:
+        raise FieldTooLarge(f"GF({p}) products are past exact float64 sums")
+    A, B = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
+    out = np.zeros(A.shape[:-1] + B.shape[1:]) if c is None else np.array(c, dtype=np.float64)
+    step, quo = np.add if c is None else np.subtract, np.empty_like(out)
+    for s in range(0, A.shape[-1], slab):
+        step(out, A[..., s:s + slab] @ B[s:s + slab], out=out)
+        np.floor(np.divide(out, p, out=quo), out=quo)  # np.remainder takes 5x longer
+        out -= np.multiply(quo, p, out=quo)
+    return out.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +508,25 @@ def _irreducible(base: FieldCtx, d: int) -> np.ndarray:
 
     Lex order compares the constant coefficient first, each coefficient in
     the base field's counter order; candidates with zero constant term are
-    divisible by y, so enumeration starts at c0 = 1.
+    divisible by y, so enumeration starts at c0 = 1.  Candidates with a root
+    in GF(q) have a linear factor and are dropped before the Ben-Or test:
+    f(x) for every x at once is one product with the multiplication
+    matrices of all powers x^i (skipped when that table is too large).
     """
-    q = base.q
-    f = np.zeros((d + 1, base.e), dtype=np.int64)
+    q, p, e = base.q, base.p, base.e
+    f = np.zeros((d + 1, e), dtype=np.int64)
     f[d] = base.one()
     if d == 1:
         return f  # y itself, the degree-1 convention
+    pow_mats = None  # pow_mats[x, i] is the matrix of x^i, so f(x) = sum_i f[i] @ pow_mats[x, i]
+    if q * (d + 1) * e * e <= _ROOT_TABLE_CELLS:
+        xmul = base._xmul[:e].reshape(e, e * e)  # c @ xmul is the matrix of c, flattened
+        mul_x = (np.array(list(base.elements())) @ xmul % p).reshape(q, e, e)
+        powers = np.zeros((q, d + 1, e), dtype=np.int64)
+        powers[:, 0, 0] = 1
+        for i in range(1, d + 1):
+            powers[:, i] = np.einsum("xs,xst->xt", powers[:, i - 1], mul_x) % p
+        pow_mats = (powers @ xmul % p).reshape(q, d + 1, e, e)
     for c0 in range(1, q):
         f[0] = base.element_by_counter(c0)
         for rest in range(q ** (d - 1)):
@@ -490,6 +537,10 @@ def _irreducible(base: FieldCtx, d: int) -> np.ndarray:
                 nn, digit = divmod(nn, q)
                 f[i] = base.element_by_counter(digit)
                 i -= 1
+            if pow_mats is not None:
+                values = np.einsum("is,xist->xt", f, pow_mats) % p
+                if not values.any(axis=1).all():
+                    continue  # a root, so a linear factor
             if _is_irreducible(base, f):
                 return f
     raise FieldError("no irreducible found")  # unreachable

@@ -14,6 +14,7 @@ from metacode.ffield import (
     make_field,
     mult_order,
     rel_trace,
+    rref_mod,
 )
 
 ORACLE_FIELD_CAP = 140
@@ -129,6 +130,17 @@ def brute_force_min_weight(genmat: np.ndarray, q: int) -> int:
         if w < best:
             best = w
     return best
+
+
+def stacked_translate_code(alg, e):
+    """(genmat, pivots): the RREF of all |G| translates g*e stacked into one
+    n x n matrix, row g being (g*e)[x] = e[g^-1 x]."""
+    G = alg.G
+    n = G.order
+    rows = np.empty((n, n), dtype=np.int64)
+    for start, block in G.grid(G.inv_vec(np.arange(n)), G.elements()):
+        rows[start:start + len(block)] = e.vec[block]
+    return rref_mod(rows, alg.q)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from metacode import groups as gr
 from metacode import idem as id_
 from metacode import shoda as sh
 from metacode.examples import build_idempotent, load_claims
-from helpers import brute_force_min_weight
+from helpers import brute_force_min_weight, stacked_translate_code
 
 
 def test_rref_and_rank():
@@ -61,6 +62,91 @@ def test_analogue_1155_genmat_pinned():
         digest.update(np.asarray(c.pivots, dtype=np.int64).tobytes())
         got.append((pair.index, c.k, digest.hexdigest()))
     assert got == ANALOGUE_1155_GENMAT_PINS
+
+
+def _assert_spin_matches_stacked(alg, e, what):
+    c = co.ideal_to_code(alg, e)
+    genmat, pivots = stacked_translate_code(alg, getattr(e, "value", e))
+    assert c.pivots == pivots, what
+    assert c.genmat.dtype == genmat.dtype and np.array_equal(c.genmat, genmat), what
+    return c
+
+
+def test_spin_matches_stacked_translates(matrix):
+    # every pci of every suite group and q
+    for G, q in matrix:
+        alg = id_.GroupAlgebra(G, q)
+        for e in id_.pcis_for_group(alg):
+            _assert_spin_matches_stacked(alg, e, (G.name, q, e.pair.label(), e.k))
+    # the claims: plain and unit-conjugated left idempotents, several non-central
+    non_central = 0
+    for claim in load_claims():
+        alg = id_.GroupAlgebra(gr.group_from_spec(claim["group"]), claim["q"])
+        f = build_idempotent(alg, claim["build"])
+        non_central += not getattr(f, "value", f).is_central()
+        _assert_spin_matches_stacked(alg, f, claim["tag"])
+    assert non_central == 15
+    # a random element that is not idempotent, on a product with four generators
+    G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4), gr.MetacyclicGroup(5, 4, 2))
+    alg = id_.GroupAlgebra(G, 13)
+    x = id_.AlgebraElement(alg, np.random.default_rng(3).integers(0, 13, G.order))
+    assert x * x != x and len(G.generators()) == 4
+    assert _assert_spin_matches_stacked(alg, x, "random").k > 1
+    sparse = alg.element({0: 1, G.generators()[0]: 12})  # 1 - g: a proper left ideal
+    assert 0 < _assert_spin_matches_stacked(alg, sparse, "1 - g").k < G.order
+    # the zero element and the trivial group
+    assert _assert_spin_matches_stacked(alg, alg.zero(), "zero").genmat.shape == (0, G.order)
+    alg1 = id_.GroupAlgebra(gr.cyclic(1), 3)
+    for x in (alg1.one(), alg1.zero()):
+        _assert_spin_matches_stacked(alg1, x, "trivial group")
+
+
+# [H:K] = 7 pair of G1029 x G55 over GF(2): the Eq.(2) k and the Theorem 2.1
+# window 2|K| <= d <= wt(e), certified at full scale.  The stacked translate
+# matrix of this code would be 56595 x 56595 int64, about 25 GB.
+def test_full_scale_code_spins_without_translate_matrix():
+    G = gr.direct_product(gr.MetacyclicGroup(343, 3, pow(18, -1, 343), name="G1029"),
+                          gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    alg = id_.GroupAlgebra(G, 2)
+    pair = [p for p in sh.ssp_catalog(G) if p.index == 7 and p.H.order != G.order][0]
+    od = id_.cosets_and_orbits(G, pair, 2)
+    e = id_.pci(alg, pair, od.orbit_reps[0])
+    tracemalloc.start()
+    try:
+        c = co.ideal_to_code(alg, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 20, peak
+    size = G.order // pair.H.order
+    assert (c.n, c.k) == (56595, size * size * (od.o // od.stab_index)) == (56595, 9)
+    d, hi, w = co.min_distance(c)
+    assert d == hi == 10780
+    assert 2 * pair.K.order <= d <= e.value.weight()
+    assert np.count_nonzero(w) == d
+    assert np.array_equal((w[c.pivots] @ c.genmat) % 2, w)
+
+
+# _information_set_upper on the [1155, 450]_2 analogue code ([H:K] = 77),
+# budget 2,000,000: (weight, SHA-256 of the int64 witness) per seed
+ISU_PINS = {
+    0: (8, "0f2e4ff5ad92d8e9a66cce616a39f8afc6118ddbf4131cf97a04ce0b0b006ed8"),
+    1: (8, "7d417cf301c5835674723e4810dc4faa64ebb5382ba7df06fc3a43ce3a8b4f4b"),
+}
+
+
+def test_information_set_upper_pinned():
+    G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                          gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    alg = id_.GroupAlgebra(G, 2)
+    pair = [p for p in sh.ssp_catalog(G) if p.index == 77 and p.H.order != G.order][0]
+    c = co.ideal_to_code(alg, id_.pci(alg, pair, id_.cosets_and_orbits(G, pair, 2).orbit_reps[0]))
+    assert c.k == 450
+    for seed, (weight, digest) in ISU_PINS.items():
+        w, word = co._information_set_upper(c, 2_000_000, seed)
+        assert word.dtype == np.int64
+        assert (w, hashlib.sha256(word.tobytes()).hexdigest()) == (weight, digest), seed
+        assert np.count_nonzero(word) == w
 
 
 def test_zero_code_raises():

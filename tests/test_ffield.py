@@ -371,3 +371,60 @@ def test_coset_order_matches_the_power_loop():
                 assert ff.coset_order(r, q, m) == w, (r, q, m)
     with pytest.raises(ff.NotCoprime):
         ff.coset_order(3, 2, 9)
+
+
+def _slab(p):
+    """Inner-dimension slab of matmul_mod: slab * (p-1)^2 <= 2^53 - 2p."""
+    return (2**53 - 2 * p) // (p - 1) ** 2
+
+
+def _python_matmul_mod(A, B, p, c=None):
+    out = [[sum(int(a) * int(b) for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+    if c is not None:
+        out = [[int(x) - y for x, y in zip(crow, row)] for crow, row in zip(c, out)]
+    return np.array([[v % p for v in row] for row in out], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 13, 50_000_017, 94_906_249])
+def test_matmul_mod_matches_python_ints_across_slab_boundaries(p):
+    # 94906249 is the largest prime with one term per slab; 50000017 has 3
+    rng = np.random.default_rng(p % 1000)
+    slab = _slab(p)
+    inners = [1, 7, 40] if slab > 40 else [slab, slab + 1, 2 * slab + 1, 3 * slab]
+    for inner in inners:
+        for fill in ("max", "random"):
+            if fill == "max":  # every product (p-1)^2: the sums sit at the bound
+                A = np.full((3, inner), p - 1, dtype=np.int64)
+                B = np.full((inner, 4), p - 1, dtype=np.int64)
+            else:
+                A = rng.integers(0, p, size=(3, inner))
+                B = rng.integers(0, p, size=(inner, 4))
+            C = rng.integers(0, p, size=(3, 4))
+            got = ff.matmul_mod(A, B, p)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _python_matmul_mod(A, B, p)), (inner, fill)
+            assert np.array_equal(ff.matmul_mod(A, B, p, C), _python_matmul_mod(A, B, p, C))
+            assert np.array_equal(ff.matmul_mod(A[0], B, p), _python_matmul_mod(A[:1], B, p)[0])
+    assert ff.matmul_mod(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64),
+                         p).tolist() == [[0] * 3] * 2
+
+
+def test_matmul_mod_field_too_large():
+    # 94906297 is the least prime with (p-1)^2 + 2p > 2^53: not one term fits
+    p = 94_906_297
+    assert ff.is_prime(p) and _slab(p) == 0 and _slab(94_906_249) == 1
+    with pytest.raises(ff.FieldTooLarge):
+        ff.matmul_mod(np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64), p)
+    with pytest.raises(ff.FieldTooLarge):
+        ff.matmul_mod(np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64), 2**31 - 1)
+
+
+@pytest.mark.parametrize("p,e,degrees", [(2, 1, range(2, 12)), (3, 1, range(2, 8)),
+                                          (2, 2, range(2, 7)), (3, 2, range(2, 5)),
+                                          (5, 1, range(2, 6)), (7, 1, range(2, 5))])
+def test_irreducible_root_filter_keeps_the_lex_least_modulus(monkeypatch, p, e, degrees):
+    base = ff.make_field(p, e)
+    filtered = [ff._irreducible(base, d) for d in degrees]
+    monkeypatch.setattr(ff, "_ROOT_TABLE_CELLS", 0)  # no table: Ben-Or on every candidate
+    for d, f in zip(degrees, filtered):
+        assert np.array_equal(f, ff._irreducible(base, d)), (p, e, d)
