@@ -336,6 +336,32 @@ def test_interval_mode_brackets_truth():
         assert lo <= truth <= hi
 
 
+def test_parity_check_and_low_weight_bound_match_loops():
+    # parity_check against the column loop it replaced; _weight_enum_lower
+    # detects weight 1 (a zero column of H) and 2 (two proportional columns)
+    # exactly, so with no budget for weight 3 it returns min(d, 3)
+    rng = np.random.default_rng(17)
+    for q in (2, 3, 5, 7, 13):
+        for _ in range(12):
+            k, n = int(rng.integers(1, 5)), int(rng.integers(6, 12))
+            mat = rng.integers(0, q, size=(k, n))
+            mat[:, 1] = mat[:, 0] * int(rng.integers(1, q)) % q  # a weight-2 word of the dual
+            if rng.random() < 0.3:
+                mat[:, 2] = 0
+            genmat, pivots = co.rref_mod(mat, q)
+            if not pivots:
+                continue
+            H = co.parity_check(genmat, pivots, q)
+            loop = np.zeros_like(H)
+            for i, c in enumerate(c for c in range(n) if c not in pivots):
+                loop[i, c] = 1
+                loop[i, pivots] = (-genmat[:, c]) % q
+            assert np.array_equal(H, loop)
+            code = co.LinearCode(q, n, genmat, pivots, 1, n)
+            d = brute_force_min_weight(genmat, q)
+            assert co._weight_enum_lower(code, budget=0) == min(d, 3), (q, genmat)
+
+
 def test_theorem21_bounds_examples():
     OM27 = gr.ordinary_metacyclic(3, 3)
     alg = id_.GroupAlgebra(OM27, 2)
