@@ -71,6 +71,9 @@ class LinearCode:
     d_hi: int
     witness: Optional[np.ndarray] = None
     provenance: Dict = field(default_factory=dict)
+    # coordinate permutations that map the code onto itself, row i sending v
+    # to v[perms[i]]; min_distance checks them before it relies on them
+    perms: Optional[np.ndarray] = None
 
     @property
     def k(self) -> int:
@@ -99,6 +102,8 @@ def ideal_to_code(
     that adds no rank ends the spin: the span is then closed under G, so it
     is the ideal, and as an RREF is unique it is the one of the |G| stacked
     translates, built from about |gens|*k rows and without an n x n array.
+    The generators' permutations stay on the code as ``perms``, for
+    `min_distance`.
     """
     if isinstance(e, Idempotent):
         e = e.value
@@ -126,13 +131,8 @@ def ideal_to_code(
     order = np.argsort(pivots)
     prov = dict(provenance or {})
     prov.setdefault("side", side)
-    return LinearCode(q, n, basis[order], [pivots[i] for i in order], 1, n, provenance=prov)
-
-
-def code_from_rows(alg_q: int, rows: np.ndarray, provenance=None) -> LinearCode:
-    genmat, pivots = rref_mod(rows, alg_q)
-    return LinearCode(alg_q, rows.shape[1], genmat, pivots, 1, rows.shape[1],
-                      provenance=dict(provenance or {}))
+    return LinearCode(q, n, basis[order], [pivots[i] for i in order], 1, n, provenance=prov,
+                      perms=perms)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +153,22 @@ def min_distance(
     bounded weight-enumeration lower bound and a seeded information-set upper
     bound.  The witness has weight d_hi.  Failed internal checks (MacWilliams
     integrality, witness weight and membership) raise `CertificateError`.
+
+    A code from `ideal_to_code` carries ``perms``, the coordinate permutations
+    of G's generators, under which the ideal is invariant.  The enumeration
+    then needs only the pivot set P (|P| = k): once its rounds 1..w are done,
+    a codeword lighter than all seen is unseen with all its G-images, so it
+    has w + 1 nonzeros on every translate gP; the n translates cover each
+    coordinate k times, so its weight is at least ceil(n(w + 1)/k), and the
+    search stops when that reaches the lightest weight seen.  The
+    permutations are checked first (invariance, transitivity); a failure
+    raises `CertificateError`.
     """
     if code.k == 0:
         raise ZeroCode("zero-dimensional code has no distance")
     q, n, k = code.q, code.n, code.k
     if q**k <= budget:
-        lo, witness, _ = _brouwer_zimmermann(code.genmat, code.pivots, q)
+        lo, witness, _ = _brouwer_zimmermann(code.genmat, code.pivots, q, code.perms)
         hi = lo
     elif q ** (n - k) <= budget:
         lo = hi = _macwilliams_distance(code, budget)
@@ -175,7 +185,7 @@ _BZ_CELLS = 1 << 20  # and symbols per block, for long codes
 
 
 def _brouwer_zimmermann(
-    genmat: np.ndarray, pivots: List[int], q: int
+    genmat: np.ndarray, pivots: List[int], q: int, perms: Optional[np.ndarray] = None
 ) -> Tuple[int, np.ndarray, int]:
     """(d, witness, codewords examined) for the code with RREF genmat.
 
@@ -192,7 +202,18 @@ def _brouwer_zimmermann(
     (q^k - 1)/(q - 1); the current s always does, so the total never passes
     it.  The next set is built only when that choice takes it at full rank.
     Zimmermann (1996); Grassl (2006).
+
+    perms, when given, are coordinate permutations that map the code onto
+    itself and generate a group Gamma transitive on the n coordinates
+    (`_check_automorphisms` raises CertificateError otherwise).  Then the
+    search also stops once ceil(n (w_0 + 1) / k) reaches the lightest weight:
+    a codeword c lighter than every one seen is unseen, and so is each of its
+    images under Gamma, so c has at least w_0 + 1 nonzeros on every translate
+    gamma P_0; summed over Gamma, which puts each coordinate in k |Gamma| / n
+    of them, k wt(c) >= n (w_0 + 1).
     """
+    if perms is not None:
+        _check_automorphisms(genmat, pivots, q, perms)
     k, n = genmat.shape
     size = [math.comb(k, w) * (q - 1) ** max(0, w - 1) for w in range(k + 1)]
     left = [sum(size[w:]) for w in range(k + 2)]  # codewords of rounds w..k on one set
@@ -206,8 +227,9 @@ def _brouwer_zimmermann(
     def after(s: int, w: int, j: int) -> Tuple[int, int]:  # next step when s sets are searched
         return (w, j + 1) if j + 1 < s and bound(ranks[j + 1], w) else (w + 1, 0)
 
-    def stops(dn: List[int]) -> bool:  # the bound meets the lightest weight, or set 0 is done
-        return sum(map(bound, ranks, dn)) >= best or dn[0] == k
+    def stops(dn: List[int]) -> bool:  # a bound meets the lightest weight, or set 0 is done
+        return (sum(map(bound, ranks, dn)) >= best or dn[0] == k
+                or perms is not None and -(-n * (dn[0] + 1) // k) >= best)
 
     def cost(s: int, w: int, j: int) -> int:  # codewords s sets take from set j of round w on
         dn, total = done + [0] * (len(ranks) - len(done)), 0
@@ -248,6 +270,28 @@ def _brouwer_zimmermann(
     _check(np.count_nonzero(word) == best and np.array_equal((word[pivots] @ genmat) % q, word),
            "enumerated witness is not a codeword of weight d")
     return best, word, examined
+
+
+def _check_automorphisms(genmat: np.ndarray, pivots: List[int], q: int, perms: np.ndarray) -> None:
+    """CertificateError unless each row of perms permutes the n coordinates,
+    maps the code with RREF genmat onto itself, and together they are
+    transitive on the coordinates."""
+    n = genmat.shape[1]
+    _check(perms.ndim == 2 and perms.shape[1] == n and (np.sort(perms, axis=1) == np.arange(n)).all(),
+           "a carried automorphism is not a permutation of the coordinates")
+    moved = np.take(genmat, perms, axis=1).reshape(-1, n)  # v[perm] for each row v and perm
+    _check(not matmul_mod(moved[:, pivots], genmat, q, moved).any(),
+           "a carried permutation does not map the code onto itself")
+    # the orbit of coordinate 0, breadth first; each point enters the frontier once
+    seen, slot = np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64)
+    seen[0], frontier = True, np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        image = perms[:, frontier].ravel()
+        image = image[~seen[image]]
+        slot[image] = order = np.arange(len(image))
+        frontier = image[slot[image] == order]
+        seen[frontier] = True
+    _check(seen.all(), "the carried permutations are not transitive on the coordinates")
 
 
 def _weight_round(gamma: np.ndarray, q: int, w: int) -> Tuple[int, np.ndarray]:

@@ -45,10 +45,6 @@ class FieldTooLarge(FieldError):
     pass
 
 
-class NotInBaseField(FieldError):
-    pass
-
-
 # Largest extension degree we materialise as an explicit field.  Beyond this,
 # traces of composite-order roots are assembled from coprime-degree subfields.
 DIRECT_DEGREE_CAP = 200
@@ -292,10 +288,6 @@ class FieldCtx:
     def sub(self, a: BaseElem, b: BaseElem) -> BaseElem:
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
-
-    def smul(self, c: int, a: BaseElem) -> BaseElem:
-        p = self.p
-        return tuple((c * x) % p for x in a)
 
     def mul(self, a: BaseElem, b: BaseElem) -> BaseElem:
         p, e = self.p, self.e
@@ -572,20 +564,6 @@ class ExtFieldCtx(_QuotientRing):
 
     def __repr__(self):
         return f"GF({self.base.q}^{self.o}) with xi_{self.m}"
-
-    def embed(self, c: BaseElem) -> ExtElem:
-        out = self.zero()
-        out[: self.base.e] = c
-        return out
-
-    def is_scalar(self, a) -> bool:
-        return not self._vec(a)[self.base.e :].any()
-
-    def as_base(self, a) -> BaseElem:
-        a = self._vec(a)
-        if a[self.base.e :].any():
-            raise NotInBaseField("element does not lie in the base field")
-        return tuple(int(v) for v in a[: self.base.e])
 
     @cached_property
     def _trace_map(self) -> np.ndarray:

@@ -595,13 +595,3 @@ def census(G: FiniteGroup, q: int, pairs: Optional[Sequence[ShodaPair]] = None) 
             seen.add(key)
             rows.append(ComponentRow(pair, rep, size, deg, size * size * deg))
     return rows
-
-
-def count_pcis(G: FiniteGroup, q: int, pairs: Optional[Sequence[ShodaPair]] = None):
-    """Per-pair pci counts plus the total; the dimension identity is checked."""
-    rows = census(G, q, pairs)
-    total_dim = sum(r.dim for r in rows)
-    per_pair: Dict[str, int] = {}
-    for r in rows:
-        per_pair[r.pair.label()] = per_pair.get(r.pair.label(), 0) + 1
-    return {"rows": rows, "per_pair": per_pair, "count": len(rows), "total_dim": total_dim}

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from metacode.ffield import (
+    ExtFieldCtx,
     FieldCtx,
     extension_for_root,
     factorize,
@@ -16,6 +17,7 @@ from metacode.ffield import (
     rel_trace,
     rref_mod,
 )
+from metacode.idem import census
 
 ORACLE_FIELD_CAP = 140
 
@@ -44,6 +46,12 @@ def direct_trace_vanishes(q: int, m: int, k: int) -> bool:
     ext = _ext_for(q, m)
     value = rel_trace(ext, ext.pow(ext.xi, k % m))
     return all(v == 0 for v in value)
+
+
+def base_part(ext: ExtFieldCtx, a) -> Optional[tuple]:
+    """The GF(q) tuple of an element of the extension when it lies in GF(q), else None."""
+    a = ext._vec(a)
+    return None if a[ext.base.e:].any() else tuple(int(v) for v in a[:ext.base.e])
 
 
 def _fold_axis(arr: np.ndarray, p: int, j: int, axis: int, char: int) -> np.ndarray:
@@ -130,6 +138,15 @@ def brute_force_min_weight(genmat: np.ndarray, q: int) -> int:
         if w < best:
             best = w
     return best
+
+
+def count_pcis(G, q: int):
+    """Per-pair pci counts and the summed dimension of the census rows."""
+    rows = census(G, q)
+    per_pair = {}
+    for r in rows:
+        per_pair[r.pair.label()] = per_pair.get(r.pair.label(), 0) + 1
+    return {"per_pair": per_pair, "total_dim": sum(r.dim for r in rows)}
 
 
 def stacked_translate_code(alg, e):

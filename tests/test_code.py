@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,8 @@ def test_full_scale_code_spins_without_translate_matrix():
     assert (c.n, c.k) == (56595, size * size * (od.o // od.stab_index)) == (56595, 9)
     d, hi, w = co.min_distance(c)
     assert d == hi == 10780
+    # the group's bound ceil(n * 2 / k) = 12577 > 10780 after round 1 on set 0
+    assert co._brouwer_zimmermann(c.genmat, c.pivots, 2, c.perms)[::2] == (d, c.k)
     assert 2 * pair.K.order <= d <= e.value.weight()
     assert np.count_nonzero(w) == d
     assert np.array_equal((w[c.pivots] @ c.genmat) % 2, w)
@@ -219,12 +222,13 @@ def test_brouwer_zimmermann_matches_bruteforce(q):
 def test_brouwer_zimmermann_work_counts():
     # codewords examined, against the (q^k - 1)/(q - 1) message classes that
     # full enumeration walks
-    seen = {}
+    seen, group = {}, {}
     for claim in load_claims():
         alg = id_.GroupAlgebra(gr.group_from_spec(claim["group"]), claim["q"])
         c = co.ideal_to_code(alg, build_idempotent(alg, claim["build"]))
         seen[claim["tag"]] = co._brouwer_zimmermann(c.genmat, c.pivots, c.q)[2]
         assert seen[claim["tag"]] <= (c.q**c.k - 1) // (c.q - 1), claim["tag"]
+        group[claim["tag"]] = co._brouwer_zimmermann(c.genmat, c.pivots, c.q, c.perms)[2]
     assert len(seen) == 18
     assert seen["f5-g39-improved"] <= 2_500_000
     G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
@@ -237,6 +241,101 @@ def test_brouwer_zimmermann_work_counts():
     d, w, examined = co._brouwer_zimmermann(c.genmat, c.pivots, 2)
     assert examined <= 2**9 - 1
     assert np.count_nonzero(w) == d
+    # with the group's permutations: set 0 alone, [1155, 9, 220]_2 after round 1
+    assert group["f5-g39-improved"] <= 40_000
+    assert co._brouwer_zimmermann(c.genmat, c.pivots, 2, c.perms)[::2] == (d, c.k)
+
+
+def _assert_group_route(c, what):
+    """Brouwer-Zimmermann with the code's permutations, against the same code
+    stripped of them and, when small, brute force: the same d, a witness of
+    weight d in the code, and no more codewords examined."""
+    d, w, examined = co._brouwer_zimmermann(c.genmat, c.pivots, c.q, c.perms)
+    d0, _, examined0 = co._brouwer_zimmermann(c.genmat, c.pivots, c.q)
+    assert d == d0 and examined <= examined0, what
+    if c.q**c.k <= 1024:
+        assert d == brute_force_min_weight(c.genmat, c.q), what
+    assert np.count_nonzero(w) == d and np.array_equal((w[c.pivots] @ c.genmat) % c.q, w), what
+
+
+def test_group_route_matches_bruteforce_and_stripped(matrix):
+    # every sum of pcis (the two-sided ideals, the pcis among them) of every
+    # suite group and q: at [16, 8, 4]_3 of C2 x Q8 a bound one too high
+    # stops at the weight-5 word found first
+    for G, q in matrix:
+        alg = id_.GroupAlgebra(G, q)
+        pcis = [e.value.vec for e in id_.pcis_for_group(alg)]
+        for r in range(1, len(pcis) + 1):
+            for some in combinations(range(len(pcis)), r):
+                e = id_.AlgebraElement(alg, sum(pcis[i] for i in some) % q)
+                _assert_group_route(co.ideal_to_code(alg, e), (G.name, q, some))
+    # the claims: plain and unit-conjugated left idempotents, several non-central
+    non_central = 0
+    for claim in load_claims():
+        alg = id_.GroupAlgebra(gr.group_from_spec(claim["group"]), claim["q"])
+        f = build_idempotent(alg, claim["build"])
+        non_central += not getattr(f, "value", f).is_central()
+        _assert_group_route(co.ideal_to_code(alg, f), claim["tag"])
+    assert non_central == 15
+
+
+def _right_translations(G):
+    """Row i sends v to v[x s_i^-1], the right translate by generator s_i."""
+    return G.mul_vec(np.arange(G.order)[None, :], G.inv_vec(np.array(G.generators()))[:, None])
+
+
+def test_group_route_rejects_bad_permutations():
+    # right translations keep a two-sided ideal and move a one-sided one
+    for claim in load_claims():
+        alg = id_.GroupAlgebra(gr.group_from_spec(claim["group"]), claim["q"])
+        f = build_idempotent(alg, claim["build"])
+        c = co.ideal_to_code(alg, f)
+        c.perms = _right_translations(alg.G)
+        if getattr(f, "value", f).is_central():
+            assert co.min_distance(c)[0] == claim["expect"]["d"], claim["tag"]
+        else:
+            with pytest.raises(co.CertificateError, match="onto itself"):
+                co.min_distance(c)
+    # automorphisms that are not transitive: the identity, and one generator
+    # of D14, whose orbits have at most 7 points
+    alg = id_.GroupAlgebra(gr.dihedral(14), 3)
+    c = co.ideal_to_code(alg, id_.pcis_for_group(alg)[-1])
+    assert c.k == 12
+    for perms in (np.tile(np.arange(c.n), (2, 1)), c.perms[:1]):
+        c.perms = perms
+        with pytest.raises(co.CertificateError, match="not transitive"):
+            co.min_distance(c)
+    c.perms = np.zeros((1, c.n), dtype=np.int64)
+    with pytest.raises(co.CertificateError, match="not a permutation"):
+        co.min_distance(c)
+
+
+def test_automorphism_errors_survive_python_O():
+    # under -O an assert guard would vanish and the bound would be credited
+    # to permutations that move the code or are not transitive
+    script = (
+        "import numpy as np\n"
+        "from metacode import code as co, groups as gr, idem as id_\n"
+        "from metacode.examples import build_idempotent, load_claims\n"
+        "claim = [c for c in load_claims() if c['tag'] == 'f3-d14-improved'][0]\n"
+        "alg = id_.GroupAlgebra(gr.group_from_spec(claim['group']), claim['q'])\n"
+        "c = co.ideal_to_code(alg, build_idempotent(alg, claim['build']))\n"
+        "G = alg.G\n"
+        "right = G.mul_vec(np.arange(c.n)[None, :], G.inv_vec(np.array(G.generators()))[:, None])\n"
+        "for perms in (right, np.tile(np.arange(c.n), (2, 1))):\n"
+        "    c.perms = perms\n"
+        "    try:\n"
+        "        print(co.min_distance(c))\n"
+        "    except co.CertificateError:\n"
+        "        print('raised')\n"
+    )
+    src = str(Path(co.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised", "raised"]
 
 
 def _macwilliams_code():
@@ -429,7 +528,7 @@ def test_algebra_isomorphic_examples():
 
 def test_emit_parse_roundtrip():
     mat = np.array([[1, 1, 1, 1]], dtype=np.int64)
-    c = co.code_from_rows(2, mat)
+    c = co.LinearCode(2, 4, *co.rref_mod(mat, 2), 1, 4)
     text = co.emit_genmat(c)
     assert text.splitlines()[0] == "2 4 1"
     assert text.splitlines()[1] == "1111"

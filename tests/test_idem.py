@@ -8,6 +8,7 @@ from metacode import ffield as ff
 from metacode import groups as gr
 from metacode import idem as id_
 from metacode import shoda as sh
+from helpers import count_pcis
 
 
 def find_pair(G, H_order, index=None):
@@ -203,7 +204,7 @@ def test_census_matches_table_footnote_counts():
 
 def test_count_pcis_totals(matrix):
     for G, q in matrix:
-        info = id_.count_pcis(G, q)
+        info = count_pcis(G, q)
         assert info["total_dim"] == G.order
         top_label = [p for p in sh.ssp_catalog(G) if p.index == 1][0].label()
         assert info["per_pair"][top_label] == 1  # (G, G) contributes exactly 1
