@@ -26,6 +26,8 @@ from .groups import (
 )
 
 MIN_BUDGET = 1_000_000
+BUDGET_HELP = (f"the codewords the exact distance search may examine (at least {MIN_BUDGET}); "
+               "a code whose worst case exceeds it gets an interval d_lo..d_hi")
 
 
 class UsageError(Exception):
@@ -347,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--left-j", type=int, default=1)
         p.add_argument("--unit")
         p.add_argument("--beta", type=int, default=0)
-        p.add_argument("--budget", type=int, default=code_mod.DEFAULT_BUDGET)
+        p.add_argument("--budget", type=int, default=code_mod.DEFAULT_BUDGET, help=BUDGET_HELP)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out")
         p.set_defaults(func=fn)
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = grp.add_subparsers(dest="subcommand", required=True)
     p = gsub.add_parser("examples")
     p.add_argument("--only")
-    p.add_argument("--budget", type=int, default=code_mod.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=code_mod.DEFAULT_BUDGET, help=BUDGET_HELP)
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .ffield import (
-    coset_order, factorize, matmul_mod, mult_order, odd_prime_i0, rank_mod, ref_mod, rref_mod,
+    coset_order, factorize, is_prime, matmul_mod, mult_order, odd_prime_i0, rank_mod, rref_mod,
     v_adic,
 )
 from .groups import FiniteGroup, Subgroup, quotient_is_cyclic
@@ -147,12 +147,12 @@ def min_distance(
     """``(d_lo, d_hi, witness)``, also stored on ``code``: exact when affordable.
 
     Routes: Brouwer-Zimmermann enumeration over disjoint information sets
-    when q^k <= budget (exact; at most the (q^k - 1)/(q - 1) message classes,
-    far fewer once a few sets prove the minimum); the MacWilliams transform of
-    the dual weight distribution when q^(n-k) <= budget (exact); otherwise a
-    bounded weight-enumeration lower bound and a seeded information-set upper
-    bound.  The witness has weight d_hi.  Failed internal checks (MacWilliams
-    integrality, witness weight and membership) raise `CertificateError`.
+    (exact) when its worst case, `_worst_case`, is at most ``budget``
+    codewords; otherwise a bounded weight-enumeration lower bound and a
+    seeded information-set upper bound.  High-rate codes whose RREF rows are
+    all heavy can therefore get an interval even when their dual is small.
+    The witness has weight d_hi.  Failed internal checks (witness weight and
+    membership) raise `CertificateError`.
 
     A code from `ideal_to_code` carries ``perms``, the coordinate permutations
     of G's generators, under which the ideal is invariant.  The enumeration
@@ -166,18 +166,28 @@ def min_distance(
     """
     if code.k == 0:
         raise ZeroCode("zero-dimensional code has no distance")
-    q, n, k = code.q, code.n, code.k
-    if q**k <= budget:
-        lo, witness, _ = _brouwer_zimmermann(code.genmat, code.pivots, q, code.perms)
+    if _worst_case(code.genmat, code.q) <= budget:
+        lo, witness, _ = _brouwer_zimmermann(code.genmat, code.pivots, code.q, code.perms)
         hi = lo
-    elif q ** (n - k) <= budget:
-        lo = hi = _macwilliams_distance(code, budget)
-        witness = _find_weight_word(code, lo, budget)
     else:
         lo = _weight_enum_lower(code, budget)
         hi, witness = _information_set_upper(code, budget, seed)
     code.d_lo, code.d_hi, code.witness = lo, hi, witness
     return lo, hi, witness
+
+
+def _worst_case(genmat: np.ndarray, q: int) -> int:
+    """Codewords `_brouwer_zimmermann` examines at most on the RREF genmat:
+    the messages of rounds 1..min(k, max(1, rho - 1)) on the pivot set, rho
+    the lightest row weight.  Round 1 sees every row, so the pivot set alone
+    proves the minimum by round rho - 1, and the search takes more sets only
+    when its projection says they cost less."""
+    k = genmat.shape[0]
+    rho = int(np.count_nonzero(genmat, axis=1).min())
+    total, size = 0, k  # size = C(k, w) (q-1)^(w-1), the messages of round w
+    for w in range(1, min(k, max(1, rho - 1)) + 1):
+        total, size = total + size, size * (k - w) * (q - 1) // (w + 1)
+    return total
 
 
 _BZ_ROWS = 1 << 14  # codewords per enumeration block
@@ -319,102 +329,6 @@ def _weight_round(gamma: np.ndarray, q: int, w: int) -> Tuple[int, np.ndarray]:
         if weights[i] < best:
             best, word = int(weights[i]), acc[i].astype(np.int64)
     return best, word
-
-
-_BLOCK = 1 << 17
-
-
-def _digits_block(idx: np.ndarray, q: int, width: int, out: np.ndarray) -> np.ndarray:
-    rem = idx.copy()
-    for pos in range(width - 1, -1, -1):
-        out[: len(idx), pos] = rem % q
-        rem //= q
-    return out[: len(idx)]
-
-
-def _dual_weight_distribution(code: LinearCode, budget: int) -> np.ndarray:
-    q, n, k = code.q, code.n, code.k
-    H = parity_check(code.genmat, code.pivots, q)
-    r = H.shape[0]
-    _check(q**r <= budget, f"dual space q^{r} exceeds the budget {budget}")
-    counts = np.zeros(n + 1, dtype=object)
-    counts[0] += 1  # zero dual codeword
-    Hf = H.astype(np.float32)
-    dig_buf = np.empty((_BLOCK, max(1, r - 1)), dtype=np.float32)
-    for lead in range(r):
-        width = r - lead - 1
-        total = q**width
-        base = Hf[lead]
-        tail = Hf[lead + 1 :]
-        for start in range(0, total, _BLOCK):
-            cnt = min(_BLOCK, total - start)
-            idx = np.arange(start, start + cnt, dtype=np.int64)
-            digits = _digits_block(idx, q, width, dig_buf[:, :width])
-            cw = digits @ tail
-            cw += base
-            np.remainder(cw, q, out=cw)
-            w = np.count_nonzero(cw, axis=1)
-            for wv, cv in zip(*np.unique(w, return_counts=True)):
-                counts[int(wv)] += int(cv) * (q - 1)  # scalar classes
-    return counts
-
-
-def _krawtchouk(n: int, q: int, w: int, j: int) -> int:
-    out = 0
-    for s in range(min(w, j) + 1):
-        out += (-1) ** s * (q - 1) ** (w - s) * math.comb(j, s) * math.comb(n - j, w - s)
-    return out
-
-
-def _macwilliams_distance(code: LinearCode, budget: int) -> int:
-    """Exact distance via the MacWilliams transform of the dual distribution."""
-    q, n, k = code.q, code.n, code.k
-    B = _dual_weight_distribution(code, budget)
-    dual_size = q ** (n - k)
-    _check(sum(int(b) for b in B) == dual_size, "dual weight distribution does not sum to q^(n-k)")
-    d = None
-    total = 0
-    for w in range(n + 1):
-        acc = 0
-        for j in range(n + 1):
-            b = int(B[j])
-            if b:
-                acc += b * _krawtchouk(n, q, w, j)
-        _check(acc % dual_size == 0, f"MacWilliams transform is not integral at weight {w}")
-        Aw = acc // dual_size
-        _check(Aw >= 0, f"MacWilliams transform is negative at weight {w}")
-        total += Aw
-        if w == 0:
-            _check(Aw == 1, "MacWilliams transform gives A_0 != 1")
-        elif Aw > 0 and d is None:
-            d = w
-    _check(total == q**k, "MacWilliams transform does not sum to q^k")
-    _check(d is not None, "MacWilliams transform has no nonzero weight")
-    return d
-
-
-def _find_weight_word(code: LinearCode, d: int, budget: int) -> Optional[np.ndarray]:
-    """A codeword of weight exactly d (support search, then sampling)."""
-    q, n = code.q, code.n
-    H = parity_check(code.genmat, code.pivots, q)
-    if math.comb(n, d) * max(1, (q - 1) ** (d - 1)) <= 2_000_000:
-        for support in combinations(range(n), d):
-            sub = H[:, support]
-            R, pivots = ref_mod(sub.T.copy(), q)
-            if len(pivots) < d:
-                # nonzero kernel vector supported inside `support`
-                word = _kernel_vector(sub, q)
-                if word is None:
-                    continue
-                out = np.zeros(n, dtype=np.int64)
-                out[list(support)] = word
-                if np.count_nonzero(out) == d:
-                    return out
-    for seed in range(8):
-        w, word = _information_set_upper(code, budget, seed)
-        if w == d:
-            return word
-    return None
 
 
 def _kernel_vector(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
@@ -605,10 +519,14 @@ def algebra_isomorphic(G1: FiniteGroup, G2: FiniteGroup, q: int) -> bool:
 # generator-matrix serialisation
 
 
+def _check_digit_field(q: int) -> None:
+    if not (q <= 7 and is_prime(q)):
+        raise GenmatFormatError(f"digit format covers prime fields up to q = 7, got q = {q}")
+
+
 def emit_genmat(code: LinearCode) -> str:
-    """Header `q n k`, then k rows of GF(q) digits (prime fields)."""
-    if code.q >= 10:
-        raise GenmatFormatError("digit format covers prime fields up to q = 7")
+    """Header `q n k`, then k rows of GF(q) digits (prime fields q <= 7)."""
+    _check_digit_field(code.q)
     lines = [f"{code.q} {code.n} {code.k}"]
     for row in code.genmat:
         lines.append("".join(str(int(v)) for v in row))
@@ -622,9 +540,12 @@ def parse_genmat(text: str) -> LinearCode:
     if len(head) != 3 or not all(v.isdecimal() for v in head):
         raise GenmatFormatError(f"header must be 'q n k', got {' '.join(head)!r}")
     q, n, k = (int(v) for v in head)
+    _check_digit_field(q)
     body = lines[1:]
     if len(body) != k or any(len(ln) != n or not ln.isdecimal() for ln in body):
         raise GenmatFormatError(f"expected {k} rows of {n} digits")
+    if any(int(ch) >= q for ln in body for ch in ln):
+        raise GenmatFormatError(f"a digit is not below q = {q}")
     rows = np.array([[int(ch) for ch in ln] for ln in body], dtype=np.int64).reshape(k, n)
     genmat, pivots = rref_mod(rows, q)
     if genmat.shape[0] != k:

@@ -285,10 +285,6 @@ class FieldCtx:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def sub(self, a: BaseElem, b: BaseElem) -> BaseElem:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
     def mul(self, a: BaseElem, b: BaseElem) -> BaseElem:
         p, e = self.p, self.e
         if e == 1:
@@ -321,9 +317,6 @@ class FieldCtx:
         if all(x == 0 for x in a):
             raise ZeroDivisionError("inverse of 0")
         return self.pow(a, self.q - 2)
-
-    def is_zero(self, a: BaseElem) -> bool:
-        return all(x == 0 for x in a)
 
     def _mulmat(self, c) -> np.ndarray:
         """The e x e matrix over GF(p) of multiplication by c."""
@@ -421,9 +414,6 @@ class _QuotientRing:
 
     def add(self, a, b) -> ExtElem:
         return (self._vec(a) + self._vec(b)) % self.p
-
-    def sub(self, a, b) -> ExtElem:
-        return (self._vec(a) - self._vec(b)) % self.p
 
     def mul(self, a, b) -> ExtElem:
         red = self._red

@@ -105,10 +105,6 @@ class FiniteGroup:
                 o //= p
         return o
 
-    def conjugate(self, g: int, x: int) -> int:
-        """g^x = x^-1 g x."""
-        return self.mul(self.mul(self.inv(x), g), x)
-
     def conj_vec(self, g, xs) -> np.ndarray:
         """x^-1 g x, with g and xs scalars or arrays that broadcast."""
         xs = np.asarray(xs, dtype=np.int64)

@@ -17,6 +17,7 @@ from metacode.ffield import (
     rel_trace,
     rref_mod,
 )
+from metacode.code import parity_check
 from metacode.idem import census
 
 ORACLE_FIELD_CAP = 140
@@ -138,6 +139,37 @@ def brute_force_min_weight(genmat: np.ndarray, q: int) -> int:
         if w < best:
             best = w
     return best
+
+
+def macwilliams_distance(genmat: np.ndarray, pivots: List[int], q: int) -> int:
+    """Minimum distance of the code with RREF genmat from the MacWilliams
+    transform of its dual weight distribution, all q^(n-k) dual codewords
+    enumerated (one per scalar class, each counted q - 1 times)."""
+    k, n = genmat.shape
+    r = n - k
+    H = parity_check(genmat, pivots, q).astype(np.float64)
+    B = [1] + [0] * n
+    for lead in range(r):  # dual words whose message has its first nonzero, a 1, at lead
+        width = r - lead - 1
+        for start in range(0, q**width, 1 << 16):
+            idx = np.arange(start, min(start + (1 << 16), q**width))
+            digits = (idx[:, None] // q ** np.arange(width - 1, -1, -1) % q).astype(np.float64)
+            words = (digits @ H[lead + 1:] + H[lead]) % q
+            for w, count in zip(*np.unique(np.count_nonzero(words, axis=1), return_counts=True)):
+                B[int(w)] += int(count) * (q - 1)
+    assert sum(B) == q**r, "dual weight distribution does not sum to q^(n-k)"
+    # A_w = q^-r sum_j B_j K_w(j), with the Krawtchouk values K_w(j) =
+    # sum_s (-1)^s (q-1)^(w-s) C(j, s) C(n-j, w-s) from their three-term
+    # recurrence in w: (w+1) K_{w+1} = (w + (q-1)(n-w) - q j) K_w - (q-1)(n-w+1) K_{w-1}
+    A, K, K1 = [], [1] * (n + 1), [(q - 1) * (n - j) - j for j in range(n + 1)]
+    for w in range(n + 1):
+        acc = sum(b * K[j] for j, b in enumerate(B) if b)
+        assert acc % q**r == 0, f"MacWilliams transform is not integral at weight {w}"
+        A.append(acc // q**r)
+        K, K1 = K1, [((w + 1 + (q - 1) * (n - w - 1) - q * j) * K1[j] - (q - 1) * (n - w) * K[j])
+                     // (w + 2) for j in range(n + 1)]
+    assert A[0] == 1 and min(A) >= 0 and sum(A) == q**k, "MacWilliams transform is not a distribution"
+    return next(w for w in range(1, n + 1) if A[w])
 
 
 def count_pcis(G, q: int):

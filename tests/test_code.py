@@ -14,7 +14,7 @@ from metacode import groups as gr
 from metacode import idem as id_
 from metacode import shoda as sh
 from metacode.examples import build_idempotent, load_claims
-from helpers import brute_force_min_weight, stacked_translate_code
+from helpers import brute_force_min_weight, macwilliams_distance, stacked_translate_code
 
 
 def test_rref_and_rank():
@@ -217,6 +217,7 @@ def test_brouwer_zimmermann_matches_bruteforce(q):
         assert np.count_nonzero(w) == d
         assert np.array_equal((w[pivots] @ genmat) % q, w)
         assert examined <= (q ** len(pivots) - 1) // (q - 1)
+        assert examined <= co._worst_case(genmat, q)
 
 
 def test_brouwer_zimmermann_work_counts():
@@ -248,13 +249,16 @@ def test_brouwer_zimmermann_work_counts():
 
 def _assert_group_route(c, what):
     """Brouwer-Zimmermann with the code's permutations, against the same code
-    stripped of them and, when small, brute force: the same d, a witness of
-    weight d in the code, and no more codewords examined."""
+    stripped of them and, when small, brute force or the MacWilliams oracle:
+    the same d, a witness of weight d in the code, and no more codewords
+    examined, which is at most the worst case that min_distance admits."""
     d, w, examined = co._brouwer_zimmermann(c.genmat, c.pivots, c.q, c.perms)
     d0, _, examined0 = co._brouwer_zimmermann(c.genmat, c.pivots, c.q)
-    assert d == d0 and examined <= examined0, what
+    assert d == d0 and examined <= examined0 <= co._worst_case(c.genmat, c.q), what
     if c.q**c.k <= 1024:
         assert d == brute_force_min_weight(c.genmat, c.q), what
+    elif c.q**c.k > co.DEFAULT_BUDGET >= c.q ** (c.n - c.k):  # high rate, small dual
+        assert d == macwilliams_distance(c.genmat, c.pivots, c.q), what
     assert np.count_nonzero(w) == d and np.array_equal((w[c.pivots] @ c.genmat) % c.q, w), what
 
 
@@ -338,33 +342,6 @@ def test_automorphism_errors_survive_python_O():
     assert out.stdout.split() == ["raised", "raised"]
 
 
-def _macwilliams_code():
-    mat = np.random.default_rng(21).integers(0, 2, size=(7, 10)).astype(np.int64)
-    genmat, pivots = co.rref_mod(mat, 2)
-    c = co.LinearCode(2, 10, genmat, pivots, 1, 10)
-    return c, 2 ** (10 - c.k) + 10  # a budget that forces the dual route
-
-
-@pytest.mark.parametrize("corrupt", ["total", "shift"])
-def test_certificate_errors_are_typed(monkeypatch, corrupt):
-    c, budget = _macwilliams_code()
-    assert c.q**c.k > budget >= c.q ** (c.n - c.k)
-    assert co.min_distance(c, budget=budget)[0] == co.min_distance(c)[0]
-    real = co._dual_weight_distribution
-
-    def corrupted(code, budget):
-        B = real(code, budget)
-        j = next(j for j in range(1, len(B)) if B[j])
-        B[j] -= 1
-        if corrupt == "shift":  # same total, one dual word moved up a weight
-            B[j + 1] += 1
-        return B
-
-    monkeypatch.setattr(co, "_dual_weight_distribution", corrupted)
-    with pytest.raises(co.CertificateError):
-        co.min_distance(c, budget=budget)
-
-
 def test_enumeration_witness_check(monkeypatch):
     genmat, pivots = co.rref_mod(np.array([[1, 1, 0, 1], [0, 1, 1, 1]]), 3)
     assert co._brouwer_zimmermann(genmat, pivots, 3)[0] == 2
@@ -374,22 +351,17 @@ def test_enumeration_witness_check(monkeypatch):
 
 
 def test_certificate_errors_survive_python_O():
-    # under -O an assert guard would vanish and the corrupted transform
-    # would yield a distance: the checks must be raised errors
+    # under -O an assert guard would vanish and the corrupted enumeration
+    # would yield a distance: the witness check must be a raised error
     script = (
         "import numpy as np\n"
         "from metacode import code as co\n"
         "mat = np.random.default_rng(21).integers(0, 2, size=(7, 10)).astype(np.int64)\n"
         "g, piv = co.rref_mod(mat, 2)\n"
         "c = co.LinearCode(2, 10, g, piv, 1, 10)\n"
-        "real = co._dual_weight_distribution\n"
-        "def bad(code, budget):\n"
-        "    B = real(code, budget)\n"
-        "    B[0] += 1\n"
-        "    return B\n"
-        "co._dual_weight_distribution = bad\n"
+        "co._weight_round = lambda gamma, q, w: (2, np.zeros(gamma.shape[1], dtype=np.int64))\n"
         "try:\n"
-        "    co.min_distance(c, budget=2 ** (10 - c.k) + 10)\n"
+        "    print(co.min_distance(c))\n"
         "except co.CertificateError:\n"
         "    print('raised')\n"
     )
@@ -403,7 +375,9 @@ def test_certificate_errors_survive_python_O():
 
 
 def test_macwilliams_path_matches_enumeration():
-    # force the dual route by a tiny budget on codes of modest rate
+    # codes of modest rate at the budget that once sent them to the dual
+    # route: Brouwer-Zimmermann certifies them, and agrees with the
+    # MacWilliams oracle
     rng = np.random.default_rng(21)
     for q in (2, 3):
         for _ in range(4):
@@ -412,11 +386,11 @@ def test_macwilliams_path_matches_enumeration():
             k = genmat.shape[0]
             if k < 6:
                 continue
-            c1 = co.LinearCode(q, 10, genmat, pivots, 1, 10)
-            exact = co.min_distance(c1)[0]
-            c2 = co.LinearCode(q, 10, genmat, pivots, 1, 10)
-            lo, hi, _ = co.min_distance(c2, budget=q ** (10 - k) + 10)
-            assert lo == hi == exact
+            budget = q ** (10 - k) + 10
+            assert q**k > budget
+            c = co.LinearCode(q, 10, genmat, pivots, 1, 10)
+            lo, hi, w = co.min_distance(c, budget=budget)
+            assert lo == hi == macwilliams_distance(genmat, pivots, q) == np.count_nonzero(w)
 
 
 def test_interval_mode_brackets_truth():
@@ -553,6 +527,10 @@ MALFORMED_GENMATS = {
     "short row": "2 3 1\n11\n",
     "bad header": "2 3\n111\n",
     "not digits": "2 3 1\n1x1\n",
+    "digit not below q": "2 3 1\n121\n",
+    "q not prime": "4 3 1\n123\n",
+    "q zero": "0 3 1\n101\n",
+    "q past the digits": "11 3 1\n101\n",
 }
 
 
@@ -561,14 +539,15 @@ def test_parse_genmat_rejects_malformed_text():
         with pytest.raises(co.GenmatFormatError):
             co.parse_genmat(text)
         assert issubclass(co.GenmatFormatError, co.CodeError), what
-    big = co.LinearCode(11, 2, np.array([[1, 1]], dtype=np.int64), [0], 1, 2)
-    with pytest.raises(co.GenmatFormatError):
-        co.emit_genmat(big)
+    for q in (9, 11):  # no prime field, or digits past 9
+        big = co.LinearCode(q, 2, np.array([[1, 1]], dtype=np.int64), [0], 1, 2)
+        with pytest.raises(co.GenmatFormatError):
+            co.emit_genmat(big)
 
 
 def test_parse_genmat_errors_survive_python_O():
-    # under -O the shape and independence asserts vanished, and each of these
-    # texts was read as the code [3, 1, 1..3]_2
+    # under -O the shape and independence asserts vanished, and the first
+    # five texts were read as the code [3, 1, 1..3]_2
     script = (
         "import sys\n"
         "from metacode import code as co\n"

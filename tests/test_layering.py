@@ -1,4 +1,5 @@
-"""The package imports only downward, and only at module level.
+"""The package imports only downward, only at module level, and only what
+it uses.
 
 Layers, lowest first: ffield -> groups -> shoda -> idem -> units/code ->
 examples -> cli.  A module may import from a strictly lower layer; units
@@ -40,6 +41,22 @@ def layering_violations(path: Path):
     return bad
 
 
+def unused_imports(path: Path):
+    """Names a module-level import binds that the module never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bad = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    bad.append(f"{path.name}:{node.lineno}: {name} is imported but not used")
+    return bad
+
+
 def test_every_module_has_a_layer():
     names = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
     assert names == set(LAYER)
@@ -56,3 +73,16 @@ def test_checker_flags_lazy_and_upward_imports(tmp_path):
                     "def f():\n    import numpy\n")
     assert layering_violations(path) == [
         "groups.py:4: import inside f()", "groups.py:2: groups imports idem"]
+
+
+def test_no_unused_imports():
+    bad = [v for p in sorted(SRC.glob("*.py")) if p.stem != "__init__" for v in unused_imports(p)]
+    assert bad == []
+
+
+def test_checker_flags_unused_imports(tmp_path):
+    path = tmp_path / "code.py"
+    path.write_text("from __future__ import annotations\nimport numpy as np\nimport os.path\n"
+                    "from .ffield import ref_mod, rref_mod\nX = rref_mod(np.eye(2), 2)\n")
+    assert unused_imports(path) == [
+        "code.py:3: os is imported but not used", "code.py:4: ref_mod is imported but not used"]
