@@ -25,7 +25,7 @@ def _intra_package_targets(node):
     return [alias.name for alias in node.names]
 
 
-def layering_violations(path: Path):
+def import_violations(path: Path):
     tree = ast.parse(path.read_text(), filename=str(path))
     bad = []
     for fn in ast.walk(tree):
@@ -38,18 +38,11 @@ def layering_violations(path: Path):
         for target in _intra_package_targets(node):
             if here is None or target not in LAYER or LAYER[target] >= here:
                 bad.append(f"{path.name}:{node.lineno}: {path.stem} imports {target}")
-    return bad
-
-
-def unused_imports(path: Path):
-    """Names a module-level import binds that the module never reads."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    # module-level imports the module never reads; a package __init__ may re-export
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    bad = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+    for node in tree.body if path.stem != "__init__" else []:
+        future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not future:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in used:
@@ -63,26 +56,15 @@ def test_every_module_has_a_layer():
 
 
 def test_imports_follow_the_layers():
-    bad = [v for p in sorted(SRC.glob("*.py")) for v in layering_violations(p)]
+    bad = [v for p in sorted(SRC.glob("*.py")) for v in import_violations(p)]
     assert bad == []
 
 
 def test_checker_flags_lazy_and_upward_imports(tmp_path):
     path = tmp_path / "groups.py"
-    path.write_text("from .ffield import is_prime\nfrom . import idem\n"
-                    "def f():\n    import numpy\n")
-    assert layering_violations(path) == [
-        "groups.py:4: import inside f()", "groups.py:2: groups imports idem"]
-
-
-def test_no_unused_imports():
-    bad = [v for p in sorted(SRC.glob("*.py")) if p.stem != "__init__" for v in unused_imports(p)]
-    assert bad == []
-
-
-def test_checker_flags_unused_imports(tmp_path):
-    path = tmp_path / "code.py"
-    path.write_text("from __future__ import annotations\nimport numpy as np\nimport os.path\n"
-                    "from .ffield import ref_mod, rref_mod\nX = rref_mod(np.eye(2), 2)\n")
-    assert unused_imports(path) == [
-        "code.py:3: os is imported but not used", "code.py:4: ref_mod is imported but not used"]
+    path.write_text("from __future__ import annotations\nimport os.path\n"
+                    "from .ffield import is_prime, ref_mod\nfrom . import idem\n"
+                    "def f():\n    import numpy\n    return is_prime(idem)\n")
+    assert import_violations(path) == [
+        "groups.py:6: import inside f()", "groups.py:4: groups imports idem",
+        "groups.py:2: os is imported but not used", "groups.py:3: ref_mod is imported but not used"]
