@@ -349,10 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--left-j", type=int, default=1)
         p.add_argument("--unit")
         p.add_argument("--beta", type=int, default=0)
-        p.add_argument("--budget", type=int, default=code_mod.DEFAULT_BUDGET, help=BUDGET_HELP)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out")
         p.set_defaults(func=fn)
+        if name == "build":
+            p.add_argument("--budget", type=int, default=code_mod.DEFAULT_BUDGET, help=BUDGET_HELP)
+            p.add_argument("--seed", type=int, default=0, help="seed of the random information "
+                           "sets that give d_hi when the exact search does not fit the budget")
 
     grp = sub.add_parser("algebra", help="Wedderburn structure reports")
     gsub = grp.add_subparsers(dest="subcommand", required=True)

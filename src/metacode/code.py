@@ -148,11 +148,13 @@ def min_distance(
 
     Routes: Brouwer-Zimmermann enumeration over disjoint information sets
     (exact) when its worst case, `_worst_case`, is at most ``budget``
-    codewords; otherwise a bounded weight-enumeration lower bound and a
-    seeded information-set upper bound.  High-rate codes whose RREF rows are
-    all heavy can therefore get an interval even when their dual is small.
-    The witness has weight d_hi.  Failed internal checks (witness weight and
-    membership) raise `CertificateError`.
+    codewords; otherwise an interval: d_lo reads weights 1 and 2 off the
+    RREF rows (and searches weight 3 up on the parity check while the budget
+    allows), and d_hi is the lightest word over seeded random information
+    sets, row-reduced per direct-sum component of the code.  High-rate codes
+    whose RREF rows are all heavy can therefore get an interval even when
+    their dual is small.  The witness has weight d_hi.  Failed internal
+    checks (witness weight and membership) raise `CertificateError`.
 
     A code from `ideal_to_code` carries ``perms``, the coordinate permutations
     of G's generators, under which the ideal is invariant.  The enumeration
@@ -335,60 +337,88 @@ def _kernel_vector(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
     """A nonzero kernel vector of mat (columns = unknowns), or None."""
     R, pivots = rref_mod(mat.copy(), p)
     ncols = mat.shape[1]
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    if not free:
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    if not len(free):
         return None
     x = np.zeros(ncols, dtype=np.int64)
     x[free[0]] = 1
-    for i, c in enumerate(pivots):
-        x[c] = (-R[i, free[0]]) % p
+    x[pivots] = (-R[:, free[0]]) % p
     return x
 
 
 def _weight_enum_lower(code: LinearCode, budget: int) -> int:
-    """Largest w+1 such that no nonzero codeword has weight <= w."""
-    q, n = code.q, code.n
-    H = parity_check(code.genmat, code.pivots, q)
-    # w = 1: a zero column of H
-    if not H.any(axis=0).all():
-        return 1
-    # w = 2: two proportional columns, equal once each is scaled by the
-    # inverse of its first nonzero entry
-    lead, which = np.unique(H[(H != 0).argmax(axis=0), np.arange(n)], return_inverse=True)
+    """Largest w+1 such that no nonzero codeword has weight <= w.  A codeword
+    is fixed by its pivot symbols, so weight 1 is a row of weight 1, and
+    weight 2 a row of weight 2 or two rows proportional off the pivots."""
+    q, n, genmat = code.q, code.n, code.genmat
+    weights = np.count_nonzero(genmat, axis=1)
+    if weights.min() <= 2:
+        return int(weights.min())
+    # proportional free parts are equal once each is scaled by the inverse
+    # of its first nonzero entry
+    rest = genmat[:, np.setdiff1d(np.arange(n), code.pivots)]
+    lead, which = np.unique(rest[np.arange(len(rest)), (rest != 0).argmax(axis=1)],
+                            return_inverse=True)
     inv = np.array([pow(int(a), -1, q) for a in lead])
-    cols = np.ascontiguousarray((H * inv[which] % q).T)
-    if len({col.tobytes() for col in cols}) < n:  # hashing beats np.unique(axis=1)'s sort
+    rows = np.ascontiguousarray(rest * inv[which][:, None] % q)
+    if len({row.tobytes() for row in rows}) < len(rows):  # hashing beats np.unique(axis=0)'s sort
         return 2
-    lo = 3
-    w = 3
+    w, H = 3, None
     while math.comb(n, w) * (q - 1) ** (w - 1) <= budget // max(1, n):
-        found = False
+        H = parity_check(genmat, code.pivots, q) if H is None else H
         for support in combinations(range(n), w):
             sub = H[:, support]
-            if rank_mod(sub.T.copy(), q) < w:
-                word = _kernel_vector(sub, q)
-                if word is not None and np.count_nonzero(word) == w:
-                    found = True
-                    break
-        if found:
-            return w
+            word = _kernel_vector(sub, q)  # None when the w columns are independent
+            if word is not None and np.count_nonzero(word) == w:
+                return w
         w += 1
-        lo = w
-    return lo
+    return w
+
+
+def _components(genmat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Connected components of the graph that joins row i to column c when
+    genmat[i, c] != 0: (row labels, column labels, count), numbered in the
+    order of their first rows; all-zero columns join none and get -1.
+    Breadth first by frontier, so each row and column is expanded once."""
+    k, n = genmat.shape
+    r, c = np.nonzero(genmat)
+    src, dst = np.concatenate([r, k + c]), np.concatenate([k + c, r])  # node k + c is column c
+    dst = dst[np.argsort(src, kind="stable")]
+    at = np.searchsorted(np.sort(src), np.arange(k + n + 1))  # node v's edges: at[v]:at[v + 1]
+    label, count = np.full(k + n, -1), 0
+    for i in range(k):
+        if label[i] < 0 and at[i + 1] > at[i]:
+            front, label[i] = np.array([i]), count
+            while len(front):
+                start, size = at[front], at[front + 1] - at[front]
+                ends = dst[np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())]
+                front = np.unique(ends[label[ends] < 0])
+                label[front] = count
+            count += 1
+    return label[:k], label[k:], count
 
 
 def _information_set_upper(code: LinearCode, budget: int, seed: int):
-    """Minimum weight found over rows of randomly permuted RREFs."""
+    """Lightest word over the rows of randomly permuted RREFs and random
+    combinations of rows.  The RREF of a direct sum is the union of its
+    summands' RREFs, so each trial row-reduces the `_components` one by one,
+    on their columns in the trial's order, and sorts the rows by pivot."""
     q, n, k = code.q, code.n, code.k
     rng = np.random.default_rng(seed)
     best_w, best = n, None
     trials = max(8, min(64, budget // max(1, k * n * n)))
+    row_of, col_of, count = _components(code.genmat)
+    blocks = [(np.flatnonzero(row_of == b), np.flatnonzero(col_of == b)) for b in range(count)]
     for _ in range(trials):
         perm = rng.permutation(n)
-        R, _ = rref_mod(code.genmat[:, perm], q)
         back = np.empty_like(perm)
         back[perm] = np.arange(n)
-        R = R[:, back]
+        R, lead = np.zeros((k, n), dtype=np.int64), np.empty(k, dtype=np.int64)
+        for rows, cols in blocks:
+            cols = cols[np.argsort(back[cols])]
+            R[np.ix_(rows, cols)], piv = rref_mod(code.genmat[np.ix_(rows, cols)], q)
+            lead[rows] = back[cols[piv]]
+        R = R[np.argsort(lead)]
         weights = np.count_nonzero(R, axis=1)
         i = int(np.argmin(weights))
         if weights[i] < best_w:

@@ -14,6 +14,7 @@ from metacode.ffield import (
     factorize,
     make_field,
     mult_order,
+    matmul_mod,
     rel_trace,
     rref_mod,
 )
@@ -170,6 +171,52 @@ def macwilliams_distance(genmat: np.ndarray, pivots: List[int], q: int) -> int:
                      // (w + 2) for j in range(n + 1)]
     assert A[0] == 1 and min(A) >= 0 and sum(A) == q**k, "MacWilliams transform is not a distribution"
     return next(w for w in range(1, n + 1) if A[w])
+
+
+def information_set_upper(code, budget: int, seed: int):
+    """The interval route's upper bound with one rref_mod of the whole
+    column-permuted genmat per trial, as it was before the split into
+    components: the oracle that the split keeps (d_hi, witness)."""
+    q, n, k = code.q, code.n, code.k
+    rng = np.random.default_rng(seed)
+    best_w, best = n, None
+    trials = max(8, min(64, budget // max(1, k * n * n)))
+    for _ in range(trials):
+        perm = rng.permutation(n)
+        R, _ = rref_mod(code.genmat[:, perm], q)
+        back = np.empty_like(perm)
+        back[perm] = np.arange(n)
+        R = R[:, back]
+        weights = np.count_nonzero(R, axis=1)
+        i = int(np.argmin(weights))
+        if weights[i] < best_w:
+            best_w, best = int(weights[i]), R[i].copy()
+        # a few random combinations of rows, drawn one message at a time and
+        # multiplied out together; the first lightest nonzero word counts
+        coeffs = np.array([rng.integers(0, q, size=k) for _ in range(16)])
+        words = matmul_mod(coeffs, code.genmat, q)
+        weights = np.count_nonzero(words, axis=1)
+        weights[weights == 0] = n + 1
+        i = int(np.argmin(weights))
+        if weights[i] < best_w:
+            best_w, best = int(weights[i]), words[i]
+    return best_w, best
+
+
+def low_weight_from_parity_check(genmat: np.ndarray, pivots: List[int], q: int) -> int:
+    """min(d, 3) from the columns of the parity check, the interval route's
+    weight-1 and weight-2 test before it read the rows of genmat."""
+    H = parity_check(genmat, pivots, q)
+    n = H.shape[1]
+    # w = 1: a zero column of H
+    if not H.any(axis=0).all():
+        return 1
+    # w = 2: two proportional columns, equal once each is scaled by the
+    # inverse of its first nonzero entry
+    lead, which = np.unique(H[(H != 0).argmax(axis=0), np.arange(n)], return_inverse=True)
+    inv = np.array([pow(int(a), -1, q) for a in lead])
+    cols = np.ascontiguousarray((H * inv[which] % q).T)
+    return 2 if len({col.tobytes() for col in cols}) < n else 3
 
 
 def count_pcis(G, q: int):

@@ -93,6 +93,10 @@ def test_code_build_and_genmat(tmp_path, capsys):
     assert rc == 0
     header = out_path.read_text().splitlines()[0]
     assert header == "2 39 12"
+    # genmat computes no distance, so it takes no distance options
+    rc, _, err = run(capsys, "code", "genmat", "--spec", str(spec), "--q", "2",
+                     "--pci", "2", "--budget", "5")
+    assert rc == 1 and "unrecognized arguments: --budget" in err
 
 
 def test_budget_floor(tmp_path, capsys):

@@ -14,7 +14,10 @@ from metacode import groups as gr
 from metacode import idem as id_
 from metacode import shoda as sh
 from metacode.examples import build_idempotent, load_claims
-from helpers import brute_force_min_weight, macwilliams_distance, stacked_translate_code
+from helpers import (
+    brute_force_min_weight, information_set_upper, low_weight_from_parity_check,
+    macwilliams_distance, stacked_translate_code,
+)
 
 
 def test_rref_and_rank():
@@ -150,6 +153,61 @@ def test_information_set_upper_pinned():
         assert word.dtype == np.int64
         assert (w, hashlib.sha256(word.tobytes()).hexdigest()) == (weight, digest), seed
         assert np.count_nonzero(word) == w
+
+
+def _direct_sum(blocks, zeros, q, rng):
+    """(RREF genmat, pivots, column order) of the direct sum of the given
+    blocks plus `zeros` all-zero columns, its columns shuffled: column j of
+    the result is column order[j] of the block-diagonal matrix."""
+    k, n = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks) + zeros
+    mat, r, c = np.zeros((k, n), dtype=np.int64), 0, 0
+    for b in blocks:
+        mat[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    order = rng.permutation(n)
+    return *co.rref_mod(mat[:, order], q), order
+
+
+def test_components_of_a_shuffled_block_code():
+    # blocks [I | A] with A all nonzero are connected; the last is one row of weight 1
+    rng = np.random.default_rng(5)
+    shapes = [(2, 3), (3, 2), (1, 0)]
+    blocks = [np.hstack([np.eye(r, dtype=np.int64), rng.integers(1, 5, size=(r, f))])
+              for r, f in shapes]
+    genmat, pivots, order = _direct_sum(blocks, 1, 5, rng)
+    row_of, col_of, count = co._components(genmat)
+    assert count == 3
+    block_of_col = np.repeat([0, 1, 2, -1], [5, 5, 1, 1])[order]  # by column of genmat
+    assert (col_of == -1).sum() == 1 and col_of[block_of_col == -1] == -1
+    # one label per block, the blocks' labels distinct, numbered by first row
+    labels = [set(col_of[block_of_col == b]) for b in range(3)]
+    assert all(len(s) == 1 for s in labels) and len(set.union(*labels)) == 3
+    assert np.array_equal(row_of, col_of[pivots])
+    assert list(dict.fromkeys(row_of)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 13])
+def test_information_set_upper_splits_like_one_rref(q):
+    # random direct sums: the split route gives the same (d_hi, witness) as
+    # one rref_mod of the whole permuted genmat, for every seed
+    rng = np.random.default_rng(100 + q)
+    for _ in range(6):
+        blocks = []
+        for _ in range(int(rng.integers(2, 5))):
+            r = int(rng.integers(1, 4))
+            blocks.append(rng.integers(0, q, size=(r, r + int(rng.integers(0, 5)))))
+        genmat, pivots, _ = _direct_sum(blocks, int(rng.integers(0, 3)), q, rng)
+        if not pivots:
+            continue
+        code = co.LinearCode(q, genmat.shape[1], genmat, pivots, 1, genmat.shape[1])
+        assert co._components(genmat)[2] >= sum(b.any() for b in blocks)
+        for seed in range(4):
+            # budget 0: 8 trials
+            got, want = co._information_set_upper(code, 0, seed), information_set_upper(code, 0, seed)
+            assert got[0] == want[0], (q, seed, genmat)
+            assert (got[1] is None) == (want[1] is None)
+            if want[1] is not None:
+                assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
 
 
 def test_zero_code_raises():
@@ -411,19 +469,37 @@ def test_interval_mode_brackets_truth():
 
 def test_parity_check_and_low_weight_bound_match_loops():
     # parity_check against the column loop it replaced; _weight_enum_lower
-    # detects weight 1 (a zero column of H) and 2 (two proportional columns)
-    # exactly, so with no budget for weight 3 it returns min(d, 3)
-    rng = np.random.default_rng(17)
+    # reads weight 1 (a row of weight 1) and 2 (a row of weight 2, or two
+    # rows proportional off the pivots) from the RREF exactly, so with no
+    # budget for weight 3 it returns min(d, 3), as the parity-check column
+    # test does
+    rng, extra = np.random.default_rng(17), np.random.default_rng(18)
+    seen = set()
     for q in (2, 3, 5, 7, 13):
+        cases = []
         for _ in range(12):
             k, n = int(rng.integers(1, 5)), int(rng.integers(6, 12))
             mat = rng.integers(0, q, size=(k, n))
             mat[:, 1] = mat[:, 0] * int(rng.integers(1, q)) % q  # a weight-2 word of the dual
             if rng.random() < 0.3:
                 mat[:, 2] = 0
+            cases.append(mat)
+        for i in range(12):
+            k, n = int(extra.integers(1, 4)), int(extra.integers(6, 10))
+            mat = extra.integers(0, q, size=(k, n))
+            if i % 2 == 0:  # an RREF row of weight 1 or 2
+                w = int(extra.integers(1, 3))
+                light = np.zeros((1, n), dtype=np.int64)
+                light[0, extra.choice(n, w, replace=False)] = extra.integers(1, q, size=w)
+                mat = np.vstack([mat, light])
+            # a direct sum with a second code, columns shuffled, maybe a zero column
+            second = extra.integers(0, q, size=(int(extra.integers(1, 3)), 5))
+            cases.append(_direct_sum([mat, second], int(extra.integers(0, 2)), q, extra)[0])
+        for mat in cases:
             genmat, pivots = co.rref_mod(mat, q)
-            if not pivots:
+            if not pivots or q ** len(pivots) > 5000:
                 continue
+            n = genmat.shape[1]
             H = co.parity_check(genmat, pivots, q)
             loop = np.zeros_like(H)
             for i, c in enumerate(c for c in range(n) if c not in pivots):
@@ -432,7 +508,11 @@ def test_parity_check_and_low_weight_bound_match_loops():
             assert np.array_equal(H, loop)
             code = co.LinearCode(q, n, genmat, pivots, 1, n)
             d = brute_force_min_weight(genmat, q)
-            assert co._weight_enum_lower(code, budget=0) == min(d, 3), (q, genmat)
+            low = co._weight_enum_lower(code, budget=0)
+            assert low == min(d, 3) == low_weight_from_parity_check(genmat, pivots, q), (q, genmat)
+            seen.add((low, int(np.count_nonzero(genmat, axis=1).min()) <= 2))
+    # d = 1, 2 and >= 3; weight 2 both from a light row and from a proportional pair
+    assert seen >= {(1, True), (2, True), (2, False), (3, False)}, seen
 
 
 def test_theorem21_bounds_examples():
