@@ -13,8 +13,8 @@ from metacode.ffield import (
     extension_for_root,
     factorize,
     make_field,
-    mult_order,
     matmul_mod,
+    mult_order,
     rel_trace,
     rref_mod,
 )
