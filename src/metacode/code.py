@@ -335,7 +335,7 @@ def _weight_round(gamma: np.ndarray, q: int, w: int) -> Tuple[int, np.ndarray]:
 
 def _kernel_vector(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
     """A nonzero kernel vector of mat (columns = unknowns), or None."""
-    R, pivots = rref_mod(mat.copy(), p)
+    R, pivots = rref_mod(mat, p)
     ncols = mat.shape[1]
     free = np.setdiff1d(np.arange(ncols), pivots)
     if not len(free):
@@ -383,8 +383,8 @@ def _components(genmat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
     k, n = genmat.shape
     r, c = np.nonzero(genmat)
     src, dst = np.concatenate([r, k + c]), np.concatenate([k + c, r])  # node k + c is column c
-    dst = dst[np.argsort(src, kind="stable")]
-    at = np.searchsorted(np.sort(src), np.arange(k + n + 1))  # node v's edges: at[v]:at[v + 1]
+    order = np.argsort(src, kind="stable")
+    dst, at = dst[order], np.searchsorted(src[order], np.arange(k + n + 1))  # edges at[v]:at[v + 1]
     label, count = np.full(k + n, -1), 0
     for i in range(k):
         if label[i] < 0 and at[i + 1] > at[i]:
