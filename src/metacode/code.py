@@ -390,8 +390,7 @@ def _components(genmat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
         if label[i] < 0 and at[i + 1] > at[i]:
             front, label[i] = np.array([i]), count
             while len(front):
-                start, size = at[front], at[front + 1] - at[front]
-                ends = dst[np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())]
+                ends = np.concatenate([dst[at[v]:at[v + 1]] for v in front])
                 front = np.unique(ends[label[ends] < 0])
                 label[front] = count
             count += 1

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -472,7 +473,7 @@ def test_parity_check_and_low_weight_bound_match_loops():
     # reads weight 1 (a row of weight 1) and 2 (a row of weight 2, or two
     # rows proportional off the pivots) from the RREF exactly, so with no
     # budget for weight 3 it returns min(d, 3), as the parity-check column
-    # test does
+    # test does; with a budget it returns min(d, the first w it cannot afford)
     rng, extra = np.random.default_rng(17), np.random.default_rng(18)
     seen = set()
     for q in (2, 3, 5, 7, 13):
@@ -483,7 +484,7 @@ def test_parity_check_and_low_weight_bound_match_loops():
             mat[:, 1] = mat[:, 0] * int(rng.integers(1, q)) % q  # a weight-2 word of the dual
             if rng.random() < 0.3:
                 mat[:, 2] = 0
-            cases.append(mat)
+            cases.append((mat, False))
         for i in range(12):
             k, n = int(extra.integers(1, 4)), int(extra.integers(6, 10))
             mat = extra.integers(0, q, size=(k, n))
@@ -494,10 +495,10 @@ def test_parity_check_and_low_weight_bound_match_loops():
                 mat = np.vstack([mat, light])
             # a direct sum with a second code, columns shuffled, maybe a zero column
             second = extra.integers(0, q, size=(int(extra.integers(1, 3)), 5))
-            cases.append(_direct_sum([mat, second], int(extra.integers(0, 2)), q, extra)[0])
-        for mat in cases:
+            cases.append((_direct_sum([mat, second], int(extra.integers(0, 2)), q, extra)[0], True))
+        for mat, summed in cases:
             genmat, pivots = co.rref_mod(mat, q)
-            if not pivots or q ** len(pivots) > 5000:
+            if not pivots or summed and q ** len(pivots) > 5000:  # keep the brute force small
                 continue
             n = genmat.shape[1]
             H = co.parity_check(genmat, pivots, q)
@@ -511,8 +512,17 @@ def test_parity_check_and_low_weight_bound_match_loops():
             low = co._weight_enum_lower(code, budget=0)
             assert low == min(d, 3) == low_weight_from_parity_check(genmat, pivots, q), (q, genmat)
             seen.add((low, int(np.count_nonzero(genmat, axis=1).min()) <= 2))
+            # the weight-3+ loop, at a budget that lets it find d on some codes and stop on others
+            budget = 10**5
+            costs = {w: math.comb(n, w) * (q - 1) ** (w - 1) for w in range(3, n + 1)}
+            stop = min([w for w, cost in costs.items() if cost > budget // n], default=n + 1)
+            assert co._weight_enum_lower(code, budget) == min(d, stop), (q, genmat)
+            if d >= 3:
+                seen.add(("found", d) if d < stop else ("stop", stop))
     # d = 1, 2 and >= 3; weight 2 both from a light row and from a proportional pair
     assert seen >= {(1, True), (2, True), (2, False), (3, False)}, seen
+    # the weight-3+ loop finds d = 3, 4 and 5, and stops at w = 3, 4 and 5
+    assert seen >= {(tag, w) for tag in ("found", "stop") for w in (3, 4, 5)}, seen
 
 
 def test_theorem21_bounds_examples():
