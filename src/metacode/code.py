@@ -50,7 +50,7 @@ def _check(ok: bool, what: str) -> None:
 def parity_check(genmat: np.ndarray, pivots: List[int], p: int) -> np.ndarray:
     """Parity-check matrix of the code with RREF generator matrix genmat."""
     k, n = genmat.shape
-    free = np.setdiff1d(np.arange(n), pivots)
+    free = np.delete(np.arange(n), pivots)  # np.setdiff1d would import numpy.ma
     H = np.zeros((n - k, n), dtype=np.int64)
     H[np.arange(n - k), free] = 1
     H[:, pivots] = (-genmat[:, free].T) % p
@@ -74,6 +74,9 @@ class LinearCode:
     # coordinate permutations that map the code onto itself, row i sending v
     # to v[perms[i]]; min_distance checks them before it relies on them
     perms: Optional[np.ndarray] = None
+    # column c lies in part cosets[c], and the code is the direct sum of its
+    # parts on these column sets; None is one part
+    cosets: Optional[np.ndarray] = None
 
     @property
     def k(self) -> int:
@@ -89,50 +92,64 @@ class LinearCode:
         return f"[{self.n}, {self.k}, {d}]_{self.q}"
 
 
-def ideal_to_code(
-    alg: GroupAlgebra, e, side: str = "left", provenance: Optional[Dict] = None
-) -> LinearCode:
-    """The left ideal A*e as a linear code: the RREF of span{g*e : g in G}.
+def ideal_to_code(alg: GroupAlgebra, e, provenance: Optional[Dict] = None) -> LinearCode:
+    """The left ideal A*e as a linear code, built from one block.
 
-    The span is spun out of e (the MeatAxe spin; Parker 1984).  Each round
-    takes the rows the last round added to the basis, maps them by every
-    generator s of G, (s*v)[x] = v[s^-1 x], a fixed column permutation,
-    reduces the images against the basis with one product, row-reduces the
-    rest and folds their pivots back into the basis with another.  A round
-    that adds no rank ends the spin: the span is then closed under G, so it
-    is the ideal, and as an RREF is unique it is the one of the |G| stacked
-    translates, built from about |gens|*k rows and without an n x n array.
-    The generators' permutations stay on the code as ``perms``, for
-    `min_distance`.
+    S is the pair's H when e is an `Idempotent` whose pair's H has generators
+    and holds supp(e), as every pci's does, and G otherwise.  A*e is then the
+    direct sum of the blocks g*(F_q[S]*e), one on each left coset gS: the
+    [G:H] of the Eq. (2) dimension.  The block is spun out of e on S's columns
+    (the MeatAxe spin; Parker 1984), with no |S| x |S| array: each round maps
+    the rows the last one added by S's generators, (s*v)[x] = v[s^-1 x], and
+    folds what the basis does not reduce to zero into it, until a round adds
+    no rank.  Each coset's translate is row-reduced in its column order; the
+    RREF of a direct sum is the union of its summands' RREFs, so the rows
+    sorted by pivot are the RREF of all |G| stacked translates g*e.  The code
+    carries ``cosets``, each column's coset, and ``perms``, G's generators'
+    permutations of all n columns, for `min_distance`.
     """
-    if isinstance(e, Idempotent):
-        e = e.value
     G, q = alg.G, alg.q
     n = G.order
-    # row i is the permutation of generator s_i: (s_i*v)[x] = v[perms[i, x]]
-    perms = G.mul_vec(G.inv_vec(np.array(G.generators()))[:, None], np.arange(n)[None, :])
-    basis, pivots, is_free = np.zeros((0, n), dtype=np.int64), [], np.ones(n, dtype=bool)
-    new = e.vec[None, :]
+    gens, members = G.generators(), np.arange(n)  # S = G: one coset
+    if isinstance(e, Idempotent):
+        H, e = getattr(e.pair, "H", None), e.value
+        if H is not None and H.gens and all(x in H for x in e.support().tolist()):
+            gens, members = list(H.gens), np.array(H.elements, dtype=np.int64)
+    m = len(members)  # x in S is the block's column searchsorted(members, x)
+    # row i permutes the block as generator s_i of S: (s_i*v)[x] = v[spin[i, x]]
+    spin = np.searchsorted(members, G.mul_vec(G.inv_vec(np.array(gens))[:, None], members[None, :]))
+    block, pivots, is_free = np.zeros((0, m), dtype=np.int64), [], np.ones(m, dtype=bool)
+    new = e.vec[members][None, :]
     while True:
         # reduced against the basis the images vanish on its pivots: keep the rest
         free = is_free.nonzero()[0]
-        cand = matmul_mod(new[:, pivots], basis[:, free], q, new[:, free]) if pivots else new
+        cand = matmul_mod(new[:, pivots], block[:, free], q, new[:, free]) if pivots else new
         R, piv = rref_mod(cand, q)
         if not piv:
             break
-        new = np.zeros((len(piv), n), dtype=np.int64)
+        new = np.zeros((len(piv), m), dtype=np.int64)
         new[:, free] = R
         piv = free[piv].tolist()
         if pivots:
-            basis = matmul_mod(basis[:, piv], new, q, basis)
-        basis, pivots = np.concatenate([basis, new]), pivots + piv
+            block = matmul_mod(block[:, piv], new, q, block)
+        block, pivots = np.concatenate([block, new]), pivots + piv
         is_free[piv] = False
-        new = new[:, perms].transpose(1, 0, 2).reshape(-1, n)
-    order = np.argsort(pivots)
-    prov = dict(provenance or {})
-    prov.setdefault("side", side)
-    return LinearCode(q, n, basis[order], [pivots[i] for i in order], 1, n, provenance=prov,
-                      perms=perms)
+        new = new[:, spin].transpose(1, 0, 2).reshape(-1, m)
+    genmat, lead = np.zeros((n // m * len(pivots), n), dtype=np.int64), []
+    cosets, count = np.full(n, -1), 0
+    for g in range(n):
+        if cosets[g] < 0:  # the least element of the coset gS
+            cols = G.mul_vec(g, members)
+            at = np.argsort(cols)
+            R, piv = (block, pivots) if (np.diff(cols) > 0).all() else rref_mod(block[:, at], q)
+            genmat[len(lead):len(lead) + len(piv), cols[at]] = R
+            lead += cols[at][piv].tolist()
+            cosets[cols], count = count, count + 1
+    order = np.argsort(lead)
+    # row i is the permutation of G's generator s_i: (s_i*v)[x] = v[perms[i, x]]
+    perms = G.mul_vec(G.inv_vec(np.array(G.generators()))[:, None], np.arange(n)[None, :])
+    return LinearCode(q, n, genmat[order], [lead[i] for i in order], 1, n,
+                      provenance=dict(provenance or {}, side="left"), perms=perms, cosets=cosets)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +168,8 @@ def min_distance(
     codewords; otherwise an interval: d_lo reads weights 1 and 2 off the
     RREF rows (and searches weight 3 up on the parity check while the budget
     allows), and d_hi is the lightest word over seeded random information
-    sets, row-reduced per direct-sum component of the code.  High-rate codes
+    sets, row-reduced per part of the code's direct-sum split ``cosets``: for
+    a pci one part per left coset of its pair's H.  High-rate codes
     whose RREF rows are all heavy can therefore get an interval even when
     their dual is small.  The witness has weight d_hi.  Failed internal
     checks (witness weight and membership) raise `CertificateError`.
@@ -230,7 +248,8 @@ def _brouwer_zimmermann(
     size = [math.comb(k, w) * (q - 1) ** max(0, w - 1) for w in range(k + 1)]
     left = [sum(size[w:]) for w in range(k + 2)]  # codewords of rounds w..k on one set
     gammas, ranks, done = [genmat], [k], [0]  # per set: systematic generator, rank, last round
-    free = np.setdiff1d(np.flatnonzero(genmat.any(axis=0)), pivots)  # zero columns join no set
+    free = np.delete(np.arange(n), pivots)
+    free = free[genmat[:, free].any(axis=0)]  # zero columns join no set
     best, word, examined = n + 1, None, 0
 
     def bound(r: int, w: int) -> int:  # on a rank-r set, for codewords unseen after rounds 1..w
@@ -270,11 +289,11 @@ def _brouwer_zimmermann(
                 if pick(w, j) < len(ranks):
                     ranks.pop()
                 else:
-                    order = np.concatenate([free, np.setdiff1d(np.arange(n), free)])
+                    order = np.concatenate([free, np.delete(np.arange(n), free)])
                     R, piv = rref_mod(genmat[:, order], q)
-                    piv = [int(order[c]) for c in piv if c < len(free)]
-                    free = np.setdiff1d(free, piv)
-                    gammas.append(R[:, np.argsort(order)])  # identity on piv, rows >= r vanish on free
+                    piv = [c for c in piv if c < len(free)]  # the new set is free[piv]
+                    free = np.delete(free, piv)
+                    gammas.append(R[:, np.argsort(order)])  # identity there, rows >= r vanish on free
                     ranks[-1] = len(piv)
                     done.append(0)
             s = pick(w, j)
@@ -337,7 +356,7 @@ def _kernel_vector(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
     """A nonzero kernel vector of mat (columns = unknowns), or None."""
     R, pivots = rref_mod(mat, p)
     ncols = mat.shape[1]
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    free = np.delete(np.arange(ncols), pivots)
     if not len(free):
         return None
     x = np.zeros(ncols, dtype=np.int64)
@@ -356,11 +375,10 @@ def _weight_enum_lower(code: LinearCode, budget: int) -> int:
         return int(weights.min())
     # proportional free parts are equal once each is scaled by the inverse
     # of its first nonzero entry
-    rest = genmat[:, np.setdiff1d(np.arange(n), code.pivots)]
-    lead, which = np.unique(rest[np.arange(len(rest)), (rest != 0).argmax(axis=1)],
-                            return_inverse=True)
-    inv = np.array([pow(int(a), -1, q) for a in lead])
-    rows = np.ascontiguousarray(rest * inv[which][:, None] % q)
+    rest = genmat[:, np.delete(np.arange(n), code.pivots)]
+    lead = rest[np.arange(len(rest)), (rest != 0).argmax(axis=1)].tolist()
+    inv = np.array([pow(a, -1, q) for a in lead])
+    rows = np.ascontiguousarray(rest * inv[:, None] % q)
     if len({row.tobytes() for row in rows}) < len(rows):  # hashing beats np.unique(axis=0)'s sort
         return 2
     w, H = 3, None
@@ -375,39 +393,19 @@ def _weight_enum_lower(code: LinearCode, budget: int) -> int:
     return w
 
 
-def _components(genmat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Connected components of the graph that joins row i to column c when
-    genmat[i, c] != 0: (row labels, column labels, count), numbered in the
-    order of their first rows; all-zero columns join none and get -1.
-    Breadth first by frontier, so each row and column is expanded once."""
-    k, n = genmat.shape
-    r, c = np.nonzero(genmat)
-    src, dst = np.concatenate([r, k + c]), np.concatenate([k + c, r])  # node k + c is column c
-    order = np.argsort(src, kind="stable")
-    dst, at = dst[order], np.searchsorted(src[order], np.arange(k + n + 1))  # edges at[v]:at[v + 1]
-    label, count = np.full(k + n, -1), 0
-    for i in range(k):
-        if label[i] < 0 and at[i + 1] > at[i]:
-            front, label[i] = np.array([i]), count
-            while len(front):
-                ends = np.concatenate([dst[at[v]:at[v + 1]] for v in front])
-                front = np.unique(ends[label[ends] < 0])
-                label[front] = count
-            count += 1
-    return label[:k], label[k:], count
-
-
 def _information_set_upper(code: LinearCode, budget: int, seed: int):
     """Lightest word over the rows of randomly permuted RREFs and random
     combinations of rows.  The RREF of a direct sum is the union of its
-    summands' RREFs, so each trial row-reduces the `_components` one by one,
-    on their columns in the trial's order, and sorts the rows by pivot."""
+    summands' RREFs, so each trial row-reduces the code's parts on its
+    ``cosets`` one by one, on their columns in the trial's order, and sorts
+    the rows by pivot."""
     q, n, k = code.q, code.n, code.k
     rng = np.random.default_rng(seed)
     best_w, best = n, None
     trials = max(8, min(64, budget // max(1, k * n * n)))
-    row_of, col_of, count = _components(code.genmat)
-    blocks = [(np.flatnonzero(row_of == b), np.flatnonzero(col_of == b)) for b in range(count)]
+    part = np.zeros(n, dtype=np.int64) if code.cosets is None else code.cosets
+    blocks = [(np.flatnonzero(part[code.pivots] == b), np.flatnonzero(part == b))
+              for b in range(part.max() + 1)]
     for _ in range(trials):
         perm = rng.permutation(n)
         back = np.empty_like(perm)
@@ -453,17 +451,13 @@ class TheoremBounds:
         return self.d_min_bound <= d <= self.d_max_bound
 
 
-def theorem21_bounds(
-    alg: GroupAlgebra, K: Subgroup, e: Idempotent, check_basis: bool = True
-) -> TheoremBounds:
+def theorem21_bounds(alg: GroupAlgebra, K: Subgroup, e: Idempotent) -> TheoremBounds:
     """Dimension, basis, and 2|K| <= d <= wt(e) for (G, K)-type codes.
 
-    When ``check_basis`` is true, ``details["basis_rank"]`` holds the rank
-    of the claimed basis {e, e*g0, ..., e*g0^(dim-1)} for every index
-    t = [G : K]; when it is false the key is absent. For K = G the code is
-    the repetition code [|G|, 1, |G|]: the basis is the single row e, and
-    the generic lower bound 2|K| is replaced by |G|, so the window is exact
-    at |G|.
+    ``details["basis_rank"]`` is the rank of the claimed basis {e, e*g0, ...,
+    e*g0^(dim-1)} for every index t = [G : K].  For K = G the code is the
+    repetition code [|G|, 1, |G|]: the basis is the single row e, and the
+    generic lower bound 2|K| is replaced by |G|, so the window is exact at |G|.
     """
     G, q = alg.G, alg.q
     g0 = quotient_is_cyclic(G, K)
@@ -471,15 +465,11 @@ def theorem21_bounds(
         raise QuotientNotCyclic("G/K is not cyclic")
     t = G.order // K.order
     dim = mult_order(q, t)
-    details: Dict = {"index": t}
-    if check_basis:
-        rows = np.empty((dim, G.order), dtype=np.int64)
-        cur = e.value
-        gv = alg.basis(g0)
-        for i in range(dim):
-            rows[i] = cur.vec
-            cur = cur * gv
-        details["basis_rank"] = rank_mod(rows, q)
+    rows, cur = [], e.value
+    for _ in range(dim):
+        rows.append(cur.vec)
+        cur = cur * alg.basis(g0)
+    details: Dict = {"index": t, "basis_rank": rank_mod(np.array(rows), q)}
     if t == 1:
         # K = G: the averaging idempotent spans the repetition code
         return TheoremBounds("thm-2.1", 1, G.order, G.order, G.order, details)

@@ -90,7 +90,9 @@ class GroupAlgebra:
         vec[list(S.elements)] = inv
         return AlgebraElement(self, vec, parts=((S, {self.G.identity: 1}),))
 
-    def left_coset_ids(self, S: Subgroup) -> np.ndarray:
+    def right_coset_ids(self, S: Subgroup) -> np.ndarray:
+        """Label of each element's right coset S*g, numbered in the order of
+        the cosets' least elements; cached per S."""
         key = S.elements
         ids = self._coset_ids.get(key)
         if ids is None:
@@ -233,7 +235,7 @@ def _mul_structured(parts: Parts, x: AlgebraElement) -> AlgebraElement:
     out = np.zeros(G.order, dtype=np.int64)
     for K, terms in parts:
         y = _left_translates(G, q, list(terms), list(terms.values()), x.vec)
-        ids = alg.left_coset_ids(K)
+        ids = alg.right_coset_ids(K)
         sums = np.bincount(ids, weights=y.astype(np.float64))
         coset_sums = np.rint(sums).astype(np.int64) % q
         inv = pow(len(K.elements), -1, q)

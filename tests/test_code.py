@@ -14,6 +14,7 @@ from metacode import code as co
 from metacode import groups as gr
 from metacode import idem as id_
 from metacode import shoda as sh
+from metacode import units as un
 from metacode.examples import build_idempotent, load_claims
 from helpers import (
     brute_force_min_weight, information_set_upper, low_weight_from_parity_check,
@@ -69,12 +70,23 @@ def test_analogue_1155_genmat_pinned():
     assert got == ANALOGUE_1155_GENMAT_PINS
 
 
-def _assert_spin_matches_stacked(alg, e, what):
+def _assert_spin_matches_stacked(alg, e, what, parts=1):
     c = co.ideal_to_code(alg, e)
     genmat, pivots = stacked_translate_code(alg, getattr(e, "value", e))
     assert c.pivots == pivots, what
     assert c.genmat.dtype == genmat.dtype and np.array_equal(c.genmat, genmat), what
+    # `parts` cosets of equal size, each row supported on its pivot's coset
+    assert np.array_equal(np.bincount(c.cosets), np.full(parts, c.n // parts)), what
+    assert (c.genmat[c.cosets[None, :] != c.cosets[c.pivots][:, None]] == 0).all(), what
     return c
+
+
+def _split_of(e) -> int:
+    """The number of cosets ideal_to_code splits e's code over: [G:H] when e
+    is an Idempotent whose pair's H holds supp(e), else 1."""
+    H = getattr(getattr(e, "pair", None), "H", None)
+    inside = H is not None and all(x in H for x in e.value.support().tolist())
+    return H.index if inside else 1
 
 
 def test_spin_matches_stacked_translates(matrix):
@@ -82,14 +94,14 @@ def test_spin_matches_stacked_translates(matrix):
     for G, q in matrix:
         alg = id_.GroupAlgebra(G, q)
         for e in id_.pcis_for_group(alg):
-            _assert_spin_matches_stacked(alg, e, (G.name, q, e.pair.label(), e.k))
+            _assert_spin_matches_stacked(alg, e, (G.name, q, e.pair.label(), e.k), _split_of(e))
     # the claims: plain and unit-conjugated left idempotents, several non-central
     non_central = 0
     for claim in load_claims():
         alg = id_.GroupAlgebra(gr.group_from_spec(claim["group"]), claim["q"])
         f = build_idempotent(alg, claim["build"])
         non_central += not getattr(f, "value", f).is_central()
-        _assert_spin_matches_stacked(alg, f, claim["tag"])
+        _assert_spin_matches_stacked(alg, f, claim["tag"], _split_of(f))
     assert non_central == 15
     # a random element that is not idempotent, on a product with four generators
     G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4), gr.MetacyclicGroup(5, 4, 2))
@@ -104,6 +116,30 @@ def test_spin_matches_stacked_translates(matrix):
     alg1 = id_.GroupAlgebra(gr.cyclic(1), 3)
     for x in (alg1.one(), alg1.zero()):
         _assert_spin_matches_stacked(alg1, x, "trivial group")
+
+
+def test_block_path_matches_stacked_translates():
+    # a proper-H pci of a product group splits over the [G:H] cosets of H
+    G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4), gr.MetacyclicGroup(5, 4, 2))
+    alg = id_.GroupAlgebra(G, 13)
+    pairs = [p for p in sh.ssp_catalog(G) if p.H.order < G.order]
+    for pair in pairs:
+        e = id_.pci(alg, pair, id_.cosets_and_orbits(G, pair, 13).orbit_reps[0])
+        assert _split_of(e) == pair.H.index > 1
+        c = _assert_spin_matches_stacked(alg, e, pair.label(), pair.H.index)
+        # pair = None: the same element spun over all of G, one coset
+        bare = _assert_spin_matches_stacked(alg, id_.Idempotent(e.value, None, e.k, "central"),
+                                            (pair.label(), "no pair"))
+        assert bare.pivots == c.pivots and np.array_equal(bare.genmat, c.genmat)
+    assert len(pairs) == 6
+    # a unit conjugate that keeps its pair but leaves H: the whole of G, one coset
+    G39 = gr.MetacyclicGroup(13, 3, 9)
+    alg = id_.GroupAlgebra(G39, 2)
+    pair = [p for p in sh.ssp_catalog(G39) if p.H.order == 13][0]
+    f = un.conjugate_idempotent(alg, id_.pci(alg, pair, 1), 1, un.alternating(alg, G39.a, 3))
+    assert f.pair is pair and not all(x in pair.H for x in f.value.support().tolist())
+    assert _split_of(f) == 1
+    assert _assert_spin_matches_stacked(alg, f, "unit conjugate").k == 12
 
 
 # [H:K] = 7 pair of G1029 x G55 over GF(2): the Eq.(2) k and the Theorem 2.1
@@ -159,7 +195,8 @@ def test_information_set_upper_pinned():
 def _direct_sum(blocks, zeros, q, rng):
     """(RREF genmat, pivots, column order) of the direct sum of the given
     blocks plus `zeros` all-zero columns, its columns shuffled: column j of
-    the result is column order[j] of the block-diagonal matrix."""
+    the result is column order[j] of the block-diagonal matrix, whose columns
+    belong to blocks 0, 1, ... and the zero columns to one more."""
     k, n = sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks) + zeros
     mat, r, c = np.zeros((k, n), dtype=np.int64), 0, 0
     for b in blocks:
@@ -169,46 +206,37 @@ def _direct_sum(blocks, zeros, q, rng):
     return *co.rref_mod(mat[:, order], q), order
 
 
-def test_components_of_a_shuffled_block_code():
-    # blocks [I | A] with A all nonzero are connected; the last is one row of weight 1
-    rng = np.random.default_rng(5)
-    shapes = [(2, 3), (3, 2), (1, 0)]
-    blocks = [np.hstack([np.eye(r, dtype=np.int64), rng.integers(1, 5, size=(r, f))])
-              for r, f in shapes]
-    genmat, pivots, order = _direct_sum(blocks, 1, 5, rng)
-    row_of, col_of, count = co._components(genmat)
-    assert count == 3
-    block_of_col = np.repeat([0, 1, 2, -1], [5, 5, 1, 1])[order]  # by column of genmat
-    assert (col_of == -1).sum() == 1 and col_of[block_of_col == -1] == -1
-    # one label per block, the blocks' labels distinct, numbered by first row
-    labels = [set(col_of[block_of_col == b]) for b in range(3)]
-    assert all(len(s) == 1 for s in labels) and len(set.union(*labels)) == 3
-    assert np.array_equal(row_of, col_of[pivots])
-    assert list(dict.fromkeys(row_of)) == [0, 1, 2]
-
-
 @pytest.mark.parametrize("q", [2, 3, 5, 13])
 def test_information_set_upper_splits_like_one_rref(q):
-    # random direct sums: the split route gives the same (d_hi, witness) as
-    # one rref_mod of the whole permuted genmat, for every seed
+    # random direct sums of unequal blocks, handed their block of each column
+    # as ``cosets``: the split route gives the same (d_hi, witness) as one
+    # rref_mod of the whole permuted genmat for every seed, as does the code
+    # without them, taken as one part
     rng = np.random.default_rng(100 + q)
+    split = 0
     for _ in range(6):
         blocks = []
         for _ in range(int(rng.integers(2, 5))):
             r = int(rng.integers(1, 4))
             blocks.append(rng.integers(0, q, size=(r, r + int(rng.integers(0, 5)))))
-        genmat, pivots, _ = _direct_sum(blocks, int(rng.integers(0, 3)), q, rng)
+        zeros = int(rng.integers(0, 3))
+        genmat, pivots, order = _direct_sum(blocks, zeros, q, rng)
         if not pivots:
             continue
-        code = co.LinearCode(q, genmat.shape[1], genmat, pivots, 1, genmat.shape[1])
-        assert co._components(genmat)[2] >= sum(b.any() for b in blocks)
-        for seed in range(4):
-            # budget 0: 8 trials
-            got, want = co._information_set_upper(code, 0, seed), information_set_upper(code, 0, seed)
-            assert got[0] == want[0], (q, seed, genmat)
-            assert (got[1] is None) == (want[1] is None)
-            if want[1] is not None:
-                assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+        n = genmat.shape[1]
+        cosets = np.repeat(np.arange(len(blocks) + 1), [b.shape[1] for b in blocks] + [zeros])[order]
+        split += len(set(cosets[pivots].tolist())) > 1
+        for parts in (cosets, None):
+            code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
+            for seed in range(4):
+                # budget 0: 8 trials
+                got = co._information_set_upper(code, 0, seed)
+                want = information_set_upper(code, 0, seed)
+                assert got[0] == want[0], (q, seed, genmat)
+                assert (got[1] is None) == (want[1] is None)
+                if want[1] is not None:
+                    assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+    assert split >= 3
 
 
 def test_zero_code_raises():
@@ -399,6 +427,36 @@ def test_automorphism_errors_survive_python_O():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["raised", "raised"]
+
+
+def test_cold_certificates_do_not_import_numpy_ma():
+    # np.unique and np.setdiff1d import numpy.ma on their first call;
+    # certifying a claim and the interval route must not pay for it
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from metacode import code as co\n"
+        "from metacode.examples import load_claims, run_claim\n"
+        "claim = [c for c in load_claims() if c['tag'] == 'f5-g39-improved'][0]\n"
+        "assert run_claim(claim, co.DEFAULT_BUDGET)['status'] == 'PASS'\n"
+        "genmat, pivots = co.rref_mod(np.random.default_rng(33).integers(0, 3, (8, 16)), 3)\n"
+        "c = co.LinearCode(3, 16, genmat, pivots, 1, 16)\n"
+        "co._brouwer_zimmermann(genmat, pivots, 3)\n"  # the perms-free search takes more sets
+        "co._weight_enum_lower(c, 10**5)\n"  # runs the weight-3 loop on the parity check
+        "co._information_set_upper(c, 0, 0)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(co.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    before, after = out.stdout.split()
+    if before == "True":
+        pytest.skip("import numpy already loads numpy.ma")
+    assert after == "False"
 
 
 def test_enumeration_witness_check(monkeypatch):

@@ -133,3 +133,13 @@ def test_verify_ssp_rejects():
     assert not ok and "normal" in why
     with pytest.raises(sh.TooLarge):
         sh.verify_ssp(D8, sh.ShodaPair(A, triv, "test"), bound=4)
+
+
+def test_catalogued_H_is_generated_by_its_gens(matrix):
+    # ideal_to_code spins the block of a pci under pair.H.gens alone; the
+    # suite groups and G21 x G55, whose pcis the benchmark turns into codes
+    analogue = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                                 gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    for G in {G.name: G for G, _q in matrix + [(analogue, 2)]}.values():
+        for pair in sh.ssp_catalog(G):
+            assert pair.H.gens and gr.subgroup_closure(G, pair.H.gens) == pair.H, (G.name, pair.label())
