@@ -330,7 +330,7 @@ def _weight_round(gamma: np.ndarray, q: int, w: int) -> Tuple[int, np.ndarray]:
     weight w with first nonzero symbol 1."""
     k, n = gamma.shape
     messages = math.comb(k, w) * (q - 1) ** (w - 1)
-    acc_t = np.uint8 if k * (q - 1) < 256 else np.int64  # holds sums of k reduced terms
+    acc_t = np.min_scalar_type(2 * q - 1)  # unsigned; holds the sum of two reduced terms
     # row a*k + i is a * gamma[i] (q*k*n entries); weight 1 needs only a = 1
     table = (np.arange(q if w > 1 else 2)[:, None, None] * gamma % q).astype(acc_t).reshape(-1, n)
     # binom[i, c] = C(c, i) unranks supports in the combinatorial number system
@@ -344,7 +344,7 @@ def _weight_round(gamma: np.ndarray, q: int, w: int) -> Tuple[int, np.ndarray]:
             sup -= binom[i, c]
             pat, a = np.divmod(pat, q - 1) if i > 1 else (pat, 0)
             acc += table[c + (a + 1) * k]
-        acc %= q
+            np.minimum(acc, acc - q, out=acc)  # acc - q wraps past acc unless acc >= q
         weights = np.count_nonzero(acc, axis=1)
         i = int(np.argmin(weights))
         if weights[i] < best:

@@ -9,7 +9,8 @@ entry j*e + s being the coefficient of x^s y^j.  A product is one
 np.convolve and one matmul with the reduction matrix of f, and a relative
 trace is one matmul with the trace functional; the extension methods also
 accept the tuple of o base-field tuples.  Both modulus searches, for F and
-for f, are the same Ben-Or irreducibility test over the same enumeration.
+for f, are the same Ben-Or irreducibility test over the same enumeration,
+its gcds one Euclid on the Python-int counter codes of the coefficients.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ DIRECT_DEGREE_CAP = 200
 # Largest table of power matrices (q x (d+1) x e x e entries) that the modulus
 # search builds to drop candidates with a root.
 _ROOT_TABLE_CELLS = 1 << 20
+
+# Largest q x q sum and product tables of GF(p^e), e > 1, that the Ben-Or gcd
+# builds; the modulus search over a larger GF(p^e) raises FieldTooLarge.
+_GCD_TABLE_CELLS = 1 << 20
 
 # Zero columns ref_mod steps over one at a time before it scans for the end of
 # the run: a rank-deficient matrix then stops soon after its last pivot.
@@ -318,11 +323,27 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of 0")
         return self.pow(a, self.q - 2)
 
-    def _mulmat(self, c) -> np.ndarray:
-        """The e x e matrix over GF(p) of multiplication by c."""
-        e = self.e
-        rows = np.asarray(c, dtype=np.int64) @ self._xmul[:e].reshape(e, e * e)
-        return rows.reshape(e, e) % self.p
+    @cached_property
+    def _code_weights(self) -> np.ndarray:
+        """rows @ _code_weights is the counter code of each coefficient row."""
+        return self.p ** np.arange(self.e - 1, -1, -1, dtype=np.int64)
+
+    @cached_property
+    def _code_tables(self) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+        """(add, mul, neg_inv) of GF(q) on counter codes, as Python lists:
+        add[a][b], mul[a][b] and neg_inv[a] are the codes of a + b, a * b and
+        -1/a (neg_inv[0] is 0).  FieldTooLarge when the q x q tables are past
+        _GCD_TABLE_CELLS."""
+        q, p, e = self.q, self.p, self.e
+        if q * q > _GCD_TABLE_CELLS:
+            raise FieldTooLarge(f"GF({p}^{e}) is past the {_GCD_TABLE_CELLS}-cell gcd tables")
+        els = np.array(list(self.elements()), dtype=np.int64)
+        mats = (els @ self._xmul[:e].reshape(e, e * e) % p).reshape(q, e, e)  # a @ mats[b] = a * b
+        w = self._code_weights
+        mul = (els @ mats % p @ w).T  # (els @ mats)[b, a] = a * b
+        add = (els[:, None] + els[None, :]) % p @ w
+        inv = np.argmax(mul == w[0], axis=1)  # w[0] is the code of 1
+        return add.tolist(), mul.tolist(), ((-els[inv]) % p @ w).tolist()
 
 
 _FIELD_CACHE: Dict[Tuple[int, int], FieldCtx] = {}
@@ -393,6 +414,19 @@ class _QuotientRing:
         red = (ypow.reshape(-1, e) @ xmul % p).reshape(2 * o - 1, o, 2 * e - 1, e)
         return red.transpose(0, 2, 1, 3).reshape(-1, self.n).astype(np.float64)
 
+    @cached_property
+    def _trace_map(self) -> np.ndarray:
+        """(o*e, e) matrix of the relative trace to GF(q) over GF(p).
+
+        tau_j = tr(y^j) is the trace of multiplication by y^j, the sum over
+        i of the y^i-coefficient of y^(i+j) mod f; row j*e + s is x^s tau_j.
+        """
+        o, e = self.o, self.base.e
+        ypow = self._red.reshape(2 * o - 1, 2 * e - 1, o, e)[:, 0].astype(np.int64)
+        i = np.arange(o)
+        tau = ypow[i[:, None] + i[None, :], i[None, :]].sum(axis=1)
+        return np.einsum("jt,stu->jsu", tau, self.base._xmul[:e]).reshape(self.n, e) % self.p
+
     def _vec(self, a) -> np.ndarray:
         """An element as a flat vector; tuple-of-tuples input is accepted."""
         return np.asarray(a, dtype=np.int64).reshape(self.n) % self.p
@@ -439,25 +473,39 @@ class _QuotientRing:
         return bool(a[0] == 1 and not a[1:].any())
 
 
-def _degree(a: np.ndarray) -> int:
-    """Degree of a polynomial stored as (rows, e); -1 for zero."""
-    nz = np.flatnonzero(a.any(axis=1))
-    return int(nz[-1]) if len(nz) else -1
+def _trim(a: List[int]) -> List[int]:
+    """Drop the zero leading coefficients of a polynomial listed low first."""
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _coprime(base: FieldCtx, a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff gcd(a, b) over GF(q)[y] is a nonzero constant; a, b are (rows, e)."""
-    p = base.p
-    da, db = _degree(a), _degree(b)
-    while db > 0:
-        # make b monic, then cancel the leading terms of a from the top down
-        b = b[: db + 1] @ base._mulmat(base.inv(tuple(int(v) for v in b[db]))) % p
-        a = a[: da + 1].copy()
-        while da >= db:
-            a[da - db : da + 1] = (a[da - db : da + 1] - b @ base._mulmat(a[da])) % p
-            da = _degree(a[:da])
-        a, b, da, db = b, a, db, da
-    return db == 0
+    """True iff gcd(a, b) over GF(q)[y] is a nonzero constant; a, b are (rows, e).
+
+    One Euclid on Python ints, each coefficient its counter code: plain
+    arithmetic mod p for e = 1, the base field's code tables for e > 1.
+    """
+    p, w = base.p, base._code_weights
+    a, b = _trim((a @ w).tolist()), _trim((b @ w).tolist())
+    if base.e == 1:
+        while len(b) > 1:
+            scale = p - pow(b[-1], -1, p)  # -1 / lead(b)
+            while len(a) >= len(b):
+                t, s = a[-1] * scale % p, len(a) - len(b)  # a + t y^s b cancels lead(a)
+                a[s:] = [(x + t * y) % p for x, y in zip(a[s:], b)]
+                _trim(a)
+            a, b = b, a
+    else:
+        add, mul, neg_inv = base._code_tables
+        while len(b) > 1:
+            scale = neg_inv[b[-1]]
+            while len(a) >= len(b):
+                row, s = mul[mul[a[-1]][scale]], len(a) - len(b)
+                a[s:] = [add[x][row[y]] for x, y in zip(a[s:], b)]
+                _trim(a)
+            a, b = b, a
+    return len(b) == 1
 
 
 def _is_irreducible(base: FieldCtx, f: np.ndarray) -> bool:
@@ -500,6 +548,8 @@ def _irreducible(base: FieldCtx, d: int) -> np.ndarray:
     f[d] = base.one()
     if d == 1:
         return f  # y itself, the degree-1 convention
+    if e > 1:
+        base._code_tables  # FieldTooLarge now, not after the first candidates
     pow_mats = None  # pow_mats[x, i] is the matrix of x^i, so f(x) = sum_i f[i] @ pow_mats[x, i]
     if q * (d + 1) * e * e <= _ROOT_TABLE_CELLS:
         xmul = base._xmul[:e].reshape(e, e * e)  # c @ xmul is the matrix of c, flattened
@@ -541,13 +591,14 @@ class ExtFieldCtx(_QuotientRing):
     the tuple of o base-field tuples.
     """
 
-    def __init__(self, base: FieldCtx, m: int, modulus: np.ndarray):
-        super().__init__(base, modulus)
+    def __init__(self, ring: _QuotientRing, m: int):
+        super().__init__(ring.base, ring._f)
+        self.ring = ring
         self.m = m
-        self.q = base.q
-        self.order = base.q**self.o
+        self.q = ring.base.q
+        self.order = self.q**self.o
         self.modulus: Tuple[BaseElem, ...] = tuple(
-            tuple(int(v) for v in row) for row in modulus
+            tuple(int(v) for v in row) for row in ring._f
         )
         self.xi: ExtElem = self._find_xi()
         self.xi.flags.writeable = False
@@ -555,18 +606,9 @@ class ExtFieldCtx(_QuotientRing):
     def __repr__(self):
         return f"GF({self.base.q}^{self.o}) with xi_{self.m}"
 
-    @cached_property
-    def _trace_map(self) -> np.ndarray:
-        """(o*e, e) matrix of the relative trace to GF(q) over GF(p).
-
-        tau_j = tr(y^j) is the trace of multiplication by y^j, the sum over
-        i of the y^i-coefficient of y^(i+j) mod f; row j*e + s is x^s tau_j.
-        """
-        o, e = self.o, self.base.e
-        ypow = self._red.reshape(2 * o - 1, 2 * e - 1, o, e)[:, 0].astype(np.int64)
-        i = np.arange(o)
-        tau = ypow[i[:, None] + i[None, :], i[None, :]].sum(axis=1)
-        return np.einsum("jt,stu->jsu", tau, self.base._xmul[:e]).reshape(self.n, e) % self.p
+    # one reduction matrix and trace map per modulus, shared by every m
+    _red = property(lambda self: self.ring._red)
+    _trace_map = property(lambda self: self.ring._trace_map)
 
     # -- xi construction -----------------------------------------------------
     def _find_xi(self) -> ExtElem:
@@ -602,7 +644,7 @@ class ExtFieldCtx(_QuotientRing):
 
 
 _EXT_CACHE: Dict[Tuple[int, int, int], ExtFieldCtx] = {}
-_EXT_MOD_CACHE: Dict[Tuple[int, int, int], np.ndarray] = {}
+_RING_CACHE: Dict[Tuple[int, int, int], _QuotientRing] = {}
 
 
 def extension_for_root(ctx: FieldCtx, m: int) -> ExtFieldCtx:
@@ -614,13 +656,10 @@ def extension_for_root(ctx: FieldCtx, m: int) -> ExtFieldCtx:
     if ext is not None:
         return ext
     o = mult_order(ctx.q, m)
-    mod_key = (ctx.p, ctx.e, o)
-    modulus = _EXT_MOD_CACHE.get(mod_key)
-    if modulus is None:
-        modulus = _irreducible(ctx, o)
-        _EXT_MOD_CACHE[mod_key] = modulus
-    ext = ExtFieldCtx(ctx, m, modulus)
-    _EXT_CACHE[key] = ext
+    ring = _RING_CACHE.get((ctx.p, ctx.e, o))
+    if ring is None:
+        ring = _RING_CACHE[ctx.p, ctx.e, o] = _QuotientRing(ctx, _irreducible(ctx, o))
+    ext = _EXT_CACHE[key] = ExtFieldCtx(ring, m)
     return ext
 
 

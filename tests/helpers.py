@@ -126,6 +126,24 @@ def oracle_vanishes(q: int, m: int, k: int) -> bool:
     return direct_trace_vanishes(q, m, k)
 
 
+def oracle_coprime(F: FieldCtx, a, b) -> bool:
+    """Euclid on GF(q) tuples with FieldCtx arithmetic: is gcd(a, b) a nonzero
+    constant?  a and b list coefficient rows, low degree first."""
+    def trim(f):
+        while f and f[-1] == F.zero():
+            f.pop()
+        return f
+
+    a, b = (trim([tuple(int(v) for v in row) for row in f]) for f in (a, b))
+    while len(b) > 1:
+        while len(a) >= len(b):
+            t, s = F.mul(F.scalar(-1), F.mul(a[-1], F.inv(b[-1]))), len(a) - len(b)
+            a[s:] = [F.add(x, F.mul(t, y)) for x, y in zip(a[s:], b)]
+            trim(a)
+        a, b = b, a
+    return len(b) == 1
+
+
 def brute_force_min_weight(genmat: np.ndarray, q: int) -> int:
     """Plain full enumeration over all messages (test-scale oracle)."""
     k, n = genmat.shape

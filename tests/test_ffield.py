@@ -16,6 +16,7 @@ from helpers import (
     base_field_of,
     base_part,
     direct_trace_vanishes,
+    oracle_coprime,
     oracle_vanishes,
     phi_all_vanish,
 )
@@ -424,3 +425,47 @@ def test_irreducible_root_filter_keeps_the_lex_least_modulus(monkeypatch, p, e, 
     monkeypatch.setattr(ff, "_ROOT_TABLE_CELLS", 0)  # no table: Ben-Or on every candidate
     for d, f in zip(degrees, filtered):
         assert np.array_equal(f, ff._irreducible(base, d)), (p, e, d)
+
+
+def _poly_mul(F, a, b):
+    out = [F.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return np.array(out, dtype=np.int64).reshape(-1, F.e)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 13, 4, 9, 25])
+def test_coprime_matches_a_tuple_euclid(q):
+    F, rng = base_field_of(q), random.Random(q)
+    verdicts = set()
+    for trial in range(40):
+        def poly(deg, lead):  # lead 0 or not 1 too, to test the trim and the scaling
+            return [F.element_by_counter(rng.randrange(q)) for _ in range(deg)] + [lead]
+        a, b = poly(rng.randint(0, 12), F.element_by_counter(rng.randrange(q))), poly(rng.randint(1, 12), F.one())
+        if trial % 2:  # plant a common factor of degree 1..3
+            g = poly(rng.randint(1, 3), F.element_by_counter(rng.randrange(1, q)))
+            a, b = _poly_mul(F, a, g), _poly_mul(F, b, g)
+        a, b = (np.array(f, dtype=np.int64).reshape(-1, F.e) for f in (a, b))
+        says = ff._coprime(F, a, b)
+        assert says == oracle_coprime(F, a, b), (q, a.tolist(), b.tolist())
+        assert not (trial % 2 and says), "a planted common factor"
+        verdicts.add(says)
+    assert verdicts == {True, False}
+
+
+def test_modulus_search_past_the_gcd_tables_fails_at_once(monkeypatch):
+    F = ff.make_field(2, 11)  # the search for F itself runs over GF(2)
+    assert F.q ** 2 > ff._GCD_TABLE_CELLS and len(F.modulus) == 12
+    monkeypatch.setattr(ff, "_is_irreducible", lambda base, f: pytest.fail("a candidate was tested"))
+    with pytest.raises(ff.FieldTooLarge):
+        ff.extension_for_root(F, 3)  # degree 2 over GF(2^11)
+    assert ff.extension_for_root(F, 23).o == 1  # y needs no search
+
+
+def test_extensions_with_one_modulus_share_one_ring():
+    F2 = ff.make_field(2)
+    E9, E21 = ff.extension_for_root(F2, 9), ff.extension_for_root(F2, 21)
+    assert E9.o == E21.o == 6 and E9.modulus == E21.modulus
+    assert E9._red is E21._red and E9._trace_map is E21._trace_map
+    assert not np.array_equal(E9.xi, E21.xi)
