@@ -553,7 +553,10 @@ def emit_genmat(code: LinearCode) -> str:
 
 
 def parse_genmat(text: str) -> LinearCode:
-    """Inverse of `emit_genmat`; malformed text raises GenmatFormatError."""
+    """Inverse of `emit_genmat`; malformed text raises GenmatFormatError.
+
+    Library API on purpose, with no CLI command: it loads a matrix that
+    `metacode code genmat` or another tool wrote."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     head = lines[0].split() if lines else []
     if len(head) != 3 or not all(v.isdecimal() for v in head):

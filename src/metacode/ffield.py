@@ -1,16 +1,17 @@
 """Finite fields GF(p^e), root-of-unity extensions, and trace predicates.
 
 GF(q), q = p^e, is GF(p)[x]/(F) with F the lex-least monic irreducible of
-degree e (F = x when e = 1); its elements are tuples of e coefficients over
-GF(p), low degree first.  The extension GF(q^o) carrying an m-th root of
-unity xi is GF(q)[y]/(f) with f the lex-least monic irreducible of degree o
-over GF(q).  Its elements are flat int64 vectors of length o*e over GF(p),
-entry j*e + s being the coefficient of x^s y^j.  A product is one
-np.convolve and one matmul with the reduction matrix of f, and a relative
-trace is one matmul with the trace functional; the extension methods also
-accept the tuple of o base-field tuples.  Both modulus searches, for F and
-for f, are the same Ben-Or irreducibility test over the same enumeration,
-its gcds one Euclid on the Python-int counter codes of the coefficients.
+degree e (F = x when e = 1); its elements are int64 rows of e coefficients
+over GF(p), low degree first, and a polynomial over GF(q) is an array of
+such rows, low degree first.  The extension GF(q^o) carrying an m-th root
+of unity xi is GF(q)[y]/(f) with f the lex-least monic irreducible of
+degree o over GF(q).  Its elements are flat int64 vectors of length o*e
+over GF(p), entry j*e + s being the coefficient of x^s y^j.  A product is
+one np.convolve and one matmul with the reduction matrix of f, and a
+relative trace is one matmul with the trace functional.  Both modulus
+searches, for F and for f, are the same Ben-Or irreducibility test over the
+same enumeration, its gcds one Euclid on the Python-int counter codes of
+the coefficients.
 """
 
 from __future__ import annotations
@@ -113,32 +114,25 @@ def v_adic(n: int, p: int) -> int:
 
 
 def mult_order(q: int, m: int) -> int:
-    """Least o >= 1 with q^o = 1 mod m (lcm over the prime-power parts)."""
+    """Least o >= 1 with q^o = 1 mod m.
+
+    The order divides the Carmichael exponent lambda(m), the lcm over the
+    prime powers of m of p^(a-1)(p-1) (2^(a-2) for 2^a, a >= 3); each prime
+    l of lambda(m) is stripped while q^(o/l) is still 1 mod m.
+    """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     if math.gcd(q, m) != 1:
         raise NotCoprime(f"gcd({q}, {m}) != 1")
-    if m == 1:
-        return 1
-    out = 1
+    lam = 1
     for p, a in factorize(m).items():
-        o1 = 1
-        t = q % p
-        while t != 1:
-            t = (t * q) % p
-            o1 += 1
-        i0 = v_adic(q**o1 - 1, p) if p > 2 or a == 1 else 0
-        if p == 2:
-            # ord mod 2 is 1; lift through the 2-power tower directly
-            o_pa = 1
-            t = q % (2**a)
-            while t != 1:
-                t = (t * q) % (2**a)
-                o_pa += 1
-        else:
-            o_pa = o1 * p ** max(0, a - i0)
-        out = out * o_pa // math.gcd(out, o_pa)
-    return out
+        lam_pa = 2 ** (a - 2) if p == 2 and a >= 3 else p ** (a - 1) * (p - 1)
+        lam = lam * lam_pa // math.gcd(lam, lam_pa)
+    o = lam
+    for ell in factorize(lam):
+        while o % ell == 0 and pow(q, o // ell, m) == 1:
+            o //= ell
+    return o
 
 
 def coset_order(r: int, q: int, m: int) -> int:
@@ -229,26 +223,25 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p: int, c: Optional[np.ndarray] = N
 # GF(p^e) contexts
 
 
-BaseElem = Tuple[int, ...]
-
-
 class FieldCtx:
     """GF(p^e) with the lexicographically least monic irreducible modulus.
 
-    Elements are coefficient tuples over GF(p), low degree first, length e.
-    Two contexts with equal (p, e) are bit-identical by construction.
+    Elements are int64 coefficient rows over GF(p), low degree first, length
+    e; modulus is the (e+1,) row of F.  Two contexts with equal (p, e) are
+    bit-identical by construction.
     """
 
-    def __init__(self, p: int, e: int, modulus: Tuple[int, ...]):
+    def __init__(self, p: int, e: int, modulus: np.ndarray):
         self.p = p
         self.e = e
         self.q = p**e
         self.modulus = modulus
+        self.modulus.flags.writeable = False
         # _xmul[s][t] = x^(s+t) mod the modulus, for s < 2e - 1 and t < e, so
         # c @ _xmul[s] is c * x^s for a coefficient vector c
         xp = np.zeros((3 * e - 2, e), dtype=np.int64)
         xp[:e] = np.eye(e, dtype=np.int64)
-        low = np.array(modulus[:e], dtype=np.int64)
+        low = modulus[:e]
         for k in range(e, 3 * e - 2):
             xp[k, 1:] = xp[k - 1, :-1]
             xp[k] = (xp[k] - xp[k - 1, e - 1] * low) % p
@@ -263,70 +256,22 @@ class FieldCtx:
     def __hash__(self):
         return hash((self.p, self.e))
 
-    # -- elements ----------------------------------------------------------
-    def zero(self) -> BaseElem:
-        return (0,) * self.e
-
-    def one(self) -> BaseElem:
-        return (1,) + (0,) * (self.e - 1)
-
-    def scalar(self, c: int) -> BaseElem:
-        return (c % self.p,) + (0,) * (self.e - 1)
-
-    def element_by_counter(self, n: int) -> BaseElem:
-        """Counter order matches lex order on coefficient tuples (c0 first)."""
-        digits = []
-        for _ in range(self.e):
-            digits.append(n % self.p)
-            n //= self.p
-        return tuple(reversed(digits))
-
-    def elements(self):
-        for n in range(self.q):
-            yield self.element_by_counter(n)
-
-    # -- arithmetic ----------------------------------------------------------
-    def add(self, a: BaseElem, b: BaseElem) -> BaseElem:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def mul(self, a: BaseElem, b: BaseElem) -> BaseElem:
-        p, e = self.p, self.e
-        if e == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        mod = self.modulus
-        for d in range(2 * e - 2, e - 1, -1):
-            c = prod[d] % p
-            if c:
-                for j in range(e):
-                    prod[d - e + j] -= c * mod[j]
-            prod[d] = 0
-        return tuple(v % p for v in prod[:e])
-
-    def pow(self, a: BaseElem, n: int) -> BaseElem:
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
-    def inv(self, a: BaseElem) -> BaseElem:
-        if all(x == 0 for x in a):
-            raise ZeroDivisionError("inverse of 0")
-        return self.pow(a, self.q - 2)
-
     @cached_property
     def _code_weights(self) -> np.ndarray:
-        """rows @ _code_weights is the counter code of each coefficient row."""
+        """rows @ _code_weights is the counter code of each coefficient row.
+
+        Counter order is lex order on the rows, c0 most significant."""
         return self.p ** np.arange(self.e - 1, -1, -1, dtype=np.int64)
+
+    def _rows(self, codes) -> np.ndarray:
+        """The elements with these counter codes, one row each: the inverse
+        of rows @ _code_weights."""
+        return np.asarray(codes, dtype=np.int64)[..., None] // self._code_weights % self.p
+
+    def _mul_mats(self, b: np.ndarray) -> np.ndarray:
+        """(..., e, e) multiplication matrices of the rows b: a @ M is a * b."""
+        e = self.e
+        return (b @ self._xmul[:e].reshape(e, e * e) % self.p).reshape(b.shape[:-1] + (e, e))
 
     @cached_property
     def _code_tables(self) -> Tuple[List[List[int]], List[List[int]], List[int]]:
@@ -337,10 +282,9 @@ class FieldCtx:
         q, p, e = self.q, self.p, self.e
         if q * q > _GCD_TABLE_CELLS:
             raise FieldTooLarge(f"GF({p}^{e}) is past the {_GCD_TABLE_CELLS}-cell gcd tables")
-        els = np.array(list(self.elements()), dtype=np.int64)
-        mats = (els @ self._xmul[:e].reshape(e, e * e) % p).reshape(q, e, e)  # a @ mats[b] = a * b
+        els = self._rows(np.arange(q))
         w = self._code_weights
-        mul = (els @ mats % p @ w).T  # (els @ mats)[b, a] = a * b
+        mul = (els @ self._mul_mats(els) % p @ w).T  # (els @ mats)[b, a] = a * b
         add = (els[:, None] + els[None, :]) % p @ w
         inv = np.argmax(mul == w[0], axis=1)  # w[0] is the code of 1
         return add.tolist(), mul.tolist(), ((-els[inv]) % p @ w).tolist()
@@ -358,11 +302,10 @@ def make_field(p: int, e: int = 1) -> FieldCtx:
     ctx = _FIELD_CACHE.get(key)
     if ctx is None:
         if e == 1:
-            modulus: Tuple[int, ...] = (0, 1)  # x, the degree-1 convention
+            modulus = np.array([0, 1], dtype=np.int64)  # x, the degree-1 convention
         else:
-            modulus = tuple(int(c) for c in _irreducible(make_field(p), e)[:, 0])
-        ctx = FieldCtx(p, e, modulus)
-        _FIELD_CACHE[key] = ctx
+            modulus = _ring(make_field(p), e).modulus[:, 0].copy()
+        ctx = _FIELD_CACHE[key] = FieldCtx(p, e, modulus)
     return ctx
 
 
@@ -389,7 +332,8 @@ class _QuotientRing:
         self.p = base.p
         self.o = f.shape[0] - 1
         self.n = self.o * base.e
-        self._f = f
+        self.modulus = f
+        self.modulus.flags.writeable = False
 
     @cached_property
     def _red(self) -> np.ndarray:
@@ -402,7 +346,7 @@ class _QuotientRing:
         if (2 * o - 1) * (2 * e - 1) * (p - 1) ** 2 >= 2**53:
             raise FieldTooLarge(f"degree {o} over GF({p}^{e}) is past exact float64 products")
         # c @ lead is c * (f - y^o) for c in GF(q): subtracting it cancels c y^o
-        lead = np.einsum("iv,tvu->tiu", self._f[:o], base._xmul[:e]).reshape(e, o * e) % p
+        lead = np.einsum("iv,tvu->tiu", self.modulus[:o], base._xmul[:e]).reshape(e, o * e) % p
         ypow = np.zeros((2 * o - 1, o, e), dtype=np.int64)  # y^j mod f
         ypow[np.arange(o), np.arange(o), 0] = 1
         for j in range(o, 2 * o - 1):
@@ -428,7 +372,7 @@ class _QuotientRing:
         return np.einsum("jt,stu->jsu", tau, self.base._xmul[:e]).reshape(self.n, e) % self.p
 
     def _vec(self, a) -> np.ndarray:
-        """An element as a flat vector; tuple-of-tuples input is accepted."""
+        """An element as a flat vector; its (o, e) coefficient rows are accepted."""
         return np.asarray(a, dtype=np.int64).reshape(self.n) % self.p
 
     def _pack(self, a) -> np.ndarray:
@@ -464,9 +408,6 @@ class _QuotientRing:
             if bit == "1":
                 result = self.mul(result, a)
         return result
-
-    def is_zero(self, a) -> bool:
-        return not self._vec(a).any()
 
     def is_one(self, a) -> bool:
         a = self._vec(a)
@@ -508,7 +449,7 @@ def _coprime(base: FieldCtx, a: np.ndarray, b: np.ndarray) -> bool:
     return len(b) == 1
 
 
-def _is_irreducible(base: FieldCtx, f: np.ndarray) -> bool:
+def _is_irreducible(ring: _QuotientRing) -> bool:
     """Ben-Or test: f of degree d is irreducible over GF(q) iff
     gcd(y^(q^i) - y, f) = 1 for every i <= d/2.
 
@@ -516,10 +457,7 @@ def _is_irreducible(base: FieldCtx, f: np.ndarray) -> bool:
     of steps, the blocks doubling (1, 2, 3-4, 5-8, ...): a reducible f
     usually fails in the first blocks, an irreducible one costs log d gcds.
     """
-    d = f.shape[0] - 1
-    if d == 1:
-        return True
-    ring = _QuotientRing(base, f)
+    base, f, d = ring.base, ring.modulus, ring.o
     y = ring.zero()
     y[base.e] = 1
     h, acc, check = y, ring.one(), 1
@@ -533,8 +471,8 @@ def _is_irreducible(base: FieldCtx, f: np.ndarray) -> bool:
     return True
 
 
-def _irreducible(base: FieldCtx, d: int) -> np.ndarray:
-    """Lex-least monic irreducible of degree d over GF(q), as (d+1, e) rows.
+def _irreducible(base: FieldCtx, d: int) -> _QuotientRing:
+    """GF(q)[y]/(f), f the lex-least monic irreducible of degree d over GF(q).
 
     Lex order compares the constant coefficient first, each coefficient in
     the base field's counter order; candidates with zero constant term are
@@ -542,40 +480,53 @@ def _irreducible(base: FieldCtx, d: int) -> np.ndarray:
     in GF(q) have a linear factor and are dropped before the Ben-Or test:
     f(x) for every x at once is one product with the multiplication
     matrices of all powers x^i (skipped when that table is too large).
+    The ring returned is the one the Ben-Or test of f built.
     """
     q, p, e = base.q, base.p, base.e
     f = np.zeros((d + 1, e), dtype=np.int64)
-    f[d] = base.one()
+    f[d, 0] = 1
     if d == 1:
-        return f  # y itself, the degree-1 convention
+        return _QuotientRing(base, f)  # y itself, the degree-1 convention
     if e > 1:
         base._code_tables  # FieldTooLarge now, not after the first candidates
     pow_mats = None  # pow_mats[x, i] is the matrix of x^i, so f(x) = sum_i f[i] @ pow_mats[x, i]
     if q * (d + 1) * e * e <= _ROOT_TABLE_CELLS:
-        xmul = base._xmul[:e].reshape(e, e * e)  # c @ xmul is the matrix of c, flattened
-        mul_x = (np.array(list(base.elements())) @ xmul % p).reshape(q, e, e)
+        mul_x = base._mul_mats(base._rows(np.arange(q)))
         powers = np.zeros((q, d + 1, e), dtype=np.int64)
         powers[:, 0, 0] = 1
         for i in range(1, d + 1):
             powers[:, i] = np.einsum("xs,xst->xt", powers[:, i - 1], mul_x) % p
-        pow_mats = (powers @ xmul % p).reshape(q, d + 1, e, e)
+        pow_mats = base._mul_mats(powers)
     for c0 in range(1, q):
-        f[0] = base.element_by_counter(c0)
+        f[0] = base._rows(c0)
         for rest in range(q ** (d - 1)):
             # rest's digits fill c_{d-1}, c_{d-2}, ... from least significant
             f[1:d] = 0
             nn, i = rest, d - 1
             while nn:
                 nn, digit = divmod(nn, q)
-                f[i] = base.element_by_counter(digit)
+                f[i] = base._rows(digit)
                 i -= 1
             if pow_mats is not None:
                 values = np.einsum("is,xist->xt", f, pow_mats) % p
                 if not values.any(axis=1).all():
                     continue  # a root, so a linear factor
-            if _is_irreducible(base, f):
-                return f
+            ring = _QuotientRing(base, f.copy())
+            if _is_irreducible(ring):
+                return ring
     raise FieldError("no irreducible found")  # unreachable
+
+
+_RING_CACHE: Dict[Tuple[int, int, int], _QuotientRing] = {}
+
+
+def _ring(base: FieldCtx, o: int) -> _QuotientRing:
+    """The ring of the lex-least modulus of degree o over base, one per (p, e, o)."""
+    key = (base.p, base.e, o)
+    ring = _RING_CACHE.get(key)
+    if ring is None:
+        ring = _RING_CACHE[key] = _irreducible(base, o)
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -587,19 +538,16 @@ class ExtFieldCtx(_QuotientRing):
 
     o is the multiplicative order of q modulo m, so GF(q^o) is the least
     extension containing an m-th root of unity.  Elements are flat GF(p)
-    vectors of length o*e (see _QuotientRing); every method also accepts
-    the tuple of o base-field tuples.
+    vectors of length o*e (see _QuotientRing); modulus is the ring's
+    (o+1, e) rows of f.
     """
 
     def __init__(self, ring: _QuotientRing, m: int):
-        super().__init__(ring.base, ring._f)
+        super().__init__(ring.base, ring.modulus)
         self.ring = ring
         self.m = m
         self.q = ring.base.q
         self.order = self.q**self.o
-        self.modulus: Tuple[BaseElem, ...] = tuple(
-            tuple(int(v) for v in row) for row in ring._f
-        )
         self.xi: ExtElem = self._find_xi()
         self.xi.flags.writeable = False
 
@@ -610,13 +558,17 @@ class ExtFieldCtx(_QuotientRing):
     _red = property(lambda self: self.ring._red)
     _trace_map = property(lambda self: self.ring._trace_map)
 
-    # -- xi construction -----------------------------------------------------
     def _find_xi(self) -> ExtElem:
+        """The first w^((q^o - 1)/m), w in counter order, of exact order m.
+
+        Every such power has order dividing m, so only the maximal proper
+        divisors m/l are tried per candidate; xi^m = 1 is checked once, on
+        the element returned."""
         m = self.m
         if m == 1:
             return self.one()
         s = (self.order - 1) // m
-        mf = factorize(m)
+        ells = factorize(m)
         w = np.zeros((self.o, self.base.e), dtype=np.int64)
         for n in range(1, min(self.order, 1 << 20)):
             # counter order mirrors the base-field lex rule across rows: the
@@ -625,26 +577,17 @@ class ExtFieldCtx(_QuotientRing):
             counter, i = n, self.o - 1
             while counter:
                 counter, digit = divmod(counter, self.q)
-                w[i] = self.base.element_by_counter(digit)
+                w[i] = self.base._rows(digit)
                 i -= 1
-            cand = self.pow(w, s)
-            if self.is_zero(cand):
-                continue
-            if self._has_exact_order(cand, m, mf):
-                return cand
+            xi = self.pow(w, s)
+            if not any(self.is_one(self.pow(xi, m // ell)) for ell in ells):
+                if not self.is_one(self.pow(xi, m)):
+                    raise FieldError(f"the element found for xi_{m} has xi^{m} != 1")
+                return xi
         raise FieldError(f"no element of order {m} found")  # unreachable
-
-    def _has_exact_order(self, x: ExtElem, m: int, mf: Dict[int, int]) -> bool:
-        if not self.is_one(self.pow(x, m)):
-            return False
-        for ell in mf:
-            if self.is_one(self.pow(x, m // ell)):
-                return False
-        return True
 
 
 _EXT_CACHE: Dict[Tuple[int, int, int], ExtFieldCtx] = {}
-_RING_CACHE: Dict[Tuple[int, int, int], _QuotientRing] = {}
 
 
 def extension_for_root(ctx: FieldCtx, m: int) -> ExtFieldCtx:
@@ -653,59 +596,50 @@ def extension_for_root(ctx: FieldCtx, m: int) -> ExtFieldCtx:
         raise NotCoprime(f"gcd(q={ctx.q}, m={m}) != 1")
     key = (ctx.p, ctx.e, m)
     ext = _EXT_CACHE.get(key)
-    if ext is not None:
-        return ext
-    o = mult_order(ctx.q, m)
-    ring = _RING_CACHE.get((ctx.p, ctx.e, o))
-    if ring is None:
-        ring = _RING_CACHE[ctx.p, ctx.e, o] = _QuotientRing(ctx, _irreducible(ctx, o))
-    ext = _EXT_CACHE[key] = ExtFieldCtx(ring, m)
+    if ext is None:
+        ext = _EXT_CACHE[key] = ExtFieldCtx(_ring(ctx, mult_order(ctx.q, m)), m)
     return ext
 
 
-def rel_trace(ext: ExtFieldCtx, x) -> BaseElem:
-    """tr_{GF(q^o)/GF(q)}(x) = sum of x^(q^j), j < o; lands in GF(q)."""
-    return tuple(int(v) for v in ext._vec(x) @ ext._trace_map % ext.p)
+def rel_trace(ext: ExtFieldCtx, x) -> np.ndarray:
+    """tr_{GF(q^o)/GF(q)}(x) = sum of x^(q^j), j < o: a length-e row of GF(q)."""
+    return ext._vec(x) @ ext._trace_map % ext.p
 
 
 # ---------------------------------------------------------------------------
 # trace tables for roots of unity
 #
-# trace_table(ctx, m)[t] = tr(xi_m^t) as a GF(q) coefficient tuple.  When the
+# trace_table(ctx, m)[t] = tr(xi_m^t) as a GF(q) coefficient row.  When the
 # required extension degree exceeds DIRECT_DEGREE_CAP the table is assembled
 # from a coprime split m = m1*m2 with gcd(o_m1(q), o_m2(q)) = 1, where the
 # trace factors as a product of subfield traces.
 
-_TRACE_CACHE: Dict[Tuple[int, int, int, int], List[BaseElem]] = {}
+_TRACE_CACHE: Dict[Tuple[int, int, int], np.ndarray] = {}
 
 
-def trace_table(ctx: FieldCtx, m: int, relabel: int = 1) -> List[BaseElem]:
+def trace_table(ctx: FieldCtx, m: int) -> np.ndarray:
+    """The read-only (m, e) array of tr(xi_m^t), t < m; cached per (q, m)."""
     if math.gcd(ctx.q, m) != 1:
         raise NotCoprime(f"gcd(q={ctx.q}, m={m}) != 1")
-    relabel %= m if m > 1 else 1
-    if m > 1 and math.gcd(relabel, m) != 1:
-        raise ValueError("relabel exponent must be a unit mod m")
-    key = (ctx.p, ctx.e, m, relabel)
+    key = (ctx.p, ctx.e, m)
     table = _TRACE_CACHE.get(key)
-    if table is not None:
-        return table
-    o = mult_order(ctx.q, m)
-    if o <= DIRECT_DEGREE_CAP:
-        table = _trace_table_direct(ctx, m, relabel)
-    else:
-        table = _trace_table_split(ctx, m, relabel)
-    _TRACE_CACHE[key] = table
+    if table is None:
+        if mult_order(ctx.q, m) <= DIRECT_DEGREE_CAP:
+            table = _trace_table_direct(ctx, m)
+        else:
+            table = _trace_table_split(ctx, m)
+        table.flags.writeable = False
+        _TRACE_CACHE[key] = table
     return table
 
 
-def _trace_table_direct(ctx: FieldCtx, m: int, relabel: int) -> List[BaseElem]:
+def _trace_table_direct(ctx: FieldCtx, m: int) -> np.ndarray:
     ext = extension_for_root(ctx, m)
-    xi = ext.pow(ext.xi, relabel)
     powers = np.empty((m, ext.n), dtype=np.int64)
     powers[0] = ext.one()
     for t in range(1, m):
-        powers[t] = ext.mul(powers[t - 1], xi)
-    return [tuple(row) for row in (powers @ ext._trace_map % ctx.p).tolist()]
+        powers[t] = ext.mul(powers[t - 1], ext.xi)
+    return powers @ ext._trace_map % ctx.p
 
 
 def _coprime_split(q: int, m: int) -> Optional[Tuple[int, int]]:
@@ -725,16 +659,16 @@ def _coprime_split(q: int, m: int) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _trace_table_split(ctx: FieldCtx, m: int, relabel: int) -> List[BaseElem]:
+def _trace_table_split(ctx: FieldCtx, m: int) -> np.ndarray:
     split = _coprime_split(ctx.q, m)
     if split is None:
         raise FieldTooLarge(
             f"trace table for m={m} needs degree {mult_order(ctx.q, m)} over GF({ctx.q})"
         )
     m1, m2 = split
-    t1 = trace_table(ctx, m1, relabel % m1 if m1 > 1 else 0)
-    t2 = trace_table(ctx, m2, relabel % m2 if m2 > 1 else 0)
-    return [ctx.mul(t1[t % m1], t2[t % m2]) for t in range(m)]
+    t = np.arange(m)
+    mats2 = ctx._mul_mats(trace_table(ctx, m2))
+    return np.einsum("ts,tsu->tu", trace_table(ctx, m1)[t % m1], mats2[t % m2]) % ctx.p
 
 
 # ---------------------------------------------------------------------------

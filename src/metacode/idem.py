@@ -380,7 +380,7 @@ class Idempotent:
         return f"Idempotent[{self.kind}; {tag}; wt={self.value.weight()}]"
 
 
-def epsilon(alg: GroupAlgebra, pair: ShodaPair, k: int, relabel: int = 1) -> AlgebraElement:
+def epsilon(alg: GroupAlgebra, pair: ShodaPair, k: int) -> AlgebraElement:
     """The building-block idempotent from one cyclotomic class of H/K."""
     q = alg.q
     m = pair.index
@@ -388,15 +388,15 @@ def epsilon(alg: GroupAlgebra, pair: ShodaPair, k: int, relabel: int = 1) -> Alg
         raise NotCoprime(f"[H:K] = {m} not invertible mod {q}")
     h0 = pair.h0
     _require(h0 is not None, "pair does not have cyclic quotient")
-    tt = trace_table(alg.field, m, relabel)
+    tt = trace_table(alg.field, m)[:, 0].tolist()  # alg.field is GF(q), q prime
     inv_m = pow(m % q, -1, q)
-    return _assemble(alg, pair.K, h0, m, {t: tt[(k * t) % m][0] * inv_m % q for t in range(m)})
+    return _assemble(alg, pair.K, h0, m, {t: tt[(k * t) % m] * inv_m % q for t in range(m)})
 
 
-def pci(alg: GroupAlgebra, pair: ShodaPair, k: int, relabel: int = 1) -> Idempotent:
+def pci(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempotent:
     """Sum of the distinct G-conjugates of epsilon: the central idempotent."""
     G = alg.G
-    eps = epsilon(alg, pair, k, relabel)
+    eps = epsilon(alg, pair, k)
     seen = {eps.key(): eps}
     frontier = [eps]
     while frontier:
@@ -415,21 +415,19 @@ def pci(alg: GroupAlgebra, pair: ShodaPair, k: int, relabel: int = 1) -> Idempot
     return Idempotent(total, pair, k, "central")
 
 
-def pcis_for_pair(alg: GroupAlgebra, pair: ShodaPair, relabel: int = 1) -> List[Idempotent]:
+def pcis_for_pair(alg: GroupAlgebra, pair: ShodaPair) -> List[Idempotent]:
     od = cosets_and_orbits(alg.G, pair, alg.q)
-    return [pci(alg, pair, k, relabel) for k in od.orbit_reps]
+    return [pci(alg, pair, k) for k in od.orbit_reps]
 
 
-def pcis_for_group(
-    alg: GroupAlgebra, pairs: Optional[Sequence[ShodaPair]] = None, relabel: int = 1
-) -> List[Idempotent]:
+def pcis_for_group(alg: GroupAlgebra, pairs: Optional[Sequence[ShodaPair]] = None) -> List[Idempotent]:
     """All pcis from the catalog, deduplicated by coefficient vector."""
     if pairs is None:
         pairs = ssp_catalog(alg.G)
     out: List[Idempotent] = []
     seen = set()
     for pair in pairs:
-        for idem in pcis_for_pair(alg, pair, relabel):
+        for idem in pcis_for_pair(alg, pair):
             key = idem.value.key()
             if key not in seen:
                 seen.add(key)
@@ -505,7 +503,7 @@ def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempot
     if m == 1:
         top = full_subgroup(G)
         return Idempotent(alg.hat(top), pair, k, "central")
-    tt = trace_table(alg.field, m)
+    tt = trace_table(alg.field, m)[:, 0].tolist()
     inv_m = pow(m % q, -1, q)
 
     if fam in ("dihedral", "quaternion", "2group"):
@@ -516,7 +514,7 @@ def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempot
             if m != 2:
                 raise RegimeMismatch("(G,K) rows of the 2-group tables have index <= 2")
             g0 = pair.h0
-            coeffs = {t: (tt[(k * t) % m][0] * inv_m) % q for t in range(m)}
+            coeffs = {t: (tt[(k * t) % m] * inv_m) % q for t in range(m)}
             return Idempotent(_assemble(alg, K, g0, m, coeffs), pair, k, "central")
         # (⟨a⟩, ⟨a^{2^j}⟩) rows
         j = factorize(m).get(2, 0)
@@ -527,9 +525,9 @@ def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempot
         merged = coset_order(-1, q, m) > 1  # -1 is not in <q> mod m
         coeffs = {}
         for t in idxs:
-            tr = tt[(k * t) % m][0]
+            tr = tt[(k * t) % m]
             if merged:
-                tr = (tr + tt[(-k * t) % m][0]) % q
+                tr = (tr + tt[(-k * t) % m]) % q
             if tr:
                 coeffs[t] = (tr * inv_m) % q
         g0 = pair.h0
@@ -546,7 +544,7 @@ def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempot
         if H.order == G.order:
             coeffs = {}
             for t in idxs:
-                tr = tt[(k * t) % m][0]
+                tr = tt[(k * t) % m]
                 if tr:
                     coeffs[t] = (tr * inv_m) % q
             return Idempotent(_assemble(alg, K, g0, m, coeffs), pair, k, "central")
@@ -555,7 +553,7 @@ def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempot
         coeffs: Dict[int, int] = {}
         for tau in (pow(r, i, m) for i in range(coset_order(r, q, m))):
             for t in idxs:
-                tr = tt[(k * tau * t) % m][0]
+                tr = tt[(k * tau * t) % m]
                 if tr:
                     coeffs[t] = (coeffs.get(t, 0) + tr * inv_m) % q
         coeffs = {t: c for t, c in coeffs.items() if c % q}

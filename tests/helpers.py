@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -50,10 +50,86 @@ def direct_trace_vanishes(q: int, m: int, k: int) -> bool:
     return all(v == 0 for v in value)
 
 
-def base_part(ext: ExtFieldCtx, a) -> Optional[tuple]:
-    """The GF(q) tuple of an element of the extension when it lies in GF(q), else None."""
+def base_part(ext: ExtFieldCtx, a) -> Optional[np.ndarray]:
+    """The GF(q) row of an element of the extension when it lies in GF(q), else None."""
     a = ext._vec(a)
-    return None if a[ext.base.e:].any() else tuple(int(v) for v in a[:ext.base.e])
+    return None if a[ext.base.e:].any() else a[:ext.base.e]
+
+
+BaseElem = Tuple[int, ...]
+
+
+def as_tuple(row) -> BaseElem:
+    """A coefficient row of GF(q) as the tuple TupleField computes on."""
+    return tuple(int(v) for v in row)
+
+
+class TupleField:
+    """GF(p^e) on coefficient tuples, low degree first, with schoolbook
+    arithmetic reducing by ctx.modulus: the independent oracle for the
+    coefficient rows that ffield computes on."""
+
+    def __init__(self, ctx: FieldCtx):
+        self.p = ctx.p
+        self.e = ctx.e
+        self.q = ctx.q
+        self.modulus = as_tuple(ctx.modulus)
+
+    # -- elements ----------------------------------------------------------
+    def zero(self) -> BaseElem:
+        return (0,) * self.e
+
+    def one(self) -> BaseElem:
+        return (1,) + (0,) * (self.e - 1)
+
+    def scalar(self, c: int) -> BaseElem:
+        return (c % self.p,) + (0,) * (self.e - 1)
+
+    def element_by_counter(self, n: int) -> BaseElem:
+        """Counter order matches lex order on coefficient tuples (c0 first)."""
+        digits = []
+        for _ in range(self.e):
+            digits.append(n % self.p)
+            n //= self.p
+        return tuple(reversed(digits))
+
+    # -- arithmetic ----------------------------------------------------------
+    def add(self, a: BaseElem, b: BaseElem) -> BaseElem:
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def mul(self, a: BaseElem, b: BaseElem) -> BaseElem:
+        p, e = self.p, self.e
+        if e == 1:
+            return ((a[0] * b[0]) % p,)
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        mod = self.modulus
+        for d in range(2 * e - 2, e - 1, -1):
+            c = prod[d] % p
+            if c:
+                for j in range(e):
+                    prod[d - e + j] -= c * mod[j]
+            prod[d] = 0
+        return tuple(v % p for v in prod[:e])
+
+    def pow(self, a: BaseElem, n: int) -> BaseElem:
+        result = self.one()
+        base = a
+        while n:
+            if n & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            n >>= 1
+        return result
+
+    def inv(self, a: BaseElem) -> BaseElem:
+        if all(x == 0 for x in a):
+            raise ZeroDivisionError("inverse of 0")
+        return self.pow(a, self.q - 2)
 
 
 def _fold_axis(arr: np.ndarray, p: int, j: int, axis: int, char: int) -> np.ndarray:
@@ -126,15 +202,15 @@ def oracle_vanishes(q: int, m: int, k: int) -> bool:
     return direct_trace_vanishes(q, m, k)
 
 
-def oracle_coprime(F: FieldCtx, a, b) -> bool:
-    """Euclid on GF(q) tuples with FieldCtx arithmetic: is gcd(a, b) a nonzero
-    constant?  a and b list coefficient rows, low degree first."""
+def oracle_coprime(F: TupleField, a, b) -> bool:
+    """Euclid on GF(q) tuples with TupleField arithmetic: is gcd(a, b) a
+    nonzero constant?  a and b list coefficient rows, low degree first."""
     def trim(f):
         while f and f[-1] == F.zero():
             f.pop()
         return f
 
-    a, b = (trim([tuple(int(v) for v in row) for row in f]) for f in (a, b))
+    a, b = (trim([as_tuple(row) for row in f]) for f in (a, b))
     while len(b) > 1:
         while len(a) >= len(b):
             t, s = F.mul(F.scalar(-1), F.mul(a[-1], F.inv(b[-1]))), len(a) - len(b)

@@ -13,6 +13,8 @@ import pytest
 
 from metacode import ffield as ff
 from helpers import (
+    TupleField,
+    as_tuple,
     base_field_of,
     base_part,
     direct_trace_vanishes,
@@ -34,7 +36,7 @@ def least_rootless_monic(p, e):
 
 
 def test_make_field_prime_conventions():
-    assert ff.make_field(3, 1).modulus == (0, 1)  # modulus x for prime fields
+    assert np.array_equal(ff.make_field(3, 1).modulus, (0, 1))  # modulus x for prime fields
     assert ff.make_field(2).q == 2
     with pytest.raises(ff.NonPrimeCharacteristic):
         ff.make_field(6)
@@ -42,12 +44,12 @@ def test_make_field_prime_conventions():
 
 @pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7) for e in (2, 3)])
 def test_make_field_lex_least_modulus(p, e):
-    assert ff.make_field(p, e).modulus == least_rootless_monic(p, e)
+    assert np.array_equal(ff.make_field(p, e).modulus, least_rootless_monic(p, e))
 
 
 def test_make_field_idempotent():
     assert ff.make_field(5, 3) is ff.make_field(5, 3)
-    assert ff.make_field(7, 2).modulus == ff.make_field(7, 2).modulus
+    assert np.array_equal(ff.make_field(7, 2).modulus, ff.make_field(7, 2).modulus)
 
 
 @pytest.mark.parametrize(
@@ -141,6 +143,26 @@ def test_typed_errors_survive_python_O():
     assert out.stdout.split() == ["raised", "raised"]
 
 
+def test_mult_order_of_large_moduli_returns_at_once():
+    # a loop over the powers of q takes about 2^58 steps at m = 2^60, and one
+    # up to m steps at a large prime m; run in a child so a hang fails cleanly
+    script = (
+        "from metacode import ffield as ff\n"
+        "m = 2**31 - 1\n"
+        "o = ff.mult_order(3, m)\n"
+        "assert pow(3, o, m) == 1 and all(pow(3, o // l, m) != 1 for l in ff.factorize(o))\n"
+        "print(ff.mult_order(3, 2**60), ff.mult_order(7, 2**40), ff.mult_order(2, 3**30), o)\n"
+    )
+    src = str(Path(ff.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    o60, o40, o3, _ = map(int, out.stdout.split())
+    assert (o60, o40, o3) == (2**58, 2**37, 2 * 3**29)
+
+
 def test_mult_order_not_coprime():
     with pytest.raises(ff.NotCoprime):
         ff.mult_order(3, 9)
@@ -168,31 +190,32 @@ def test_extension_for_root_examples():
 
 def test_rel_trace_basics():
     F2 = ff.make_field(2)
-    E = ff.extension_for_root(F2, 7)
-    assert ff.rel_trace(E, E.one()) == F2.scalar(E.o)
-    assert ff.rel_trace(E, E.zero()) == F2.zero()
+    E, TF = ff.extension_for_root(F2, 7), TupleField(F2)
+    assert as_tuple(ff.rel_trace(E, E.one())) == TF.scalar(E.o)
+    assert as_tuple(ff.rel_trace(E, E.zero())) == TF.zero()
     # brute force: expand xi + xi^2 + xi^4 in the polynomial basis and sum
     brute = E.add(E.xi, E.add(E.pow(E.xi, 2), E.pow(E.xi, 4)))
-    assert ff.rel_trace(E, E.xi) == base_part(E, brute)  # brute lies in GF(2)
+    assert np.array_equal(ff.rel_trace(E, E.xi), base_part(E, brute))  # brute lies in GF(2)
 
 
 def test_rel_trace_linear_and_frobenius_invariant():
     rng = random.Random(7)
     F3 = ff.make_field(3)
-    E = ff.extension_for_root(F3, 13)  # GF(3^3)
+    E, TF = ff.extension_for_root(F3, 13), TupleField(F3)  # GF(3^3)
+    tr = lambda x: as_tuple(ff.rel_trace(E, x))  # noqa: E731
     for _ in range(40):
         coeffs = [tuple([rng.randrange(3)]) for _ in range(E.o)]
         x = tuple(coeffs)
         y = tuple(tuple([rng.randrange(3)]) for _ in range(E.o))
         c = rng.randrange(3)
-        lhs = ff.rel_trace(E, E.add(x, y))
-        rhs = F3.add(ff.rel_trace(E, x), ff.rel_trace(E, y))
+        lhs = tr(E.add(x, y))
+        rhs = TF.add(tr(x), tr(y))
         assert lhs == rhs
         # scalar multiples commute with the trace
-        cx = tuple(F3.mul(F3.scalar(c), row) for row in x)
-        assert ff.rel_trace(E, cx) == F3.mul(F3.scalar(c), ff.rel_trace(E, x))
+        cx = tuple(TF.mul(TF.scalar(c), row) for row in x)
+        assert tr(cx) == TF.mul(TF.scalar(c), tr(x))
         # tr(x^q) = tr(x)
-        assert ff.rel_trace(E, E.pow(x, E.q)) == ff.rel_trace(E, x)
+        assert tr(E.pow(x, E.q)) == tr(x)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 9])
@@ -237,25 +260,44 @@ def test_trace_table_matches_rel_trace():
     tab = ff.trace_table(F2, 7)
     E = ff.extension_for_root(F2, 7)
     for t in range(7):
-        assert tab[t] == ff.rel_trace(E, E.pow(E.xi, t))
+        assert np.array_equal(tab[t], ff.rel_trace(E, E.pow(E.xi, t)))
 
 
-def test_trace_table_split_is_a_relabelled_trace_table():
-    # The coprime-split table uses the CRT root xi_7 * xi_11, which is some
-    # unit power of the direct table's root: the tables agree after one
-    # relabeling of the exponent.
+def test_trace_tables_are_read_only():
     F2 = ff.make_field(2)
-    direct = ff.trace_table(F2, 77)  # o = 30, under the direct cap
-    t1 = ff.trace_table(F2, 7)
-    t2 = ff.trace_table(F2, 11)
-    split = [F2.mul(t1[t % 7], t2[t % 11]) for t in range(77)]
-    matches = [
-        u
-        for u in range(1, 77)
-        if math.gcd(u, 77) == 1
-        and all(split[t] == direct[(u * t) % 77] for t in range(77))
-    ]
-    assert matches, "split table must be a relabelling of the direct table"
+    tab = ff.trace_table(F2, 7)
+    before = tab.copy()
+    with pytest.raises(ValueError):
+        tab[3] = (1,)
+    assert ff.trace_table(F2, 7) is tab and np.array_equal(tab, before)
+    E = ff.extension_for_root(F2, 7)
+    for frozen in (E.modulus, E.xi, F2.modulus, ff.make_field(3, 2).modulus):
+        with pytest.raises(ValueError):
+            frozen[0] = 1
+
+
+def test_trace_table_split_is_a_relabelled_trace_table(monkeypatch):
+    # The coprime-split table uses the CRT root xi_m1 * xi_m2, which is some
+    # unit power of the direct table's root: the tables agree after one
+    # relabeling of the exponent.  Its rows are the tuple-oracle products
+    # (over GF(9) both factors have entries outside GF(3)).
+    for q, m1, m2 in ((2, 7, 11), (9, 7, 5)):
+        F, TF, m = base_field_of(q), TupleField(base_field_of(q)), m1 * m2
+        direct = ff.trace_table(F, m)  # under the direct cap
+        t1, t2 = ff.trace_table(F, m1), ff.trace_table(F, m2)
+        with monkeypatch.context() as mp:
+            mp.setattr(ff, "DIRECT_DEGREE_CAP", max(ff.mult_order(q, m1), ff.mult_order(q, m2)))
+            mp.setattr(ff, "_TRACE_CACHE", {})
+            split = ff.trace_table(F, m)
+        assert split.shape == (m, F.e) and not split.flags.writeable
+        for t in range(m):
+            assert as_tuple(split[t]) == TF.mul(as_tuple(t1[t % m1]), as_tuple(t2[t % m2])), (q, t)
+        matches = [
+            u
+            for u in range(1, m)
+            if math.gcd(u, m) == 1 and np.array_equal(split, direct[np.arange(m) * u % m])
+        ]
+        assert matches, f"split table must be a relabelling of the direct table (q = {q})"
 
 
 def test_two_adic_branch():
@@ -421,10 +463,10 @@ def test_matmul_mod_field_too_large():
                                           (5, 1, range(2, 6)), (7, 1, range(2, 5))])
 def test_irreducible_root_filter_keeps_the_lex_least_modulus(monkeypatch, p, e, degrees):
     base = ff.make_field(p, e)
-    filtered = [ff._irreducible(base, d) for d in degrees]
+    filtered = [ff._irreducible(base, d).modulus for d in degrees]
     monkeypatch.setattr(ff, "_ROOT_TABLE_CELLS", 0)  # no table: Ben-Or on every candidate
     for d, f in zip(degrees, filtered):
-        assert np.array_equal(f, ff._irreducible(base, d)), (p, e, d)
+        assert np.array_equal(f, ff._irreducible(base, d).modulus), (p, e, d)
 
 
 def _poly_mul(F, a, b):
@@ -437,18 +479,18 @@ def _poly_mul(F, a, b):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 13, 4, 9, 25])
 def test_coprime_matches_a_tuple_euclid(q):
-    F, rng = base_field_of(q), random.Random(q)
+    F, TF, rng = base_field_of(q), TupleField(base_field_of(q)), random.Random(q)
     verdicts = set()
     for trial in range(40):
         def poly(deg, lead):  # lead 0 or not 1 too, to test the trim and the scaling
-            return [F.element_by_counter(rng.randrange(q)) for _ in range(deg)] + [lead]
-        a, b = poly(rng.randint(0, 12), F.element_by_counter(rng.randrange(q))), poly(rng.randint(1, 12), F.one())
+            return [TF.element_by_counter(rng.randrange(q)) for _ in range(deg)] + [lead]
+        a, b = poly(rng.randint(0, 12), TF.element_by_counter(rng.randrange(q))), poly(rng.randint(1, 12), TF.one())
         if trial % 2:  # plant a common factor of degree 1..3
-            g = poly(rng.randint(1, 3), F.element_by_counter(rng.randrange(1, q)))
-            a, b = _poly_mul(F, a, g), _poly_mul(F, b, g)
+            g = poly(rng.randint(1, 3), TF.element_by_counter(rng.randrange(1, q)))
+            a, b = _poly_mul(TF, a, g), _poly_mul(TF, b, g)
         a, b = (np.array(f, dtype=np.int64).reshape(-1, F.e) for f in (a, b))
         says = ff._coprime(F, a, b)
-        assert says == oracle_coprime(F, a, b), (q, a.tolist(), b.tolist())
+        assert says == oracle_coprime(TF, a, b), (q, a.tolist(), b.tolist())
         assert not (trial % 2 and says), "a planted common factor"
         verdicts.add(says)
     assert verdicts == {True, False}
@@ -457,7 +499,7 @@ def test_coprime_matches_a_tuple_euclid(q):
 def test_modulus_search_past_the_gcd_tables_fails_at_once(monkeypatch):
     F = ff.make_field(2, 11)  # the search for F itself runs over GF(2)
     assert F.q ** 2 > ff._GCD_TABLE_CELLS and len(F.modulus) == 12
-    monkeypatch.setattr(ff, "_is_irreducible", lambda base, f: pytest.fail("a candidate was tested"))
+    monkeypatch.setattr(ff, "_is_irreducible", lambda ring: pytest.fail("a candidate was tested"))
     with pytest.raises(ff.FieldTooLarge):
         ff.extension_for_root(F, 3)  # degree 2 over GF(2^11)
     assert ff.extension_for_root(F, 23).o == 1  # y needs no search
@@ -466,6 +508,27 @@ def test_modulus_search_past_the_gcd_tables_fails_at_once(monkeypatch):
 def test_extensions_with_one_modulus_share_one_ring():
     F2 = ff.make_field(2)
     E9, E21 = ff.extension_for_root(F2, 9), ff.extension_for_root(F2, 21)
-    assert E9.o == E21.o == 6 and E9.modulus == E21.modulus
+    assert E9.o == E21.o == 6 and np.array_equal(E9.modulus, E21.modulus)
     assert E9._red is E21._red and E9._trace_map is E21._trace_map
     assert not np.array_equal(E9.xi, E21.xi)
+
+
+def test_modulus_search_builds_one_ring_per_modulus(monkeypatch):
+    # GF(2^6) and the extension of GF(2) for m = 9 have the same modulus:
+    # one search, and the extension uses the ring that the search returned
+    for cache in ("_FIELD_CACHE", "_RING_CACHE", "_EXT_CACHE"):
+        monkeypatch.setattr(ff, cache, {})
+    found, search = [], ff._irreducible
+    monkeypatch.setattr(ff, "_irreducible", lambda base, d: found.append(search(base, d)) or found[-1])
+    F64 = ff.make_field(2, 6)
+    E9 = ff.extension_for_root(ff.make_field(2), 9)
+    assert len(found) == 1 and E9.ring is found[0]
+    assert np.array_equal(F64.modulus, E9.modulus[:, 0])
+
+
+def test_find_xi_checks_the_order_of_the_element_it_returns():
+    # over the reducible (y + 1)^2 the first candidate past 1 is y, with
+    # y^3 = y != 1: a field would never offer it, the guard must catch it
+    ring = ff._QuotientRing(ff.make_field(2), np.array([[1], [0], [1]]))
+    with pytest.raises(ff.FieldError):
+        ff.ExtFieldCtx(ring, 3)
