@@ -527,8 +527,9 @@ def test_modulus_search_builds_one_ring_per_modulus(monkeypatch):
 
 
 def test_find_xi_checks_the_order_of_the_element_it_returns():
-    # over the reducible (y + 1)^2 the first candidate past 1 is y, with
-    # y^3 = y != 1: a field would never offer it, the guard must catch it
+    # over the reducible (y + 1)^2 the first candidate is y, which passes the
+    # divisor check but has y^3 = y != 1: a field never offers such an
+    # element, and the guard must catch it
     ring = ff._QuotientRing(ff.make_field(2), np.array([[1], [0], [1]]))
     with pytest.raises(ff.FieldError):
         ff.ExtFieldCtx(ring, 3)
