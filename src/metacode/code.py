@@ -11,7 +11,7 @@ import numpy as np
 
 from .ffield import (
     coset_order, factorize, is_prime, matmul_mod, mult_order, odd_prime_i0, rank_mod, rref_mod,
-    v_adic,
+    rref_stack, v_adic,
 )
 from .groups import FiniteGroup, Subgroup, quotient_is_cyclic
 from .idem import GroupAlgebra, Idempotent, InvariantError, census
@@ -396,39 +396,58 @@ def _weight_enum_lower(code: LinearCode, budget: int) -> int:
 def _information_set_upper(code: LinearCode, budget: int, seed: int):
     """Lightest word over the rows of randomly permuted RREFs and random
     combinations of rows.  The RREF of a direct sum is the union of its
-    summands' RREFs, so each trial row-reduces the code's parts on its
-    ``cosets`` one by one, on their columns in the trial's order, and sorts
-    the rows by pivot."""
+    summands' RREFs, so a trial's RREF is its parts' on ``cosets``, each
+    row-reduced on its columns in the trial's order: one `rref_stack` takes
+    every trial's parts of one shape.  Each trial offers its rows in pivot
+    order, then its random words, and the first lightest counts."""
     q, n, k = code.q, code.n, code.k
     rng = np.random.default_rng(seed)
-    best_w, best = n, None
     trials = max(8, min(64, budget // max(1, k * n * n)))
+    perms, coeffs = [], []
+    for _ in range(trials):  # the draws of one trial after another
+        perms.append(rng.permutation(n))
+        coeffs += [rng.integers(0, q, size=k) for _ in range(16)]
+    perms = np.array(perms)
     part = np.zeros(n, dtype=np.int64) if code.cosets is None else code.cosets
-    blocks = [(np.flatnonzero(part[code.pivots] == b), np.flatnonzero(part == b))
-              for b in range(part.max() + 1)]
-    for _ in range(trials):
-        perm = rng.permutation(n)
-        back = np.empty_like(perm)
-        back[perm] = np.arange(n)
-        R, lead = np.zeros((k, n), dtype=np.int64), np.empty(k, dtype=np.int64)
-        for rows, cols in blocks:
-            cols = cols[np.argsort(back[cols])]
-            R[np.ix_(rows, cols)], piv = rref_mod(code.genmat[np.ix_(rows, cols)], q)
-            lead[rows] = back[cols[piv]]
-        R = R[np.argsort(lead)]
-        weights = np.count_nonzero(R, axis=1)
-        i = int(np.argmin(weights))
-        if weights[i] < best_w:
-            best_w, best = int(weights[i]), R[i].copy()
-        # a few random combinations of rows, drawn one message at a time and
-        # multiplied out together; the first lightest nonzero word counts
-        coeffs = np.array([rng.integers(0, q, size=k) for _ in range(16)])
-        words = matmul_mod(coeffs, code.genmat, q)
-        weights = np.count_nonzero(words, axis=1)
-        weights[weights == 0] = n + 1
-        i = int(np.argmin(weights))
-        if weights[i] < best_w:
-            best_w, best = int(weights[i]), words[i]
+    # cols[t] lists the columns part by part, each part's in trial t's order,
+    # and place[t] their positions in that order
+    place = np.argsort(part[perms], axis=1, kind="stable")
+    cols = np.take_along_axis(perms, place, axis=1)
+    size = np.bincount(part)
+    start = np.cumsum(size) - size
+    rows = [np.flatnonzero(part[code.pivots] == b) for b in range(len(size))]
+    shapes: Dict[Tuple[int, int], List[int]] = {}
+    for b in range(len(size)):
+        if len(rows[b]):
+            shapes.setdefault((len(rows[b]), int(size[b])), []).append(b)
+    # key = weight * n + pivot position, least at the first lightest row in pivot order
+    keys, found = [], []
+    for (r, c), parts in shapes.items():
+        at = start[parts][:, None] + np.arange(c)  # (parts, c) positions in cols[t]
+        mats = code.genmat[np.array([rows[b] for b in parts])[None, :, :, None],
+                           cols[:, at][:, :, None]]  # (trials, parts, r, c)
+        R, piv = rref_stack(mats.reshape(-1, r, c), q)
+        R, piv = R.reshape(trials, len(parts), r, c), piv.reshape(trials, len(parts), r)
+        lead = np.take_along_axis(place[:, at], piv, axis=2)
+        keys.append((np.count_nonzero(R, axis=3) * n + lead).reshape(trials, -1))
+        found += [(R, at, j, i) for j in range(len(parts)) for i in range(r)]
+    keys = np.concatenate(keys, axis=1)
+    first = keys.argmin(axis=1)
+    # a few random combinations of rows per trial, multiplied out together;
+    # the first lightest nonzero word counts
+    words = matmul_mod(np.array(coeffs), code.genmat, q)
+    weights = np.count_nonzero(words, axis=1)
+    weights[weights == 0] = n + 1
+    weights = weights.reshape(trials, 16)
+    lightest = weights.argmin(axis=1)
+    best_w, best = n, None
+    for t in range(trials):
+        if keys[t, first[t]] // n < best_w:
+            R, at, j, i = found[first[t]]
+            best_w, best = int(keys[t, first[t]]) // n, np.zeros(n, dtype=np.int64)
+            best[cols[t, at[j]]] = R[t, j, i]
+        if weights[t, lightest[t]] < best_w:
+            best_w, best = int(weights[t, lightest[t]]), words[16 * t + lightest[t]].copy()
     return best_w, best
 
 

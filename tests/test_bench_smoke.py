@@ -1,4 +1,4 @@
-"""One pass of two benchmark workloads through the library API they call.
+"""One pass of three benchmark workloads through the library API they call.
 
 perfbench/worker.py drives ffield, idem and code the way the benchmark
 does and checks each instance against the pinned reference values; a
@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 RESULT = "PERFBENCH-RESULT "
 
 
-@pytest.mark.parametrize("workload", ["traces", "claims"])
+@pytest.mark.parametrize("workload", ["traces", "claims", "analogue1155"])
 def test_benchmark_pass_reports_no_problem(workload):
     out = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload,

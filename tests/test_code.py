@@ -142,6 +142,30 @@ def test_block_path_matches_stacked_translates():
     assert _assert_spin_matches_stacked(alg, f, "unit conjugate").k == 12
 
 
+def test_block_path_reduces_reordered_cosets():
+    # x = y*(1 - h)*(1 - h')*z for random y, z in F_q[H] spans a proper left
+    # ideal of F_q[H].  Unlike a pci's block, its block need not be mapped
+    # onto itself by the column order of a coset gH, and then that coset's
+    # translate has an RREF of its own
+    G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4), gr.MetacyclicGroup(5, 4, 2))
+    alg = id_.GroupAlgebra(G, 13)
+    rng = np.random.default_rng(5)
+    moved = 0
+    for pair in [p for p in sh.ssp_catalog(G) if p.H.order < G.order]:
+        members = np.array(pair.H.elements)
+        y, z = (alg.element(dict(zip(members.tolist(), rng.integers(0, 13, len(members)).tolist())))
+                for _ in range(2))
+        h, h2 = (alg.one() - alg.basis(g) for g in (pair.H.gens[0], pair.H.gens[-1]))
+        x = y * h * h2 * z
+        c = _assert_spin_matches_stacked(alg, id_.Idempotent(x, pair, 0, "left"), pair.label(),
+                                         pair.H.index)
+        block = c.genmat[:, c.cosets == 0]
+        block = block[block.any(axis=1)]
+        moved += any(not np.array_equal(co.rref_mod(block[:, np.argsort(cols)], 13)[0], block)
+                     for cols in (G.mul_vec(g, members) for g in range(G.order)))
+    assert moved == 3
+
+
 # [H:K] = 7 pair of G1029 x G55 over GF(2): the Eq.(2) k and the Theorem 2.1
 # window 2|K| <= d <= wt(e), certified at full scale.  The stacked translate
 # matrix of this code would be 56595 x 56595 int64, about 25 GB.
