@@ -19,7 +19,7 @@ from .ffield import (
     make_field,
     NotCoprime,
 )
-from .groups import FiniteGroup, Subgroup, cyclic_quotient_generator, full_subgroup
+from .groups import FiniteGroup, Subgroup, full_subgroup
 from .shoda import ShodaPair, ssp_catalog
 
 
@@ -289,24 +289,13 @@ class OrbitData:
 
 
 def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
-    H, K = pair.H, pair.K
+    H = pair.H
     m = pair.index
     h0 = pair.h0
     if h0 is None:
         raise AlgebraError(f"H/K is not cyclic for {pair.label()}")
     o = mult_order(q, m)
-
-    # label each element of H by its K-coset exponent t (h in K h0^t)
-    coset_of = np.full(G.order, -1, dtype=np.int64)
-    ts = np.arange(m)
-    coset_of[G.mul_vec(np.array(K.elements)[None, :], G.power(h0, ts)[:, None])] = ts[:, None]
-
-    # N = N_G(H) cap N_G(K), and the exponent t with x^-1 h0 x in K h0^t for x in N
-    all_idx = np.arange(G.order, dtype=np.int64)
-    mask = G.conj_mask(H.gens or H.elements, H.elements, all_idx)
-    mask &= G.conj_mask(K.gens or K.elements, K.elements, all_idx)
-    N_elems = np.flatnonzero(mask)
-    t_of_N = coset_of[G.conj_vec(h0, N_elems)]
+    N, t_of_N, x0 = pair.normaliser
     exps = sorted(set(t_of_N.tolist()))
 
     cosets = cyclotomic_cosets(m, q)
@@ -342,12 +331,10 @@ def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
     _require(len({len(o_) for o_ in orbits}) <= 1, "orbits of one pair must have equal size")
 
     # omega0: least w with t_b^w in <q> mod m, from a generator x0 of N/H when
-    # it is cyclic (N normalises H, so H is normal in N)
+    # it is cyclic
     omega0 = 1
-    if m > 1 and len(N_elems) > H.order:
-        x0 = cyclic_quotient_generator(G, Subgroup(G, N_elems.tolist()), H)
-        t0 = None if x0 is None else int(t_of_N[np.searchsorted(N_elems, x0)])
-        omega0 = None if x0 is None else coset_order(t0, q, m)
+    if m > 1:
+        omega0 = None if x0 is None else coset_order(int(t_of_N[np.searchsorted(N, x0)]), q, m)
 
     return OrbitData(
         pair=pair,

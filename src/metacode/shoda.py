@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .ffield import factorize, is_prime, mult_order
 from .groups import (
@@ -36,6 +38,16 @@ class TooLarge(GroupError):
     pass
 
 
+class Normaliser(NamedTuple):
+    """The q-independent action data of a pair (H, K) with cyclic H/K."""
+
+    elements: np.ndarray  # N = N_G(H) cap N_G(K), sorted indices
+    exps: np.ndarray  # per element x of N, the t with x^-1 h0 x in K h0^t
+    # the first generator of N/H, None if not cyclic; the identity when N = H
+    # or when m = 1, where nothing reads it
+    x0: Optional[int]
+
+
 @dataclass(frozen=True)
 class ShodaPair:
     H: Subgroup
@@ -57,6 +69,26 @@ class ShodaPair:
         """`cyclic_quotient_generator` of H/K (None when not cyclic), computed
         once per pair; raises NotNormal when K is not normal in H."""
         return cyclic_quotient_generator(self.group, self.H, self.K)
+
+    @cached_property
+    def normaliser(self) -> Normaliser:
+        """N = N_G(H) cap N_G(K), the exponent of its action on H/K = <h0 K>
+        and a generator of N/H, computed once per pair; needs h0."""
+        G, H, K, h0 = self.group, self.H, self.K, self.h0
+        m = self.index
+        coset_of = np.full(G.order, -1, dtype=np.int64)  # h in K h0^t has label t
+        ts = np.arange(m)
+        coset_of[G.mul_vec(np.array(K.elements)[None, :], G.power(h0, ts)[:, None])] = ts[:, None]
+        all_idx = np.arange(G.order, dtype=np.int64)
+        mask = G.conj_mask(H.gens or H.elements, H.elements, all_idx)
+        mask &= G.conj_mask(K.gens or K.elements, K.elements, all_idx)
+        N = np.flatnonzero(mask)
+        x0 = G.identity
+        if m > 1 and len(N) > H.order:  # N normalises H, so H is normal in N
+            x0 = cyclic_quotient_generator(G, Subgroup(G, N.tolist()), H)
+        exps = coset_of[G.conj_vec(h0, N)]
+        N.flags.writeable = exps.flags.writeable = False  # shared by every caller
+        return Normaliser(N, exps, x0)
 
     def label(self) -> str:
         return f"({self.H!r}, {self.K!r})"

@@ -131,6 +131,32 @@ class TupleField:
             raise ZeroDivisionError("inverse of 0")
         return self.pow(a, self.q - 2)
 
+    # -- GF(q)[y]/(f), elements tuples of o coefficients, low degree first --
+    def ring_mul(self, f, a, b):
+        """a * b mod the monic f (o + 1 coefficients): schoolbook product,
+        then each top coefficient c cancelled by subtracting c y^(d-o) f."""
+        o = len(f) - 1
+        prod = [self.zero()] * (2 * o - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = self.add(prod[i + j], self.mul(x, y))
+        neg = self.scalar(-1)
+        for d in range(2 * o - 2, o - 1, -1):
+            c = self.mul(neg, prod[d])
+            for j in range(o + 1):
+                prod[d - o + j] = self.add(prod[d - o + j], self.mul(c, f[j]))
+        return tuple(prod[:o])
+
+    def ring_pow(self, f, a, n: int):
+        result = (self.one(),) + (self.zero(),) * (len(f) - 2)
+        base = a
+        while n:
+            if n & 1:
+                result = self.ring_mul(f, result, base)
+            base = self.ring_mul(f, base, base)
+            n >>= 1
+        return result
+
 
 def _fold_axis(arr: np.ndarray, p: int, j: int, axis: int, char: int) -> np.ndarray:
     """Reduce exponent-count array modulo the p^j-th cyclotomic polynomial.

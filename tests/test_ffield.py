@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -394,14 +395,14 @@ def test_fast_mult_order_matches_naive():
             assert ff.mult_order(q, m) == naive, (q, m)
 
 
-def test_coset_order_matches_the_power_loop():
+def test_coset_order_matches_the_power_loop(qs=(2, 3, 5, 9, 13, 29)):
     # least w >= 1 with r^w in <q> mod m, by walking the powers of r
-    for m in range(1, 60):
-        for q in (2, 3, 5, 13):
+    for m in range(1, 400):
+        for q in qs:
             if math.gcd(q, m) != 1:
                 continue
             qgrp = {pow(q, j, m) for j in range(m + 1)}
-            for r in range(-m, m):
+            for r in range(-3, 60):
                 if math.gcd(r, m) != 1:
                     continue
                 w = 1
@@ -410,6 +411,25 @@ def test_coset_order_matches_the_power_loop():
                 assert ff.coset_order(r, q, m) == w, (r, q, m)
     with pytest.raises(ff.NotCoprime):
         ff.coset_order(3, 2, 9)
+
+
+@pytest.mark.slow
+def test_coset_order_matches_the_power_loop_for_every_q_below_30():
+    test_coset_order_matches_the_power_loop(range(2, 30))
+
+
+def test_coset_order_does_not_list_the_subgroup():
+    # <5> mod 2^22 has 2^20 elements, which the walk lists as a set of about
+    # 70 MB; mod 2^k, k >= 3, <5> is the residues 1 mod 4, so 3 and -1 are
+    # not in it and their squares are
+    tracemalloc.start()
+    try:
+        got = [ff.coset_order(r, 5, 2**22) for r in (3, -1, 9, 5)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [2, 2, 1, 1]
+    assert peak < 1 << 20, peak
 
 
 def _slab(p):
@@ -612,3 +632,77 @@ def test_find_xi_checks_the_order_of_the_element_it_returns():
     ring = ff._QuotientRing(ff.make_field(2), np.array([[1], [0], [1]]))
     with pytest.raises(ff.FieldError):
         ff.ExtFieldCtx(ring, 3)
+
+
+# rings GF(p^e)[y]/(f) for the matrix paths: e in {1, 2}, o = 1, p in {2, 3, 13},
+# and a large prime, whose base-q digits are nearly all distinct
+MATRIX_RINGS = [(2, 1, 1), (2, 1, 5), (2, 2, 3), (3, 1, 1), (3, 1, 4), (3, 2, 1), (3, 2, 3),
+                (13, 1, 1), (13, 1, 3), (13, 2, 2), (1_000_003, 1, 2)]
+
+
+@pytest.mark.parametrize("p,e,o", MATRIX_RINGS)
+def test_matrix_products_match_ring_products_and_tuples(p, e, o):
+    base = ff.make_field(p, e)
+    ring, TF = ff._ring(base, o), TupleField(base)
+    f = tuple(as_tuple(row) for row in ring.modulus)
+    as_rows = lambda a: tuple(as_tuple(row) for row in np.reshape(a, (o, e)))  # noqa: E731
+    rng = np.random.default_rng(p * 100 + e * 10 + o)
+    q = base.q
+    for _ in range(6):
+        a, b = rng.integers(0, p, ring.n), rng.integers(0, p, ring.n)
+        M = ring._mulmat(a)
+        assert M.shape == (ring.n, ring.n)
+        ab = (b @ M % p).astype(np.int64)
+        assert np.array_equal(ab, ring.mul(a, b))
+        assert as_rows(ab) == TF.ring_mul(f, as_rows(a), as_rows(b))
+        aq = (a @ ring._frob % p).astype(np.int64)
+        assert np.array_equal(aq, ring.pow(a, q))
+        assert as_rows(aq) == TF.ring_pow(f, as_rows(a), q)
+        # one digit, zero digits, the top digit q - 1, and a long exponent
+        for s in (1, q - 1, q, q * q + 1, (q - 1) * (q**2 + 1), (q**o - 1) // 2 + 7, 3 * q**(o + 2) + q - 1):
+            got = ring._pow_digits(a, ff._base_digits(s, q))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ring.pow(a, s)), s
+            assert as_rows(got) == TF.ring_pow(f, as_rows(a), s), s
+        for m in (1, 2, 3, 4, 7, 16, 23):
+            P = ring._powers(a, m)
+            assert P.shape == (m, ring.n) and P.dtype == np.int64
+            assert all(np.array_equal(P[t], ring.pow(a, t)) for t in range(m)), m
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_doubled_xi_powers_match_sequential_products(q):
+    ctx = base_field_of(q)
+    for m in range(1, 65):
+        if math.gcd(q, m) != 1:
+            continue
+        E = ff.extension_for_root(ctx, m)
+        seq = [E.one()]
+        for _ in range(1, m):
+            seq.append(E.mul(seq[-1], E.xi))
+        assert np.array_equal(E._powers(E.xi, m), np.array(seq)), m
+
+
+@pytest.mark.parametrize("q,m,picked", [
+    (17, 7, "pow"),  # o = 6: 18 candidates, 35 products against 30
+    (5, 54, "_pow_digits"),  # o = 18: 27 candidates, 29 products against 52
+    (1_000_037, 87, "pow"),  # o = 2: the first candidate fails; 50 products either way
+])
+def test_find_xi_takes_the_power_with_fewer_products(monkeypatch, q, m, picked):
+    s, calls = (q**ff.mult_order(q, m) - 1) // m, []
+    monkeypatch.setattr(ff, "_EXT_CACHE", {})
+
+    def counted(name):
+        method = getattr(ff._QuotientRing, name)
+
+        def call(self, a, n):
+            if name == "_pow_digits" or n == s:
+                calls.append(name)
+            return method(self, a, n)
+        return call
+
+    for name in ("pow", "_pow_digits"):
+        monkeypatch.setattr(ff._QuotientRing, name, counted(name))
+    E = ff.extension_for_root(ff.make_field(q), m)
+    assert len(calls) > 1 and set(calls) == {picked}
+    assert E.is_one(E.pow(E.xi, m)) and not any(E.is_one(E.pow(E.xi, m // ell)) for ell in ff.factorize(m))

@@ -202,6 +202,33 @@ def test_census_matches_table_footnote_counts():
                 assert len(od.orbits) == expected, (q, m)
 
 
+def test_normaliser_data_is_computed_once_per_pair(monkeypatch):
+    # census over four q calls conj_mask for the first q only, two sweeps of
+    # all of G per pair among them; every OrbitData equals one computed on a
+    # fresh copy of its pair
+    G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                          gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    pairs = sh.ssp_catalog(G)
+    sweeps, conj_mask = [], G.conj_mask
+    monkeypatch.setattr(G, "conj_mask", lambda ss, target, xs: sweeps.append(len(xs)) or conj_mask(ss, target, xs))
+    qs = (2, 13, 17, 19)
+    counts = []
+    for q in qs:
+        id_.census(G, q, pairs)
+        counts.append(len(sweeps))
+    assert counts == [counts[0]] * len(qs)
+    assert sweeps.count(G.order) >= 2 * len(pairs)
+    monkeypatch.undo()
+    for pair in pairs:
+        assert "normaliser" in vars(pair)
+        fresh = sh.ShodaPair(pair.H, pair.K, pair.family, pair.params)
+        for q in qs:
+            assert id_.cosets_and_orbits(G, pair, q) == id_.cosets_and_orbits(G, fresh, q), (pair.label(), q)
+    N = pairs[-1].normaliser
+    with pytest.raises(ValueError):
+        N.exps[0] = 0
+
+
 def test_count_pcis_totals(matrix):
     for G, q in matrix:
         info = count_pcis(G, q)
