@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -184,6 +185,20 @@ def cmd_unit(args) -> int:
     return 0 if ok else 1
 
 
+# --unit kind:int[:int], with the number of integers each kind takes
+_UNIT_PARAMS = {"alt": 1, "bass": 2, "constructed": 2}
+
+
+def _unit_spec(text: str) -> Tuple[str, List[int]]:
+    kind, *params = text.split(":")
+    if kind not in _UNIT_PARAMS:
+        raise UsageError(f"unknown unit spec {text!r}")
+    if len(params) != _UNIT_PARAMS[kind] or not all(re.fullmatch(r"-?\d+", v) for v in params):
+        raise UsageError(f"--unit {text!r}: expected kind:int[:int] "
+                         "(alt:k, bass:k:m or constructed:s:k)")
+    return kind, [int(v) for v in params]
+
+
 def _build_code(args) -> code_mod.LinearCode:
     G = _load_group(args.spec)
     alg = idem.GroupAlgebra(G, args.q)
@@ -193,16 +208,13 @@ def _build_code(args) -> code_mod.LinearCode:
     e = idems[args.pci]
     provenance = {"pci": args.pci, "pair": e.pair.label(), "k": e.k}
     if args.unit:
-        kind, *params = args.unit.split(":")
+        kind, params = _unit_spec(args.unit)
         if kind == "alt":
-            u = units.alternating(alg, G.a, int(params[0]))
+            u = units.alternating(alg, G.a, *params)
         elif kind == "bass":
-            u = units.bass(alg, G.a, int(params[0]), int(params[1]))
-        elif kind == "constructed":
-            B = subgroup_closure(G, [G.b])
-            u = units.constructed_unit(alg, e, int(params[0]), int(params[1]), B)
+            u = units.bass(alg, G.a, *params)
         else:
-            raise UsageError(f"unknown unit spec {args.unit!r}")
+            u = units.constructed_unit(alg, e, *params, subgroup_closure(G, [G.b]))
         f = units.conjugate_idempotent(alg, e, args.beta, u)
         provenance["unit"] = args.unit
         provenance["beta"] = args.beta
@@ -391,7 +403,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GroupError, ffield.FieldError, idem.AlgebraError, code_mod.CodeError) as exc:
+    except (GroupError, ffield.FieldError, idem.AlgebraError, units.UnitError,
+            code_mod.CodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ from .ffield import (
     coset_order, factorize, is_prime, matmul_mod, mult_order, odd_prime_i0, rank_mod, rref_mod,
     rref_stack, v_adic,
 )
-from .groups import FiniteGroup, Subgroup, quotient_is_cyclic
+from .groups import FiniteGroup, Subgroup, orbit_labels, quotient_is_cyclic
 from .idem import GroupAlgebra, Idempotent, InvariantError, census
 DEFAULT_BUDGET = 500_000_000
 
@@ -136,15 +136,16 @@ def ideal_to_code(alg: GroupAlgebra, e, provenance: Optional[Dict] = None) -> Li
         is_free[piv] = False
         new = new[:, spin].transpose(1, 0, 2).reshape(-1, m)
     genmat, lead = np.zeros((n // m * len(pivots), n), dtype=np.int64), []
-    cosets, count = np.full(n, -1), 0
-    for g in range(n):
-        if cosets[g] < 0:  # the least element of the coset gS
-            cols = G.mul_vec(g, members)
-            at = np.argsort(cols)
-            R, piv = (block, pivots) if (np.diff(cols) > 0).all() else rref_mod(block[:, at], q)
-            genmat[len(lead):len(lead) + len(piv), cols[at]] = R
-            lead += cols[at][piv].tolist()
-            cosets[cols], count = count, count + 1
+    # the left cosets gS, numbered by least element: the running maximum of
+    # the labels first reaches c at the least element of coset c
+    cosets = orbit_labels(G.mul_vec(np.arange(n)[None, :], np.array(gens)[:, None]))
+    top = np.maximum.accumulate(cosets)
+    for g in np.searchsorted(top, np.arange(top[-1] + 1)):
+        cols = G.mul_vec(g, members)
+        at = np.argsort(cols)
+        R, piv = (block, pivots) if (np.diff(cols) > 0).all() else rref_mod(block[:, at], q)
+        genmat[len(lead):len(lead) + len(piv), cols[at]] = R
+        lead += cols[at][piv].tolist()
     order = np.argsort(lead)
     # row i is the permutation of G's generator s_i: (s_i*v)[x] = v[perms[i, x]]
     perms = G.mul_vec(G.inv_vec(np.array(G.generators()))[:, None], np.arange(n)[None, :])
@@ -313,16 +314,8 @@ def _check_automorphisms(genmat: np.ndarray, pivots: List[int], q: int, perms: n
     moved = np.take(genmat, perms, axis=1).reshape(-1, n)  # v[perm] for each row v and perm
     _check(not matmul_mod(moved[:, pivots], genmat, q, moved).any(),
            "a carried permutation does not map the code onto itself")
-    # the orbit of coordinate 0, breadth first; each point enters the frontier once
-    seen, slot = np.zeros(n, dtype=bool), np.empty(n, dtype=np.int64)
-    seen[0], frontier = True, np.zeros(1, dtype=np.int64)
-    while len(frontier):
-        image = perms[:, frontier].ravel()
-        image = image[~seen[image]]
-        slot[image] = order = np.arange(len(image))
-        frontier = image[slot[image] == order]
-        seen[frontier] = True
-    _check(seen.all(), "the carried permutations are not transitive on the coordinates")
+    _check(not orbit_labels(perms).any(),
+           "the carried permutations are not transitive on the coordinates")
 
 
 def _weight_round(gamma: np.ndarray, q: int, w: int) -> Tuple[int, np.ndarray]:

@@ -915,7 +915,7 @@ def two_power_i_star(q: int) -> int:
 
 def _orbit_sum_is_zero(q: int, M: int, k: int) -> bool:
     """Exact per-k resolution via the trace table (small fields only here)."""
-    tab = trace_table(make_field(q) if is_prime(q) else _prime_power_field(q), M)
+    tab = trace_table(_prime_power_field(q), M)
     return all(v == 0 for v in tab[k % M])
 
 

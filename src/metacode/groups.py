@@ -327,20 +327,38 @@ class Subgroup:
         return self._is_normal
 
 
+def orbit_labels(perms) -> np.ndarray:
+    """Label of each point 0..n-1's orbit under the group that the rows p of
+    perms (x -> p[x]) generate, orbits numbered by least point.  Per row, the
+    roots of x and p[x] are joined, larger under smaller, and parents jump to
+    roots until stable; the rows are swept until none joins anything (hooking
+    plus pointer jumping; Shiloach & Vishkin, 1982).  So a root is the least
+    point of its tree."""
+    perms = np.asarray(perms, dtype=np.int64)
+    parent = np.arange(perms.shape[1])
+    joined = True
+    while joined:
+        joined = False
+        for p in perms:
+            image = parent[p]
+            apart = parent != image
+            if apart.any():
+                joined = True
+                x, y = parent[apart], image[apart]
+                parent[np.maximum(x, y)] = np.minimum(x, y)
+                while ((jumped := parent[parent]) != parent).any():
+                    parent = jumped
+    return (np.cumsum(parent == np.arange(len(parent))) - 1)[parent]
+
+
 def subgroup_closure(G: FiniteGroup, gens: Sequence[int]) -> Subgroup:
-    """Least subgroup containing gens (BFS over right multiplication, a whole
-    frontier at a time)."""
+    """Least subgroup containing gens: the orbit of the identity under right
+    multiplication by gens."""
     if len(gens) == 0:
         raise ValueError("gens must be nonempty")
-    seen = np.zeros(G.order, dtype=bool)
-    seen[G.identity] = True
-    frontier = np.array([G.identity], dtype=np.int64)
-    while len(frontier):
-        before = seen.copy()
-        for _, block in G.grid(frontier, gens):
-            seen[block] = True
-        frontier = np.flatnonzero(seen & ~before)
-    return Subgroup(G, np.flatnonzero(seen).tolist(), gens=tuple(dict.fromkeys(gens)))
+    labels = orbit_labels(G.mul_vec(np.arange(G.order)[None, :], np.array(gens)[:, None]))
+    members = np.flatnonzero(labels == labels[G.identity])
+    return Subgroup(G, members.tolist(), gens=tuple(dict.fromkeys(gens)))
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -479,15 +497,20 @@ def group_from_spec(obj) -> FiniteGroup:
         if "name" in obj:
             G.name = str(obj["name"])
         return G
-    try:
-        N, M = int(obj["N"]), int(obj["M"])
-    except KeyError as exc:
-        raise SchemaError(f"missing group key {exc}") from None
-    r = int(obj.get("r", 1))
-    s = int(obj.get("s", 0))
-    return MetacyclicGroup(N, M, r, s, name=str(obj.get("name", "")))
+    ints = {}
+    for key, default in (("N", None), ("M", None), ("r", 1), ("s", 0)):
+        if key not in obj and default is None:
+            raise SchemaError(f"missing group key {key!r}")
+        ints[key] = value = obj.get(key, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SchemaError(f"group key {key!r} must be an integer, got {value!r}")
+    return MetacyclicGroup(**ints, name=str(obj.get("name", "")))
 
 
 def load_group_file(path) -> FiniteGroup:
     with open(path) as fh:
-        return group_from_spec(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    return group_from_spec(spec)

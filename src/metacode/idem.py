@@ -19,7 +19,7 @@ from .ffield import (
     make_field,
     NotCoprime,
 )
-from .groups import FiniteGroup, Subgroup, full_subgroup
+from .groups import FiniteGroup, Subgroup, full_subgroup, orbit_labels
 from .shoda import ShodaPair, ssp_catalog
 
 
@@ -57,7 +57,6 @@ class GroupAlgebra:
         self.G = G
         self.q = q
         self.field = make_field(q)
-        self._coset_ids: Dict[Tuple[int, ...], np.ndarray] = {}
 
     def __repr__(self):
         return f"F{self.q}[{self.G.name}]"
@@ -89,23 +88,6 @@ class GroupAlgebra:
         vec = np.zeros(self.G.order, dtype=np.int64)
         vec[list(S.elements)] = inv
         return AlgebraElement(self, vec, parts=((S, {self.G.identity: 1}),))
-
-    def right_coset_ids(self, S: Subgroup) -> np.ndarray:
-        """Label of each element's right coset S*g, numbered in the order of
-        the cosets' least elements; cached per S."""
-        key = S.elements
-        ids = self._coset_ids.get(key)
-        if ids is None:
-            G = self.G
-            ids = np.full(G.order, -1, dtype=np.int64)
-            members = np.array(S.elements, dtype=np.int64)
-            next_id = 0
-            for g in G.elements():
-                if ids[g] < 0:
-                    ids[G.mul_vec(members, np.full(len(members), g))] = next_id
-                    next_id += 1
-            self._coset_ids[key] = ids
-        return ids
 
 
 Parts = Tuple[Tuple[Subgroup, Dict[int, int]], ...]
@@ -235,7 +217,8 @@ def _mul_structured(parts: Parts, x: AlgebraElement) -> AlgebraElement:
     out = np.zeros(G.order, dtype=np.int64)
     for K, terms in parts:
         y = _left_translates(G, q, list(terms), list(terms.values()), x.vec)
-        ids = alg.right_coset_ids(K)
+        # the right cosets K*g: the orbits of left multiplication by K
+        ids = orbit_labels(G.mul_vec(np.array(K.gens or K.elements)[:, None], G.elements()))
         sums = np.bincount(ids, weights=y.astype(np.float64))
         coset_sums = np.rint(sums).astype(np.int64) % q
         inv = pow(len(K.elements), -1, q)

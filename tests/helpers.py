@@ -440,3 +440,32 @@ def oracle_closure(G, gens) -> List[int]:
         frontier = [y for y in {G.mul(x, g) for x in frontier for g in gens} if y not in seen]
         seen.update(frontier)
     return sorted(seen)
+
+
+def oracle_coset_labels(G, S, side: str) -> List[int]:
+    """Label of each g's left coset gS (side "left") or right coset Sg
+    ("right"), cosets numbered in the order of their least elements."""
+    labels, count = [-1] * G.order, 0
+    for g in G.elements():
+        if labels[g] < 0:
+            for s in S.elements:
+                labels[G.mul(g, s) if side == "left" else G.mul(s, g)] = count
+            count += 1
+    return labels
+
+
+def oracle_orbit_labels(perms) -> List[int]:
+    """Orbit label of each point under the rows of perms, orbits numbered by
+    least point: a scalar search from each unlabelled point."""
+    labels, count = [-1] * len(perms[0]), 0
+    for x in range(len(labels)):
+        if labels[x] < 0:
+            labels[x], todo = count, [x]
+            while todo:
+                y = todo.pop()
+                for p in perms:
+                    if labels[p[y]] < 0:
+                        labels[p[y]] = count
+                        todo.append(p[y])
+            count += 1
+    return labels

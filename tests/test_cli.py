@@ -1,6 +1,8 @@
 import json
 
-from metacode.cli import main
+import pytest
+
+from metacode.cli import UsageError, _unit_spec, main
 
 
 def run(capsys, *argv):
@@ -77,6 +79,24 @@ def test_unit_command_named(tmp_path, capsys):
     rc, out, _ = run(capsys, "unit", "--kind", "alt", "--spec", str(spec),
                      "--q", "2", "--k", "3")
     assert rc == 0 and "True" in out
+
+
+def test_unit_errors_reach_the_error_path(capsys):
+    # alternating units need characteristic 2; 2^2 != 1 mod 7 for a Bass unit
+    rc, _, err = run(capsys, "code", "build", "--spec", "D:14", "--q", "3", "--pci", "1",
+                     "--unit", "alt:3")
+    assert rc == 1 and err.startswith("error: ") and "characteristic 2" in err
+    rc, _, err = run(capsys, "unit", "--kind", "bass", "--spec", "D:14", "--q", "3", "--k", "2")
+    assert rc == 1 and err.startswith("error: ") and "!= 1 mod 7" in err
+
+
+@pytest.mark.parametrize("spec", ["bass", "constructed:1", "alt:", "alt:x", "bass:1:2:3"])
+def test_malformed_unit_spec_is_a_usage_error(capsys, spec):
+    with pytest.raises(UsageError, match=r"kind:int\[:int\]"):
+        _unit_spec(spec)
+    rc, _, err = run(capsys, "code", "build", "--spec", "D:14", "--q", "3", "--pci", "1",
+                     "--unit", spec)
+    assert rc == 1 and "expected kind:int[:int]" in err
 
 
 def test_code_build_and_genmat(tmp_path, capsys):

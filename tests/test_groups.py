@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from metacode import groups as gr
+from metacode import idem as id_
 from metacode import shoda as sh
 
 
@@ -134,6 +135,20 @@ def test_group_from_spec(tmp_path):
     assert G.order == 195
 
 
+@pytest.mark.parametrize("text, match", [
+    ('{"N": 7', "not valid JSON"),
+    ('{"N": "x", "M": 2}', "'N' must be an integer, got 'x'"),
+    ('{"N": 7, "M": 2.5}', "'M' must be an integer"),
+    ('{"N": 7, "M": 2, "r": [6]}', "'r' must be an integer"),
+    ('{"N": 7, "M": 2, "s": true}', "'s' must be an integer"),
+])
+def test_malformed_group_file_is_a_schema_error(tmp_path, text, match):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    with pytest.raises(gr.SchemaError, match=match):
+        gr.load_group_file(path)
+
+
 def test_family_orders_by_enumeration():
     for n in (3, 4, 5):
         order = 2 ** (n + 1)
@@ -211,6 +226,57 @@ def test_subgroup_closure_matches_scalar_bfs(matrix):
             S = gr.subgroup_closure(G, gens)
             assert list(S.elements) == helpers.oracle_closure(G, gens), (G.name, gens)
             assert S.gens == tuple(dict.fromkeys(gens))
+
+
+def _sample_subgroups(G):
+    """Trivial, whole, each catalogued H and K, and each generator's closure."""
+    out = [gr.trivial_subgroup(G), gr.full_subgroup(G)]
+    out += [S for p in sh.ssp_catalog(G) for S in (p.H, p.K)]
+    return out + [gr.subgroup_closure(G, [g]) for g in G.generators()]
+
+
+def test_orbit_labels_give_cosets_and_transitivity(matrix):
+    groups = {G.name: G for G, _q in matrix}
+    groups["G21 x G55"] = analogue_1155()
+    for G in groups.values():
+        xs = np.arange(G.order)
+        for S in _sample_subgroups(G):
+            where = (G.name, S)
+            ss = np.array(S.gens or S.elements)
+            # x -> x s has the left cosets xS as orbits, x -> s x the right cosets Sx
+            left = gr.orbit_labels(G.mul_vec(xs[None, :], ss[:, None]))
+            right = gr.orbit_labels(G.mul_vec(ss[:, None], xs[None, :]))
+            assert left.tolist() == helpers.oracle_coset_labels(G, S, "left"), where
+            assert right.tolist() == helpers.oracle_coset_labels(G, S, "right"), where
+            assert (not left.any()) == (S.order == G.order), where
+
+
+def test_orbit_labels_match_scalar_search_on_random_permutations():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 9, 60, 500):
+        for rows in (1, 2, 3):
+            # a few random cycles each, so some points stay fixed and orbits vary
+            perms = np.tile(np.arange(n), (rows, 1))
+            for p in perms:
+                for _ in range(rng.integers(0, 4)):
+                    cycle = rng.choice(n, size=rng.integers(1, min(n, 40) + 1), replace=False)
+                    p[cycle] = p[np.roll(cycle, 1)]
+            assert gr.orbit_labels(perms).tolist() == helpers.oracle_orbit_labels(perms.tolist())
+
+
+def test_structured_product_of_generator_less_subgroups(matrix):
+    # each pci, and hat(S) for subgroups normal in G or not, with the parts'
+    # subgroups stripped of their generators: right cosets from all elements
+    for G, q in matrix[::4]:
+        alg = id_.GroupAlgebra(G, q)
+        x = id_.AlgebraElement(alg, np.random.default_rng(G.order).integers(0, q, G.order))
+        elems = [e.value for e in id_.pcis_for_group(alg)]
+        elems += [alg.hat(S) for S in _sample_subgroups(G) if S.order % q]
+        for e in elems:
+            bare = tuple((gr.Subgroup(G, K.elements), terms) for K, terms in e.parts)
+            dense = id_.AlgebraElement(alg, e.vec) * x
+            assert id_._mul_structured(bare, x) == dense, (G.name, q, e.parts)
+            assert id_._mul_structured(e.parts, x) == dense, (G.name, q, e.parts)
 
 
 def test_cyclic_quotient_generator_not_normal_d8():
