@@ -102,9 +102,13 @@ def ideal_to_code(alg: GroupAlgebra, e, provenance: Optional[Dict] = None) -> Li
     (the MeatAxe spin; Parker 1984), with no |S| x |S| array: each round maps
     the rows the last one added by S's generators, (s*v)[x] = v[s^-1 x], and
     folds what the basis does not reduce to zero into it, until a round adds
-    no rank.  Each coset's translate is row-reduced in its column order; the
-    RREF of a direct sum is the union of its summands' RREFs, so the rows
-    sorted by pivot are the RREF of all |G| stacked translates g*e.  The code
+    no rank.  Each coset's translate is taken in RREF in its column order.
+    That is the block itself when the coset keeps the block's column order,
+    or when one product shows the reordered rows v still in the block's row
+    space (v = v[pivots] @ block), an RREF being unique; otherwise it is
+    row-reduced (no reordered coset of the 20 `analogue1155` pci codes is).
+    The RREF of a direct sum is the union of its summands' RREFs, so the
+    rows sorted by pivot are the RREF of all |G| stacked translates g*e.  The code
     carries ``cosets``, each column's coset, and ``perms``, G's generators'
     permutations of all n columns, for `min_distance`.
     """
@@ -143,7 +147,11 @@ def ideal_to_code(alg: GroupAlgebra, e, provenance: Optional[Dict] = None) -> Li
     for g in np.searchsorted(top, np.arange(top[-1] + 1)):
         cols = G.mul_vec(g, members)
         at = np.argsort(cols)
-        R, piv = (block, pivots) if (np.diff(cols) > 0).all() else rref_mod(block[:, at], q)
+        R, piv = block, pivots
+        if not (np.diff(cols) > 0).all():
+            moved = block[:, at]
+            if matmul_mod(moved[:, pivots], block, q, moved).any():
+                R, piv = rref_mod(moved, q)
         genmat[len(lead):len(lead) + len(piv), cols[at]] = R
         lead += cols[at][piv].tolist()
     order = np.argsort(lead)

@@ -11,7 +11,10 @@ one np.convolve and one matmul with the reduction matrix of f, and a
 relative trace is one matmul with the trace functional.  Both modulus
 searches, for F and for f, are the same Ben-Or irreducibility test over the
 same enumeration, its gcds one Euclid on the Python-int counter codes of
-the coefficients.
+the coefficients; the steps whose y^(q^i) is still a monomial take that
+gcd directly, before any ring arithmetic.  xi is the first w^s, s =
+(q^o - 1)/m, w in counter order, of order m; the first q - 1 candidates
+are GF(q)-multiples of one element and are tested together in closed form.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ _ROOT_TABLE_CELLS = 1 << 20
 # Largest q x q sum and product tables of GF(p^e), e > 1, that the Ben-Or gcd
 # builds; the modulus search over a larger GF(p^e) raises FieldTooLarge.
 _GCD_TABLE_CELLS = 1 << 20
+
+# Most elements of GF(q)* that ExtFieldCtx._find_xi's closed-form scan holds
+# at once.
+_XI_SCAN_ROWS = 1 << 16
 
 # Largest p whose (p-1)^2 is an int64: the echelon forms' exact range.
 _INT64_PRODUCT_P = math.isqrt(2**63 - 1) + 1
@@ -356,6 +363,16 @@ class FieldCtx:
         e = self.e
         return (b @ self._xmul[:e].reshape(e, e * e) % self.p).reshape(b.shape[:-1] + (e, e))
 
+    def _pow_rows(self, a: np.ndarray, n: int) -> np.ndarray:
+        """a^n for every row of the (N, e) array a, n >= 0, by square-and-multiply."""
+        out, mats = np.zeros_like(a), self._mul_mats(a)
+        out[:, 0] = 1
+        for bit in bin(n)[2:]:
+            out = np.einsum("ns,nst->nt", out, self._mul_mats(out)) % self.p
+            if bit == "1":
+                out = np.einsum("ns,nst->nt", out, mats) % self.p
+        return out
+
     @cached_property
     def _code_tables(self) -> Tuple[List[List[int]], List[List[int]], List[int]]:
         """(add, mul, neg_inv) of GF(q) on counter codes, as Python lists:
@@ -621,23 +638,38 @@ def _coprime(base: FieldCtx, a: np.ndarray, b: np.ndarray) -> bool:
     return len(b) == 1
 
 
-def _is_irreducible(ring: _QuotientRing) -> bool:
+def _is_irreducible(ring: _QuotientRing, rootless: bool) -> bool:
     """Ben-Or test: f of degree d is irreducible over GF(q) iff
     gcd(y^(q^i) - y, f) = 1 for every i <= d/2.
 
-    The differences are multiplied together and one gcd is taken per block
-    of steps, the blocks doubling (1, 2, 3-4, 5-8, ...): a reducible f
-    usually fails in the first blocks, an irreducible one costs log d gcds.
+    i = 1 is skipped when f is known to have no root in GF(q) (rootless),
+    as that gcd tests exactly that.  While q^i < d, y^(q^i) - y is already
+    reduced mod f, so its gcd is taken directly, without the reduction
+    matrix, products or powers: a candidate that fails there never builds
+    `_red`.  Past that range the differences are multiplied together and
+    one gcd is taken per block of steps, the blocks doubling (i, i+1..2i,
+    ...): a reducible f usually fails in the first blocks, an irreducible
+    one costs log d gcds.
     """
     base, f, d = ring.base, ring.modulus, ring.o
+    q, e = base.q, base.e
+    i = 2 if rootless else 1
+    while q**i < d:  # so i <= d/2
+        diff = np.zeros((q**i + 1, e), dtype=np.int64)
+        diff[q**i, 0], diff[1, 0] = 1, base.p - 1
+        if not _coprime(base, diff, f):
+            return False
+        i += 1
+    if i > d // 2:
+        return True
     y = ring.zero()
-    y[base.e] = 1
-    h, acc, check = y, ring.one(), 1
-    for i in range(1, d // 2 + 1):
-        h = ring.pow(h, base.q)
+    y[e] = 1
+    h, acc, check = ring.pow(y, q ** (i - 1)), ring.one(), i
+    for i in range(i, d // 2 + 1):
+        h = ring.pow(h, q)
         acc = ring.mul(acc, h - y)
         if i == check or i == d // 2:
-            if not _coprime(base, acc.reshape(d, base.e), f):
+            if not _coprime(base, acc.reshape(d, e), f):
                 return False
             acc, check = ring.one(), 2 * i
     return True
@@ -684,7 +716,7 @@ def _irreducible(base: FieldCtx, d: int) -> _QuotientRing:
                 if not values.any(axis=1).all():
                     continue  # a root, so a linear factor
             ring = _QuotientRing(base, f.copy())
-            if _is_irreducible(ring):
+            if _is_irreducible(ring, pow_mats is not None):
                 return ring
     raise FieldError("no irreducible found")  # unreachable
 
@@ -733,39 +765,80 @@ class ExtFieldCtx(_QuotientRing):
     _frob = property(lambda self: self.ring._frob)
 
     def _find_xi(self) -> ExtElem:
-        """The first w^((q^o - 1)/m), w in counter order, of exact order m.
+        """The first w^s, s = (q^o - 1)/m, w in counter order, of exact order m.
 
         Every such power has order dividing m, so only the maximal proper
         divisors m/l are tried per candidate; xi^m = 1 is checked once, on
-        the element returned.  w^s is _pow_digits where that takes fewer
-        NumPy products than square-and-multiply, a matrix counting as one,
-        and square-and-multiply otherwise; both give the same element."""
+        the element returned.  The first q - 1 candidates, c y^(o-1) for c
+        in GF(q)*, are tested at once by _first_block_xi; the walk goes on
+        from there one candidate at a time, at most 2^20 of them.  w^s is
+        _pow_digits where that takes fewer NumPy products than
+        square-and-multiply, a matrix counting as one, and
+        square-and-multiply otherwise; both give the same element."""
         m = self.m
         if m == 1:
             return self.one()
+        base, q, o, ells = self.base, self.q, self.o, factorize(m)
         s = (self.order - 1) // m
-        ells = factorize(m)
-        digits = _base_digits(s, self.q)
+        digits = _base_digits(s, q)
         by_digits = _horner_products(digits) < _sqm_products(s)
-        w = np.zeros((self.o, self.base.e), dtype=np.int64)
-        for n in range(1, min(self.order, 1 << 20)):
+        w = np.zeros((o, base.e), dtype=np.int64)
+        w[o - 1, 0] = 1
+        xi = self._first_block_xi(self._pow_digits(w, digits) if by_digits else self.pow(w, s), s, ells)
+        n = q
+        while xi is None and n < min(self.order, q + (1 << 20)):
             # counter order mirrors the base-field lex rule across rows: the
             # least significant base-q digit of n is the y^(o-1) coefficient;
             # rows above n's leading digit stay zero, as n only grows
-            counter, i = n, self.o - 1
+            counter, i = n, o - 1
             while counter:
-                counter, digit = divmod(counter, self.q)
-                w[i] = self.base._rows(digit)
+                counter, digit = divmod(counter, q)
+                w[i] = base._rows(digit)
                 i -= 1
-            if by_digits:
-                xi = self._pow_digits(w, digits)
-            else:
-                xi = self.pow(w, s)
-            if not any(self.is_one(self.pow(xi, m // ell)) for ell in ells):
-                if not self.is_one(self.pow(xi, m)):
-                    raise FieldError(f"the element found for xi_{m} has xi^{m} != 1")
-                return xi
-        raise FieldError(f"no element of order {m} found")  # unreachable
+            w_s = self._pow_digits(w, digits) if by_digits else self.pow(w, s)
+            if not any(self.is_one(self.pow(w_s, m // ell)) for ell in ells):
+                xi = w_s
+            n += 1
+        if xi is None:
+            raise FieldError(f"no element of order {m} found")  # unreachable
+        if not self.is_one(self.pow(xi, m)):
+            raise FieldError(f"the element found for xi_{m} has xi^{m} != 1")
+        return xi
+
+    def _first_block_xi(self, U: ExtElem, s: int, ells: Dict[int, int]) -> Optional[ExtElem]:
+        """The first (c u)^s of exact order m, c in GF(q)* in counter order, u
+        = y^(o-1) and U = u^s; None when no c gives one.
+
+        Closed form (Lidl & Niederreiter, ch. 2): (c u)^s = c^s U, and its
+        (m/l)-th power is c^E z_l, with z_l = U^(m/l) and E = (q^o - 1)/l
+        mod (q - 1), as c^(q-1) = 1.  That is 1 only when z_l is a scalar
+        lambda and c^E lambda = 1, so one power of U per prime l and a scan
+        over GF(q)* replace q - 1 powers.  The scan takes chunks of c that
+        double up to _XI_SCAN_ROWS, so a large q scans little when an early
+        c passes."""
+        base, q, o, e, p = self.base, self.q, self.o, self.base.e, self.p
+        tests = []  # (E, multiplication matrix of lambda) per l at which some c fails
+        for ell in ells:
+            z = self.pow(U, self.m // ell)
+            if z[e:].any():
+                continue  # not a scalar: no c fails at l
+            E = (self.order - 1) // ell % (q - 1)
+            if E:
+                tests.append((E, base._mul_mats(z[:e])))
+            elif self.is_one(z):
+                return None  # c^0 z_l = 1 for every c
+        lo, size = 1, 64
+        while lo < q:
+            cs = base._rows(np.arange(lo, min(q, lo + size)))
+            fails = np.zeros(len(cs), dtype=bool)
+            for E, lam in tests:
+                c_lam = base._pow_rows(cs, E) @ lam % p
+                fails |= (c_lam[:, 0] == 1) & ~c_lam[:, 1:].any(axis=1)
+            if not fails.all():
+                c_s = base._pow_rows(cs[fails.argmin()][None], s % (q - 1))[0]
+                return (U.reshape(o, e) @ base._mul_mats(c_s) % p).ravel()
+            lo, size = lo + size, min(2 * size, _XI_SCAN_ROWS)
+        return None
 
 
 _EXT_CACHE: Dict[Tuple[int, int, int], ExtFieldCtx] = {}

@@ -246,6 +246,44 @@ def oracle_coprime(F: TupleField, a, b) -> bool:
     return len(b) == 1
 
 
+def oracle_xi(ext: ExtFieldCtx) -> Tuple[np.ndarray, int]:
+    """(xi, n) by the plain counter walk: xi is w^s, s = (q^o - 1)/m, for the
+    first w in counter order whose power has exact order m, and n is w's
+    counter.  The least significant base-q digit of n is the y^(o-1)
+    coefficient, so n < q are the multiples c y^(o-1), c in GF(q)*."""
+    m, q, o = ext.m, ext.q, ext.o
+    if m == 1:
+        return ext.one(), 0
+    TF, s = TupleField(ext.base), (ext.order - 1) // m
+    for n in range(1, ext.order):
+        rows, counter = [], n
+        for _ in range(o):
+            counter, digit = divmod(counter, q)
+            rows.append(TF.element_by_counter(digit))
+        w = np.array(rows[::-1], dtype=np.int64)
+        xi = ext.pow(w, s)
+        if not any(ext.is_one(ext.pow(xi, m // ell)) for ell in factorize(m)):
+            return xi, n
+    raise AssertionError(f"no element of order {m}")
+
+
+def oracle_irreducible(F: TupleField, f) -> bool:
+    """Trial division: the monic f (coefficient tuples, low degree first) of
+    degree d is irreducible iff no monic g of degree 1..d/2 leaves remainder 0."""
+    d, neg = len(f) - 1, F.scalar(-1)
+    for deg in range(1, d // 2 + 1):
+        for n in range(F.q**deg):
+            g = [F.element_by_counter(n // F.q**i % F.q) for i in range(deg)] + [F.one()]
+            r = list(f)
+            for top in range(d, deg - 1, -1):  # cancel r[top] with r[top] y^(top-deg) g
+                c = F.mul(neg, r[top])
+                for j in range(deg + 1):
+                    r[top - deg + j] = F.add(r[top - deg + j], F.mul(c, g[j]))
+            if all(x == F.zero() for x in r[:deg]):
+                return False
+    return True
+
+
 def brute_force_min_weight(genmat: np.ndarray, q: int) -> int:
     """Plain full enumeration over all messages (test-scale oracle)."""
     k, n = genmat.shape

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from metacode import groups as gr, idem as id_
 from metacode.cli import UsageError, _unit_spec, main
 
 
@@ -62,6 +67,27 @@ def test_pci_list_json(capsys):
     # sparse serialisation lines are "i j coeff"
     first = rows[0]["coeffs"][0].split()
     assert len(first) == 3
+
+
+def test_pci_list_at_a_large_prime_q_finishes():
+    # over GF(1000003), q = 3 mod 8, GF(q^2) is GF(q)[y]/(y^2 + 1) and every
+    # c y in the first block of xi_8's counter order has the square norm c^2:
+    # taking that block one power per c did not finish in 25 s.  Run in a
+    # child so that a hang fails at the bound.
+    q = 1_000_003
+    src = str(Path(id_.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "metacode.cli", "pci", "list", "--spec", "D:8", "--q", str(q), "--json"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20,
+    )
+    assert out.returncode == 0, out.stderr
+    rows = json.loads(out.stdout)
+    alg = id_.GroupAlgebra(gr.group_from_spec("D:8"), q)
+    idems = id_.pcis_for_group(alg)
+    assert [(r["pair"], r["k"]) for r in rows] == [(e.pair.label(), e.k) for e in idems]
+    assert all(e.value.is_idempotent() for e in idems)
+    assert all((e.value * f.value).weight() == 0 for i, e in enumerate(idems) for f in idems[i + 1:])
+    assert id_.sum_idempotents(alg, idems) == alg.one()
 
 
 def test_unit_command(capsys):

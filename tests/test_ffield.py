@@ -20,7 +20,9 @@ from helpers import (
     base_part,
     direct_trace_vanishes,
     oracle_coprime,
+    oracle_irreducible,
     oracle_vanishes,
+    oracle_xi,
     phi_all_vanish,
 )
 
@@ -598,7 +600,7 @@ def test_coprime_matches_a_tuple_euclid(q):
 def test_modulus_search_past_the_gcd_tables_fails_at_once(monkeypatch):
     F = ff.make_field(2, 11)  # the search for F itself runs over GF(2)
     assert F.q ** 2 > ff._GCD_TABLE_CELLS and len(F.modulus) == 12
-    monkeypatch.setattr(ff, "_is_irreducible", lambda ring: pytest.fail("a candidate was tested"))
+    monkeypatch.setattr(ff, "_is_irreducible", lambda *args: pytest.fail("a candidate was tested"))
     with pytest.raises(ff.FieldTooLarge):
         ff.extension_for_root(F, 3)  # degree 2 over GF(2^11)
     assert ff.extension_for_root(F, 23).o == 1  # y needs no search
@@ -632,6 +634,52 @@ def test_find_xi_checks_the_order_of_the_element_it_returns():
     ring = ff._QuotientRing(ff.make_field(2), np.array([[1], [0], [1]]))
     with pytest.raises(ff.FieldError):
         ff.ExtFieldCtx(ring, 3)
+
+
+# modulus degrees the xi oracle builds per q: every m < 90 for q <= 5
+XI_ORACLE_DEGREE = {2: 200, 3: 200, 4: 200, 5: 200, 7: 24, 9: 24, 13: 12, 25: 8, 27: 8}
+
+
+@pytest.mark.parametrize("q", sorted(XI_ORACLE_DEGREE))
+def test_find_xi_matches_the_counter_walk(q):
+    # the first block, c y^(o-1) for c in GF(q)*, is tested in closed form;
+    # the counter walk tests every candidate by its power
+    ctx, kinds = base_field_of(q), set()
+    for m in range(1, 90):
+        if math.gcd(q, m) != 1 or ff.mult_order(q, m) > XI_ORACLE_DEGREE[q]:
+            continue
+        E = ff.extension_for_root(ctx, m)
+        xi, n = oracle_xi(E)
+        assert np.array_equal(E.xi, xi), (q, m, n)
+        kinds.add((E.o == 1, n < q))
+    # o = 1; xi inside the first block with o > 1; and past it, where the walk takes over
+    assert {(True, True), (False, True), (False, False)} <= kinds, kinds
+
+
+@pytest.mark.parametrize("q,top", [(2, 7), (3, 7), (4, 4)])
+def test_is_irreducible_matches_trial_division(q, top):
+    # degrees on both sides of q^i = d, where y^(q^i) stops being a monomial;
+    # rootless skips i = 1, so it is asked only of f without a root
+    base, TF = base_field_of(q), TupleField(base_field_of(q))
+    verdicts = set()
+    for d in range(2, top + 1):
+        for n in range(q**d):
+            f = [TF.element_by_counter(n // q**i % q) for i in range(d)] + [TF.one()]
+            want = oracle_irreducible(TF, f)
+            rows = np.array(f, dtype=np.int64).reshape(d + 1, base.e)
+            assert ff._is_irreducible(ff._QuotientRing(base, rows.copy()), False) == want, (q, f)
+            rootless = all(_poly_value(TF, f, TF.element_by_counter(x)) != TF.zero() for x in range(q))
+            if rootless:
+                assert ff._is_irreducible(ff._QuotientRing(base, rows.copy()), True) == want, (q, f)
+            verdicts.add((rootless, want))
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def _poly_value(F, f, x):
+    out = F.zero()
+    for c in reversed(f):
+        out = F.add(F.mul(out, x), c)
+    return out
 
 
 # rings GF(p^e)[y]/(f) for the matrix paths: e in {1, 2}, o = 1, p in {2, 3, 13},
@@ -683,12 +731,14 @@ def test_doubled_xi_powers_match_sequential_products(q):
         assert np.array_equal(E._powers(E.xi, m), np.array(seq)), m
 
 
-@pytest.mark.parametrize("q,m,picked", [
-    (17, 7, "pow"),  # o = 6: 18 candidates, 35 products against 30
-    (5, 54, "_pow_digits"),  # o = 18: 27 candidates, 29 products against 52
-    (1_000_037, 87, "pow"),  # o = 2: the first candidate fails; 50 products either way
+# calls counts the powers w^s: U = u^s of the first block, then one per
+# candidate walked past it
+@pytest.mark.parametrize("q,m,picked,powers", [
+    pytest.param(17, 7, "pow", 3, id="17-7-pow"),  # o = 6: U and 2 walked; 35 products against 30
+    pytest.param(5, 54, "_pow_digits", 24, id="5-54-_pow_digits"),  # o = 18: U and 23 walked; 29 against 52
+    pytest.param(1_000_037, 87, "pow", 1, id="1000037-87-pow"),  # o = 2: xi in the first block; 50 either way
 ])
-def test_find_xi_takes_the_power_with_fewer_products(monkeypatch, q, m, picked):
+def test_find_xi_takes_the_power_with_fewer_products(monkeypatch, q, m, picked, powers):
     s, calls = (q**ff.mult_order(q, m) - 1) // m, []
     monkeypatch.setattr(ff, "_EXT_CACHE", {})
 
@@ -704,5 +754,5 @@ def test_find_xi_takes_the_power_with_fewer_products(monkeypatch, q, m, picked):
     for name in ("pow", "_pow_digits"):
         monkeypatch.setattr(ff._QuotientRing, name, counted(name))
     E = ff.extension_for_root(ff.make_field(q), m)
-    assert len(calls) > 1 and set(calls) == {picked}
+    assert len(calls) == powers and set(calls) == {picked}
     assert E.is_one(E.pow(E.xi, m)) and not any(E.is_one(E.pow(E.xi, m // ell)) for ell in ff.factorize(m))
