@@ -165,20 +165,40 @@ def cmd_pci_list(args) -> int:
     return 0
 
 
+def _metacyclic(G: FiniteGroup, what: str) -> MetacyclicGroup:
+    """G itself, or UsageError when it has no generators a, b for what needs them."""
+    if not isinstance(G, MetacyclicGroup):
+        raise UsageError(f"{what} needs a metacyclic --spec (generators a, b); "
+                         f"{G.name} is not metacyclic")
+    return G
+
+
+def _unit(alg: idem.GroupAlgebra, kind: str, params: List[int],
+          e: Optional[idem.Idempotent] = None) -> units.UnitElement:
+    """The unit of one kind on the generators a, b; a constructed unit lives in
+    the corner of e, by default the pci k = 1 of the first pair with H != G."""
+    G = _metacyclic(alg.G, f"the {kind} unit")
+    if kind == "bicyclic":
+        gi, gj, hi, hj = params
+        return units.bicyclic(alg, G.encode(gi, gj), G.encode(hi, hj))
+    if kind == "bass":
+        return units.bass(alg, G.a, *params)
+    if kind == "alt":
+        return units.alternating(alg, G.a, *params)
+    if e is None:
+        pairs = [p for p in shoda.ssp_catalog(G) if p.H.order < G.order]
+        if not pairs:
+            raise UsageError(f"the constructed unit needs a pair with H != G; {G.name} has none")
+        e = idem.pci(alg, pairs[0], 1)
+    return units.constructed_unit(alg, e, *params, subgroup_closure(G, [G.b]))
+
+
 def cmd_unit(args) -> int:
     G = _load_group(args.spec)
     alg = idem.GroupAlgebra(G, args.q)
-    if args.kind == "bicyclic":
-        u = units.bicyclic(alg, G.encode(args.gi, args.gj), G.encode(args.hi, args.hj))
-    elif args.kind == "bass":
-        u = units.bass(alg, G.a, args.k, args.m)
-    elif args.kind == "alt":
-        u = units.alternating(alg, G.a, args.k)
-    else:
-        pairs = [p for p in shoda.ssp_catalog(G) if p.H.order < G.order]
-        e = idem.pci(alg, pairs[0], 1)
-        B = subgroup_closure(G, [G.b])
-        u = units.constructed_unit(alg, e, args.s, args.k, B)
+    params = {"bicyclic": [args.gi, args.gj, args.hi, args.hj], "bass": [args.k, args.m],
+              "alt": [args.k], "constructed": [args.s, args.k]}[args.kind]
+    u = _unit(alg, args.kind, params)
     ok = u.verify()
     print(f"{args.kind} unit: wt(u) = {u.value.weight()}, wt(u^-1) = {u.inverse.weight()}, "
           f"u*u^-1 == identity: {ok}")
@@ -201,6 +221,8 @@ def _unit_spec(text: str) -> Tuple[str, List[int]]:
 
 def _build_code(args) -> code_mod.LinearCode:
     G = _load_group(args.spec)
+    if args.unit or args.beta or args.left:
+        _metacyclic(G, "--unit/--beta/--left")
     alg = idem.GroupAlgebra(G, args.q)
     idems = idem.pcis_for_group(alg)
     if not 0 <= args.pci < len(idems):
@@ -209,13 +231,7 @@ def _build_code(args) -> code_mod.LinearCode:
     provenance = {"pci": args.pci, "pair": e.pair.label(), "k": e.k}
     if args.unit:
         kind, params = _unit_spec(args.unit)
-        if kind == "alt":
-            u = units.alternating(alg, G.a, *params)
-        elif kind == "bass":
-            u = units.bass(alg, G.a, *params)
-        else:
-            u = units.constructed_unit(alg, e, *params, subgroup_closure(G, [G.b]))
-        f = units.conjugate_idempotent(alg, e, args.beta, u)
+        f = units.conjugate_idempotent(alg, e, args.beta, _unit(alg, kind, params, e))
         provenance["unit"] = args.unit
         provenance["beta"] = args.beta
     elif args.beta:

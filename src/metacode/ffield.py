@@ -430,7 +430,7 @@ def _sqm_products(n: int) -> int:
 
 
 def _base_digits(n: int, q: int) -> List[int]:
-    """The base-q digits of n >= 1, least significant first."""
+    """The base-q digits of n >= 0, least significant first (none for 0)."""
     digits = []
     while n:
         n, d = divmod(n, q)
@@ -705,12 +705,9 @@ def _irreducible(base: FieldCtx, d: int) -> _QuotientRing:
         f[0] = base._rows(c0)
         for rest in range(q ** (d - 1)):
             # rest's digits fill c_{d-1}, c_{d-2}, ... from least significant
+            rest_digits = _base_digits(rest, q)
             f[1:d] = 0
-            nn, i = rest, d - 1
-            while nn:
-                nn, digit = divmod(nn, q)
-                f[i] = base._rows(digit)
-                i -= 1
+            f[d - len(rest_digits):d] = base._rows(rest_digits[::-1])
             if pow_mats is not None:
                 values = np.einsum("is,xist->xt", f, pow_mats) % p
                 if not values.any(axis=1).all():
@@ -790,11 +787,8 @@ class ExtFieldCtx(_QuotientRing):
             # counter order mirrors the base-field lex rule across rows: the
             # least significant base-q digit of n is the y^(o-1) coefficient;
             # rows above n's leading digit stay zero, as n only grows
-            counter, i = n, o - 1
-            while counter:
-                counter, digit = divmod(counter, q)
-                w[i] = base._rows(digit)
-                i -= 1
+            n_digits = _base_digits(n, q)
+            w[o - len(n_digits):] = base._rows(n_digits[::-1])
             w_s = self._pow_digits(w, digits) if by_digits else self.pow(w, s)
             if not any(self.is_one(self.pow(w_s, m // ell)) for ell in ells):
                 xi = w_s

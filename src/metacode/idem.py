@@ -237,23 +237,21 @@ class CyclotomicCoset:
     members: Tuple[int, ...]
 
 
+def _unit_orbits(m: int, xs: Sequence[int]) -> List[np.ndarray]:
+    """The orbits of t -> t x, x in xs, on the units of Z/m, each sorted and
+    listed by least member (the units of Z/1 are {0})."""
+    t = np.arange(m, dtype=np.int64)
+    units = t[np.gcd(t, m) == 1]
+    labels = orbit_labels(np.outer(np.array(xs, dtype=np.int64) % m, t) % m)[units]
+    order = np.argsort(labels, kind="stable")
+    return np.split(units[order], np.flatnonzero(np.diff(labels[order])) + 1)
+
+
 def cyclotomic_cosets(m: int, q: int) -> List[CyclotomicCoset]:
     """q-cosets of the generators of a cyclic group of order m."""
-    if m == 1:
-        return [CyclotomicCoset(1, 0, (0,))]
-    seen = set()
-    out = []
-    for k in range(1, m):
-        if math.gcd(k, m) != 1 or k in seen:
-            continue
-        orbit = []
-        t = k
-        while t not in seen:
-            seen.add(t)
-            orbit.append(t)
-            t = (t * q) % m
-        out.append(CyclotomicCoset(m, min(orbit), tuple(sorted(orbit))))
-    return out
+    if math.gcd(q, m) != 1:  # t -> t q would not permute the units
+        raise NotCoprime(f"gcd(q={q}, m={m}) != 1")
+    return [CyclotomicCoset(m, int(c[0]), tuple(c.tolist())) for c in _unit_orbits(m, [q])]
 
 
 @dataclass
@@ -282,32 +280,17 @@ def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
     exps = sorted(set(t_of_N.tolist()))
 
     cosets = cyclotomic_cosets(m, q)
-    by_rep = {c.rep: c for c in cosets}
-    member_rep = {s: c.rep for c in cosets for s in c.members}
-
-    unseen = set(by_rep)
-    orbits: List[Tuple[int, ...]] = []
-    for rep in sorted(by_rep):
-        if rep not in unseen:
-            continue
-        orbit = set()
-        frontier = [rep]
-        unseen.discard(rep)
-        while frontier:
-            r = frontier.pop()
-            orbit.add(r)
-            for t in exps:
-                r2 = member_rep[(r * t) % m] if m > 1 else 0
-                if r2 in unseen:
-                    unseen.discard(r2)
-                    frontier.append(r2)
-        orbits.append(tuple(sorted(orbit)))
-    orbit_reps = [min(o_) for o_ in orbits]
+    rep_of = np.zeros(m, dtype=np.int64)  # unit -> its coset's rep
+    for c in cosets:
+        rep_of[list(c.members)] = c.rep
+    # the orbits of the cosets under the * action: the orbits of <q, exps>
+    orbits = [tuple(orb[rep_of[orb] == orb].tolist()) for orb in _unit_orbits(m, [q] + exps)]
+    orbit_reps = [o_[0] for o_ in orbits]
 
     # stabiliser index [E:H] from the first orbit (all agree; checked)
     stab_indices = []
     for rep in orbit_reps:
-        count = int(np.isin(rep * t_of_N % m, by_rep[rep].members).sum())
+        count = int(np.count_nonzero(rep_of[rep * t_of_N % m] == rep))
         _require(count % H.order == 0, "stabiliser count is not a multiple of |H|")
         stab_indices.append(count // H.order)
     _require(len(set(stab_indices)) <= 1, "orbits of one pair must have equal stabilisers")
@@ -315,9 +298,7 @@ def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
 
     # omega0: least w with t_b^w in <q> mod m, from a generator x0 of N/H when
     # it is cyclic
-    omega0 = 1
-    if m > 1:
-        omega0 = None if x0 is None else coset_order(int(t_of_N[np.searchsorted(N, x0)]), q, m)
+    omega0 = None if x0 is None else coset_order(int(t_of_N[np.searchsorted(N, x0)]), q, m)
 
     return OrbitData(
         pair=pair,
@@ -328,7 +309,7 @@ def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
         cosets=cosets,
         orbits=orbits,
         orbit_reps=orbit_reps,
-        stab_index=stab_indices[0] if stab_indices else 1,
+        stab_index=stab_indices[0],
         action_exps=tuple(exps),
         omega0=omega0,
     )

@@ -44,7 +44,7 @@ class Normaliser(NamedTuple):
     elements: np.ndarray  # N = N_G(H) cap N_G(K), sorted indices
     exps: np.ndarray  # per element x of N, the t with x^-1 h0 x in K h0^t
     # the first generator of N/H, None if not cyclic; the identity when N = H
-    # or when m = 1, where nothing reads it
+    # or when m = 1
     x0: Optional[int]
 
 
@@ -126,59 +126,29 @@ def _ab(G: MetacyclicGroup, i: int, j: int) -> int:
     return G.encode(i + G.s * fold, j - fold * G.M)
 
 
-def ssp_dihedral_any(G: MetacyclicGroup) -> List[ShodaPair]:
-    """S(D_2n) for arbitrary n >= 3, split by the parity of n."""
-    n = G.N
-    if G.M != 2 or G.s != 0 or G.r != n - 1 or n < 3:
-        raise NotGenericFamily(f"{G.name} is not dihedral")
-    top = full_subgroup(G)
-    A = subgroup_closure(G, [G.a])
-    out = [_pair(top, top, "dihedral"), _pair(top, A, "dihedral")]
-    if n % 2 == 0:
-        out.append(_pair(top, subgroup_closure(G, [_ab(G, 2, 0), _ab(G, 0, 1)]), "dihedral"))
-        out.append(_pair(top, subgroup_closure(G, [_ab(G, 2, 0), _ab(G, 1, 1)]), "dihedral"))
-        vs = [v for v in _divisors(n) if v > 2]
+def ssp_m2(G: MetacyclicGroup) -> List[ShodaPair]:
+    """S(G) for the M = 2 families: dihedral D_2N (r = N - 1, s = 0, N >= 3),
+    generalised quaternion (r = N - 1, s = N/2; N = 2 gives C4) and
+    semidihedral (r = N/2 - 1, s = 0, N = 2^n >= 8), in one list: (G, G),
+    (G, <a>), for even N the kernels of G/<a^2> with cyclic quotient, and
+    (<a>, <a^v>) for each v | N with v > 2."""
+    N, r, s = G.N, G.r, G.s
+    if G.M == 2 and r == N - 1 and s == 0 and N >= 3:
+        family = "dihedral"
+    elif G.M == 2 and r == N - 1 and N % 2 == 0 and s == N // 2:
+        family = "quaternion"
+    elif G.M == 2 and s == 0 and N >= 8 and N & (N - 1) == 0 and r == N // 2 - 1:
+        family = "2group"
     else:
-        vs = [v for v in _divisors(n) if v != 1]
-    for v in vs:
-        out.append(_pair(A, subgroup_closure(G, [_ab(G, v, 0)]), "dihedral", v=v))
-    return out
-
-
-def ssp_quaternion_any(G: MetacyclicGroup) -> List[ShodaPair]:
-    """S(Q_4m) for arbitrary m >= 2, split by the parity of m."""
-    if G.M != 2 or G.N % 2 or G.r != G.N - 1 or G.s != G.N // 2:
-        raise NotGenericFamily(f"{G.name} is not generalised quaternion")
-    m = G.N // 2
+        raise NotGenericFamily(f"{G.name} is not dihedral, quaternion or semidihedral")
     top = full_subgroup(G)
     A = subgroup_closure(G, [G.a])
-    out = [_pair(top, top, "quaternion"), _pair(top, A, "quaternion")]
-    if m % 2 == 1:
-        out.append(_pair(top, subgroup_closure(G, [_ab(G, 2, 0)]), "quaternion"))
-    else:
-        out.append(_pair(top, subgroup_closure(G, [_ab(G, 2, 0), _ab(G, 0, 1)]), "quaternion"))
-        out.append(_pair(top, subgroup_closure(G, [_ab(G, 2, 0), _ab(G, 1, 1)]), "quaternion"))
-    for v in [v for v in _divisors(2 * m) if v > 2]:
-        out.append(_pair(A, subgroup_closure(G, [_ab(G, v, 0)]), "quaternion", v=v))
-    return out
-
-
-def ssp_2group(G: MetacyclicGroup) -> List[ShodaPair]:
-    """S(G) for G = D, Q or SD of order 2^(n+1): the shared list."""
-    N = G.N
-    n = N.bit_length() - 1
-    if G.M != 2 or N != 1 << n or n < 2:
-        raise NotGenericFamily(f"{G.name} is not a maximal-cyclic 2-group")
-    top = full_subgroup(G)
-    A = subgroup_closure(G, [G.a])
-    out = [
-        _pair(top, top, "2group"),
-        _pair(top, A, "2group"),
-        _pair(top, subgroup_closure(G, [_ab(G, 2, 0), _ab(G, 0, 1)]), "2group"),
-        _pair(top, subgroup_closure(G, [_ab(G, 2, 0), _ab(G, 1, 1)]), "2group"),
-    ]
-    for j in range(2, n + 1):
-        out.append(_pair(A, subgroup_closure(G, [_ab(G, 1 << j, 0)]), "2group", j=j))
+    out = [_pair(top, top, family), _pair(top, A, family)]
+    if N % 2 == 0:  # G/<a^2> is C4 when s is odd, else C2 x C2 with two such kernels
+        for more in [[]] if s % 2 else [[_ab(G, 0, 1)], [_ab(G, 1, 1)]]:
+            out.append(_pair(top, subgroup_closure(G, [_ab(G, 2, 0)] + more), family))
+    for v in [v for v in _divisors(N) if v > 2]:
+        out.append(_pair(A, subgroup_closure(G, [_ab(G, v, 0)]), family, v=v))
     return out
 
 
@@ -399,9 +369,7 @@ def ssp_catalog(G: FiniteGroup) -> List[ShodaPair]:
     if G.M == 1 or G.N == 1:
         return ssp_cyclic(G)
     for builder in (
-        ssp_dihedral_any,
-        ssp_quaternion_any,
-        _ssp_sd,
+        ssp_m2,
         ssp_ordinary_metacyclic,
         _ssp_p5_match,
         ssp_generic_split,
@@ -411,14 +379,6 @@ def ssp_catalog(G: FiniteGroup) -> List[ShodaPair]:
         except NotGenericFamily:
             continue
     raise NotGenericFamily(f"no catalog matches {G.name} (N={G.N}, M={G.M}, r={G.r}, s={G.s})")
-
-
-def _ssp_sd(G: MetacyclicGroup) -> List[ShodaPair]:
-    N = G.N
-    n = N.bit_length() - 1
-    if N != 1 << n or n < 3 or G.M != 2 or G.s != 0 or G.r != N // 2 - 1:
-        raise NotGenericFamily(f"{G.name} is not semidihedral")
-    return ssp_2group(G)
 
 
 def _ssp_p5_match(G: MetacyclicGroup) -> List[ShodaPair]:

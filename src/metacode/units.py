@@ -104,16 +104,13 @@ def constructed_unit(
     s: int,
     k: int,
     B: Subgroup,
-    a: Optional[int] = None,
 ) -> UnitElement:
     """e + s B^ a^k (1 - B^) e: a unit of the corner algebra with identity e."""
     if s % alg.q == 0:
         raise BadParameters("s must be nonzero in GF(q)")
     G = alg.G
-    if a is None:
-        a = getattr(G, "a")
     bh = alg.hat(B)
-    mid = ((bh * alg.basis(G.power(a, k), s)) * (alg.one() - bh)) * e.value
+    mid = ((bh * alg.basis(G.power(G.a, k), s)) * (alg.one() - bh)) * e.value
     return UnitElement(e.value + mid, e.value - mid, "constructed", e.value)
 
 
@@ -151,7 +148,7 @@ def conjugate_idempotent(
     opposite one loses distance on the order-57 instance.
     """
     G = alg.G
-    B = subgroup_closure(G, [G.power(getattr(G, "b"), beta)])
+    B = subgroup_closure(G, [G.power(G.b, beta)])
     f = e.value * alg.hat(B)
     if u is not None:
         f = (u.value * f) * u.inverse

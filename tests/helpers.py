@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -507,3 +508,41 @@ def oracle_orbit_labels(perms) -> List[int]:
                         todo.append(p[y])
             count += 1
     return labels
+
+
+def oracle_unit_orbits(m: int, q: int, t_of_N) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]], List[int]]:
+    """The q-cosets of the units of Z/m, the orbits of their least members
+    under r -> (the rep of r t), t in t_of_N, and per orbit the count of t
+    with r t in r's coset, by scalar walks: the cosets, orbits and
+    stabiliser counts of idem.cosets_and_orbits."""
+    if m == 1:
+        return [(0,)], [(0,)], [len(t_of_N)]
+    seen, cosets = set(), []
+    for k in range(1, m):
+        if math.gcd(k, m) != 1 or k in seen:
+            continue
+        coset, t = [], k
+        while t not in seen:
+            seen.add(t)
+            coset.append(t)
+            t = t * q % m
+        cosets.append(tuple(sorted(coset)))
+    rep_of = {s: c[0] for c in cosets for s in c}
+    exps = sorted(set(t_of_N))
+    unseen, orbits = {c[0] for c in cosets}, []
+    for rep in sorted(unseen):
+        if rep not in unseen:
+            continue
+        orbit, frontier = set(), [rep]
+        unseen.discard(rep)
+        while frontier:
+            r = frontier.pop()
+            orbit.add(r)
+            for t in exps:
+                r2 = rep_of[r * t % m]
+                if r2 in unseen:
+                    unseen.discard(r2)
+                    frontier.append(r2)
+        orbits.append(tuple(sorted(orbit)))
+    counts = [sum(rep_of[o[0] * t % m] == o[0] for t in t_of_N) for o in orbits]
+    return cosets, orbits, counts

@@ -114,6 +114,16 @@ def test_unit_errors_reach_the_error_path(capsys):
     assert rc == 1 and err.startswith("error: ") and "characteristic 2" in err
     rc, _, err = run(capsys, "unit", "--kind", "bass", "--spec", "D:14", "--q", "3", "--k", "2")
     assert rc == 1 and err.startswith("error: ") and "!= 1 mod 7" in err
+    # units, --beta and --left need the generators a, b of a metacyclic spec
+    for kind in ("alt", "bass", "bicyclic", "constructed"):
+        rc, _, err = run(capsys, "unit", "--kind", kind, "--spec", "C2xQ8", "--q", "3")
+        assert rc == 1 and err.startswith("error: ") and "metacyclic --spec" in err, kind
+    for extra in (["--unit", "alt:3"], ["--beta", "1"], ["--left"]):
+        rc, _, err = run(capsys, "code", "build", "--spec", "C2xQ8", "--q", "3", "--pci", "1", *extra)
+        assert rc == 1 and err.startswith("error: ") and "metacyclic --spec" in err, extra
+    # a constructed unit takes its corner from a pair with H != G
+    rc, _, err = run(capsys, "unit", "--kind", "constructed", "--spec", "C:5", "--q", "2")
+    assert rc == 1 and err.startswith("error: ") and "H != G" in err
 
 
 @pytest.mark.parametrize("spec", ["bass", "constructed:1", "alt:", "alt:x", "bass:1:2:3"])

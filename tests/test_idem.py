@@ -8,7 +8,7 @@ from metacode import ffield as ff
 from metacode import groups as gr
 from metacode import idem as id_
 from metacode import shoda as sh
-from helpers import count_pcis
+from helpers import count_pcis, oracle_unit_orbits
 
 
 def find_pair(G, H_order, index=None):
@@ -119,6 +119,29 @@ def test_cyclotomic_cosets():
     cosets = id_.cyclotomic_cosets(7, 2)
     assert {c.members for c in cosets} == {(1, 2, 4), (3, 5, 6)}
     assert id_.cyclotomic_cosets(1, 5)[0].members == (0,)
+    with pytest.raises(ff.NotCoprime):
+        id_.cyclotomic_cosets(15, 3)
+
+
+def test_cosets_and_orbits_match_scalar_walks(matrix):
+    # cosets, orbits, reps and stabiliser index against the scalar walks of
+    # oracle_unit_orbits, on every pair of the suite groups and G21 x G55
+    analogue = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                                 gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    checked = 0
+    for G in {G.name: G for G, _q in matrix + [(analogue, 2)]}.values():
+        for pair in sh.ssp_catalog(G):
+            for q in (2, 3, 5, 7, 13):
+                if math.gcd(q, G.order) != 1:
+                    continue
+                od = id_.cosets_and_orbits(G, pair, q)
+                cosets, orbits, counts = oracle_unit_orbits(od.m, q, pair.normaliser.exps.tolist())
+                assert [c.members for c in od.cosets] == cosets, (G.name, pair.label(), q)
+                assert [c.rep for c in od.cosets] == [c[0] for c in cosets]
+                assert od.orbits == orbits and od.orbit_reps == [o[0] for o in orbits]
+                assert od.stab_index == counts[0] // pair.H.order
+                checked += 1
+    assert checked > 200
 
 
 def test_orbits_d14_f2_single_orbit():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from metacode import groups as gr
@@ -26,11 +28,25 @@ def test_generic_split_counts():
 def test_2group_counts():
     for order, n in ((16, 3), (32, 4), (64, 5)):
         for G in (gr.dihedral(order), gr.quaternion(order), gr.semidihedral(order)):
-            pairs = sh.ssp_2group(G)
+            pairs = sh.ssp_catalog(G)
             assert len(pairs) == 4 + (n - 1)
             for pair in pairs:
                 ok, why = sh.verify_ssp(G, pair)
                 assert ok, (G.name, pair.label(), why)
+
+
+def test_m2_catalogs_pinned():
+    # (H, K, family) of every pair, in catalog order, for D_2n (n = 3..79),
+    # Q_4m (m = 2..39), SD_2^k (k = 4..8) and C4 presented as N = 2
+    # quaternion, hashed when dihedral, quaternion and semidihedral had one
+    # builder each
+    groups = ([gr.dihedral(2 * n) for n in range(3, 80)] + [gr.quaternion(4 * m) for m in range(2, 40)]
+              + [gr.semidihedral(2**k) for k in range(4, 9)] + [gr.MetacyclicGroup(2, 2, 1, 1)])
+    h = hashlib.sha256()
+    for G in groups:
+        for p in sh.ssp_catalog(G):
+            h.update(repr((p.H.elements, p.K.elements, p.family)).encode())
+    assert h.hexdigest() == "fc8a350177b569cc6cdb99bdae931449ec06959bcddcbae82856000bcf6cff0e"
 
 
 def test_ordinary_metacyclic_2_counts():
