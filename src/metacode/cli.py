@@ -131,6 +131,7 @@ def _sparse_lines(G: FiniteGroup, e: idem.AlgebraElement) -> List[str]:
 
 def cmd_pci_list(args) -> int:
     G = _load_group(args.spec)
+    B = subgroup_closure(G, [_metacyclic(G, "--left").b]) if args.left else None
     alg = idem.GroupAlgebra(G, args.q)
     idems = idem.pcis_for_group(alg)
     rows = []
@@ -144,19 +145,17 @@ def cmd_pci_list(args) -> int:
         if args.json:
             row["coeffs"] = _sparse_lines(G, e.value)
         rows.append(row)
-        if args.left and e.pair.H.order < G.order:
-            B = subgroup_closure(G, [G.b]) if isinstance(G, MetacyclicGroup) else None
-            if B is not None:
-                f1, f2 = idem.left_idempotents(alg, e, B)
-                for tag, f in (("e*B^", f1), ("e*(1-B^)", f2)):
-                    rows.append(
-                        {
-                            "pair": e.pair.label(),
-                            "k": e.k,
-                            "kind": f"left {tag}",
-                            "support": int(f.value.weight()),
-                        }
-                    )
+        if B is not None and e.pair.H.order < G.order:
+            f1, f2 = idem.left_idempotents(alg, e, B)
+            for tag, f in (("e*B^", f1), ("e*(1-B^)", f2)):
+                rows.append(
+                    {
+                        "pair": e.pair.label(),
+                        "k": e.k,
+                        "kind": f"left {tag}",
+                        "support": int(f.value.weight()),
+                    }
+                )
     if args.json:
         _emit(rows, args)
     else:

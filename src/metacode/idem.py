@@ -109,9 +109,6 @@ class AlgebraElement:
         self.parts = parts
 
     # -- basics ---------------------------------------------------------------
-    def copy(self) -> "AlgebraElement":
-        return AlgebraElement(self.alg, self.vec.copy(), self.parts)
-
     def support(self) -> np.ndarray:
         return np.nonzero(self.vec)[0]
 
@@ -144,9 +141,6 @@ class AlgebraElement:
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self.alg, (self.vec - other.vec) % self.alg.q)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.alg, (-self.vec) % self.alg.q)
 
     def scaled(self, c: int) -> "AlgebraElement":
         return AlgebraElement(self.alg, (self.vec * (c % self.alg.q)) % self.alg.q)
@@ -442,75 +436,43 @@ def _assemble(
 
 
 def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempotent:
-    """Family-table route to the pci: truncated ranges and merged traces.
+    """Family-table route to the pci: one coefficient rule for every row.
 
-    Covers the dihedral/quaternion 2-power tables and the ordinary
+    For m = [H:K] = p^j the pci is hat(K) * sum_{t in I} c_t h0^(-t) with
+    c_t = (1/m) sum_{tau in T} tr(xi_m^(k tau t)).  I is the truncated range
+    `_truncated_indices(m, p, j, _i0_for(q, p))`; T = {r^i mod m : i <
+    coset_order(r, q, m)} is a transversal of <r^omega0> in <r>, for the
+    action a -> a^r of b on H/K (r = G.r on the (<a>, K) rows, r = 1 on the
+    (G, K) rows).  Covers the dihedral, quaternion and semidihedral 2-power
+    tables (r = -1 merges the traces of k and -k) and the ordinary
     metacyclic family for p = 2 and odd p.  RegimeMismatch outside.
     """
     G, q = alg.G, alg.q
-    fam = pair.family
-    H, K = pair.H, pair.K
-    m = pair.index
+    H, m = pair.H, pair.index
     if m == 1:
         top = full_subgroup(G)
         return Idempotent(alg.hat(top), pair, k, "central")
-    tt = trace_table(alg.field, m)[:, 0].tolist()
-    inv_m = pow(m % q, -1, q)
-
-    if fam in ("dihedral", "quaternion", "2group"):
+    if pair.family in ("dihedral", "quaternion", "2group"):
         N = getattr(G, "N", 0)
         if N < 8 or N & (N - 1) or q % 2 == 0:
             raise RegimeMismatch("2-power dihedral/quaternion table needs N=2^n>=8, odd q")
-        if H.order == G.order:
-            if m != 2:
-                raise RegimeMismatch("(G,K) rows of the 2-group tables have index <= 2")
-            g0 = pair.h0
-            coeffs = {t: (tt[(k * t) % m] * inv_m) % q for t in range(m)}
-            return Idempotent(_assemble(alg, K, g0, m, coeffs), pair, k, "central")
-        # (⟨a⟩, ⟨a^{2^j}⟩) rows
-        j = factorize(m).get(2, 0)
-        if 2**j != m:
-            raise RegimeMismatch("a-type rows of the 2-group tables have 2-power index")
-        i0 = _i0_for(q, 2)
-        idxs = _truncated_indices(m, 2, j, i0)
-        merged = coset_order(-1, q, m) > 1  # -1 is not in <q> mod m
-        coeffs = {}
-        for t in idxs:
-            tr = tt[(k * t) % m]
-            if merged:
-                tr = (tr + tt[(-k * t) % m]) % q
-            if tr:
-                coeffs[t] = (tr * inv_m) % q
-        g0 = pair.h0
-        return Idempotent(_assemble(alg, K, g0, m, coeffs), pair, k, "central")
-
-    if fam == "OM":
-        p = G.M
-        i0 = _i0_for(q, p)
-        j = factorize(m).get(p, 0)
-        if p**j != m:
-            raise RegimeMismatch("ordinary metacyclic rows have p-power index")
-        g0 = pair.h0
-        idxs = _truncated_indices(m, p, j, i0)
-        if H.order == G.order:
-            coeffs = {}
-            for t in idxs:
-                tr = tt[(k * t) % m]
-                if tr:
-                    coeffs[t] = (tr * inv_m) % q
-            return Idempotent(_assemble(alg, K, g0, m, coeffs), pair, k, "central")
-        # (⟨a⟩, 1) row: sum over the transversal T of <r^omega0> in <r>
-        r = G.r % m
-        coeffs: Dict[int, int] = {}
-        for tau in (pow(r, i, m) for i in range(coset_order(r, q, m))):
-            for t in idxs:
-                tr = tt[(k * tau * t) % m]
-                if tr:
-                    coeffs[t] = (coeffs.get(t, 0) + tr * inv_m) % q
-        coeffs = {t: c for t, c in coeffs.items() if c % q}
-        return Idempotent(_assemble(alg, K, g0, m, coeffs), pair, k, "central")
-
-    raise RegimeMismatch(f"no closed-form table covers family {fam!r}")
+        if H.order == G.order and m != 2:
+            raise RegimeMismatch("(G,K) rows of the 2-group tables have index <= 2")
+        p, why = 2, "a-type rows of the 2-group tables have 2-power index"
+    elif pair.family == "OM":
+        p, why = G.M, "ordinary metacyclic rows have p-power index"
+    else:
+        raise RegimeMismatch(f"no closed-form table covers family {pair.family!r}")
+    j = factorize(m).get(p, 0)
+    if p**j != m:
+        raise RegimeMismatch(why)
+    r = 1 if H.order == G.order else G.r
+    T = [pow(r, i, m) for i in range(coset_order(r, q, m))]
+    tt = trace_table(alg.field, m)[:, 0].tolist()
+    inv_m = pow(m % q, -1, q)
+    coeffs = {t: sum(tt[k * tau * t % m] for tau in T) * inv_m % q
+              for t in _truncated_indices(m, p, j, _i0_for(q, p))}
+    return Idempotent(_assemble(alg, pair.K, pair.h0, m, coeffs), pair, k, "central")
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,12 @@ def test_criterion_2_closed_form_oracle():
         (gr.ordinary_metacyclic(2, 4), 5),   # 1+2^(n-1) in <q> mod 2^n
         (gr.ordinary_metacyclic(3, 3), 17),  # 1+p^(n-1) not in <q> mod p^n
         (gr.dihedral(32), 7),                # -1 in <q> mod 2^j at j = 3
+        # semidihedral rows (b acts by a -> a^(N/2 - 1)) and deeper 2-power tables
+        (gr.semidihedral(16), 3),
+        (gr.semidihedral(16), 7),
+        (gr.semidihedral(32), 7),
+        (gr.quaternion(32), 17),
+        (gr.dihedral(64), 17),
     ]
     checked = 0
     branches = set()
@@ -77,7 +83,7 @@ def test_criterion_2_closed_form_oracle():
                 )
                 checked += 1
         branches.add((q % 4 == 1, G.name.split("^")[0] if "OM" in G.name else "DQ"))
-    assert checked >= 60
+    assert checked >= 119
     assert {b[0] for b in branches} == {True, False}  # both q = +-1 mod 4
     _report(2, f"{checked} table rows equal the conjugate-sum construction exactly")
 

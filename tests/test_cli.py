@@ -121,6 +121,8 @@ def test_unit_errors_reach_the_error_path(capsys):
     for extra in (["--unit", "alt:3"], ["--beta", "1"], ["--left"]):
         rc, _, err = run(capsys, "code", "build", "--spec", "C2xQ8", "--q", "3", "--pci", "1", *extra)
         assert rc == 1 and err.startswith("error: ") and "metacyclic --spec" in err, extra
+    rc, out, err = run(capsys, "pci", "list", "--spec", "C2xQ8", "--q", "3", "--left")
+    assert rc == 1 and out == "" and err.startswith("error: ") and "metacyclic --spec" in err
     # a constructed unit takes its corner from a pair with H != G
     rc, _, err = run(capsys, "unit", "--kind", "constructed", "--spec", "C:5", "--q", "2")
     assert rc == 1 and err.startswith("error: ") and "H != G" in err

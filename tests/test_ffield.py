@@ -62,6 +62,15 @@ def test_mult_order(q, m, o):
     assert ff.mult_order(q, m) == o
 
 
+def test_is_prime_matches_a_sieve():
+    n = 10_000
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for f in range(2, math.isqrt(n) + 1):
+        sieve[f * f::f] = False
+    assert [ff.is_prime(v) for v in range(-3, n)] == [False] * 3 + sieve.tolist()
+
+
 def _digest(arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:

@@ -1,5 +1,5 @@
 """The package imports only downward, only at module level, and only what
-it uses.
+it uses; every function it defines is read somewhere.
 
 Layers, lowest first: ffield -> groups -> shoda -> idem -> units/code ->
 examples -> cli.  A module may import from a strictly lower layer; units
@@ -14,6 +14,7 @@ import metacode
 LAYER = {"ffield": 0, "groups": 1, "shoda": 2, "idem": 3, "units": 4, "code": 4,
          "examples": 5, "cli": 6}
 SRC = Path(metacode.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _intra_package_targets(node):
@@ -50,6 +51,27 @@ def import_violations(path: Path):
     return bad
 
 
+def dead_defs(defining, reading):
+    """Non-dunder defs in the defining files whose name no reading file reads
+    as a Name or an Attribute: entry points nothing calls."""
+    read = set()
+    for path in reading:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    bad = []
+    for path in defining:
+        defs = [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in sorted(defs, key=lambda node: node.lineno):
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not dunder and node.name not in read:
+                bad.append(f"{path.name}:{node.lineno}: {node.name} is never read")
+    return bad
+
+
 def test_every_module_has_a_layer():
     names = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
     assert names == set(LAYER)
@@ -68,3 +90,20 @@ def test_checker_flags_lazy_and_upward_imports(tmp_path):
     assert import_violations(path) == [
         "groups.py:6: import inside f()", "groups.py:4: groups imports idem",
         "groups.py:2: os is imported but not used", "groups.py:3: ref_mod is imported but not used"]
+
+
+def test_every_def_is_read():
+    src = sorted(SRC.glob("*.py"))
+    readers = src + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    assert dead_defs(src, readers) == []
+
+
+def test_checker_flags_unread_defs(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text("class A:\n    def __neg__(self):\n        return self\n"
+                   "    def copy(self):\n        return self.copy\n"
+                   "    def spare(self):\n        pass\n"
+                   "def used():\n    pass\ndef unused():\n    spare = 1\n")
+    user.write_text("from lib import used\nused()\nA.spare = None\n")
+    assert dead_defs([lib], [lib, user]) == [
+        "lib.py:6: spare is never read", "lib.py:10: unused is never read"]
