@@ -205,7 +205,7 @@ def cmd_unit(args) -> int:
 
 
 # --unit kind:int[:int], with the number of integers each kind takes
-_UNIT_PARAMS = {"alt": 1, "bass": 2, "constructed": 2}
+_UNIT_PARAMS = {"alt": 1, "bass": 2, "bicyclic": 4, "constructed": 2}
 
 
 def _unit_spec(text: str) -> Tuple[str, List[int]]:
@@ -214,7 +214,7 @@ def _unit_spec(text: str) -> Tuple[str, List[int]]:
         raise UsageError(f"unknown unit spec {text!r}")
     if len(params) != _UNIT_PARAMS[kind] or not all(re.fullmatch(r"-?\d+", v) for v in params):
         raise UsageError(f"--unit {text!r}: expected kind:int[:int] "
-                         "(alt:k, bass:k:m or constructed:s:k)")
+                         "(alt:k, bass:k:m, bicyclic:gi:gj:hi:hj or constructed:s:k)")
     return kind, [int(v) for v in params]
 
 
@@ -358,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--s", type=int, default=1)
-    p.add_argument("--gi", type=int, default=0)
-    p.add_argument("--gj", type=int, default=1)
-    p.add_argument("--hi", type=int, default=1)
-    p.add_argument("--hj", type=int, default=0)
+    p.add_argument("--gi", type=int, default=1)
+    p.add_argument("--gj", type=int, default=0)
+    p.add_argument("--hi", type=int, default=0)
+    p.add_argument("--hj", type=int, default=1)
     p.set_defaults(func=cmd_unit)
 
     grp = sub.add_parser("code", help="build codes and generator matrices")

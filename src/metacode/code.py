@@ -82,11 +82,6 @@ class LinearCode:
     def k(self) -> int:
         return self.genmat.shape[0]
 
-    @property
-    def params(self) -> Tuple[int, int, Optional[int]]:
-        d = self.d_lo if self.d_lo == self.d_hi else None
-        return (self.n, self.k, d)
-
     def __repr__(self):
         d = str(self.d_lo) if self.d_lo == self.d_hi else f"{self.d_lo}..{self.d_hi}"
         return f"[{self.n}, {self.k}, {d}]_{self.q}"

@@ -19,7 +19,7 @@ from .ffield import (
     make_field,
     NotCoprime,
 )
-from .groups import FiniteGroup, Subgroup, full_subgroup, orbit_labels
+from .groups import FiniteGroup, Subgroup, orbit_labels
 from .shoda import ShodaPair, ssp_catalog
 
 
@@ -401,7 +401,7 @@ def sum_idempotents(alg: GroupAlgebra, idems: Sequence[Idempotent]) -> AlgebraEl
 
 
 # ---------------------------------------------------------------------------
-# closed forms from the family tables
+# the closed form from the action of G on H/K
 
 
 def _i0_for(q: int, p: int) -> int:
@@ -436,42 +436,29 @@ def _assemble(
 
 
 def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempotent:
-    """Family-table route to the pci: one coefficient rule for every row.
+    """Closed-form route to the pci from the action of G on H/K = <h0 K>.
 
-    For m = [H:K] = p^j the pci is hat(K) * sum_{t in I} c_t h0^(-t) with
-    c_t = (1/m) sum_{tau in T} tr(xi_m^(k tau t)).  I is the truncated range
-    `_truncated_indices(m, p, j, _i0_for(q, p))`; T = {r^i mod m : i <
-    coset_order(r, q, m)} is a transversal of <r^omega0> in <r>, for the
-    action a -> a^r of b on H/K (r = G.r on the (<a>, K) rows, r = 1 on the
-    (G, K) rows).  Covers the dihedral, quaternion and semidihedral 2-power
-    tables (r = -1 merges the traces of k and -k) and the ordinary
-    metacyclic family for p = 2 and odd p.  RegimeMismatch outside.
+    When H and K are normal in G, the G-conjugates of epsilon(H, K, k) are
+    the epsilon(H, K, k tau) for tau in T, one exponent per class of the
+    action exponents of G modulo <q>, so the pci is hat(K) * sum_{t in I}
+    c_t h0^(-t) with c_t = (1/m) sum_{tau in T} tr(xi_m^(k tau t)).  For
+    m = [H:K] = p^j the traces vanish off I = `_truncated_indices(m, p, j,
+    _i0_for(q, p))`; otherwise I = range(m).  RegimeMismatch when H or K is
+    not normal in G.
     """
-    G, q = alg.G, alg.q
-    H, m = pair.H, pair.index
-    if m == 1:
-        top = full_subgroup(G)
-        return Idempotent(alg.hat(top), pair, k, "central")
-    if pair.family in ("dihedral", "quaternion", "2group"):
-        N = getattr(G, "N", 0)
-        if N < 8 or N & (N - 1) or q % 2 == 0:
-            raise RegimeMismatch("2-power dihedral/quaternion table needs N=2^n>=8, odd q")
-        if H.order == G.order and m != 2:
-            raise RegimeMismatch("(G,K) rows of the 2-group tables have index <= 2")
-        p, why = 2, "a-type rows of the 2-group tables have 2-power index"
-    elif pair.family == "OM":
-        p, why = G.M, "ordinary metacyclic rows have p-power index"
-    else:
-        raise RegimeMismatch(f"no closed-form table covers family {pair.family!r}")
-    j = factorize(m).get(p, 0)
-    if p**j != m:
-        raise RegimeMismatch(why)
-    r = 1 if H.order == G.order else G.r
-    T = [pow(r, i, m) for i in range(coset_order(r, q, m))]
+    q, m = alg.q, pair.index
+    N, exps, _ = pair.normaliser
+    if len(N) != alg.G.order:
+        raise RegimeMismatch(f"{pair.label()}: H or K is not normal in G")
+    rep_of = {u: c.rep for c in cyclotomic_cosets(m, q) for u in c.members}
+    T = {rep_of[t] for t in exps.tolist()}
+    I = range(m)
+    if len(f := factorize(m)) == 1:
+        ((p, j),) = f.items()
+        I = _truncated_indices(m, p, j, _i0_for(q, p))
     tt = trace_table(alg.field, m)[:, 0].tolist()
     inv_m = pow(m % q, -1, q)
-    coeffs = {t: sum(tt[k * tau * t % m] for tau in T) * inv_m % q
-              for t in _truncated_indices(m, p, j, _i0_for(q, p))}
+    coeffs = {t: sum(tt[k * tau * t % m] for tau in T) * inv_m % q for t in I}
     return Idempotent(_assemble(alg, pair.K, pair.h0, m, coeffs), pair, k, "central")
 
 

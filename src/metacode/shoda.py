@@ -53,7 +53,6 @@ class ShodaPair:
     H: Subgroup
     K: Subgroup
     family: str
-    params: Tuple[Tuple[str, int], ...] = ()
 
     @property
     def group(self) -> FiniteGroup:
@@ -94,10 +93,6 @@ class ShodaPair:
         return f"({self.H!r}, {self.K!r})"
 
 
-def _pair(H: Subgroup, K: Subgroup, family: str, **params) -> ShodaPair:
-    return ShodaPair(H, K, family, tuple(sorted(params.items())))
-
-
 def _divisors(n: int) -> List[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
@@ -116,7 +111,7 @@ def ssp_cyclic(G: MetacyclicGroup) -> List[ShodaPair]:
     out = []
     for d in _divisors(G.order):
         K = subgroup_closure(G, [G.power(gen, d)])
-        out.append(_pair(top, K, "cyclic", d=d))
+        out.append(ShodaPair(top, K, "cyclic"))
     return out
 
 
@@ -143,12 +138,12 @@ def ssp_m2(G: MetacyclicGroup) -> List[ShodaPair]:
         raise NotGenericFamily(f"{G.name} is not dihedral, quaternion or semidihedral")
     top = full_subgroup(G)
     A = subgroup_closure(G, [G.a])
-    out = [_pair(top, top, family), _pair(top, A, family)]
+    out = [ShodaPair(top, top, family), ShodaPair(top, A, family)]
     if N % 2 == 0:  # G/<a^2> is C4 when s is odd, else C2 x C2 with two such kernels
         for more in [[]] if s % 2 else [[_ab(G, 0, 1)], [_ab(G, 1, 1)]]:
-            out.append(_pair(top, subgroup_closure(G, [_ab(G, 2, 0)] + more), family))
+            out.append(ShodaPair(top, subgroup_closure(G, [_ab(G, 2, 0)] + more), family))
     for v in [v for v in _divisors(N) if v > 2]:
-        out.append(_pair(A, subgroup_closure(G, [_ab(G, v, 0)]), family, v=v))
+        out.append(ShodaPair(A, subgroup_closure(G, [_ab(G, v, 0)]), family))
     return out
 
 
@@ -162,12 +157,12 @@ def ssp_ordinary_metacyclic(G: MetacyclicGroup) -> List[ShodaPair]:
         raise NotGenericFamily(f"{G.name} is not the G_(p^(n+1)) family")
     top = full_subgroup(G)
     A = subgroup_closure(G, [G.a])
-    out = [_pair(top, top, "OM"), _pair(top, A, "OM", j=0)]
+    out = [ShodaPair(top, top, "OM"), ShodaPair(top, A, "OM")]
     for j in range(1, n):
         for i in range(p):
             K = subgroup_closure(G, [_ab(G, p**j, 0), _ab(G, i * p ** (j - 1), 1)])
-            out.append(_pair(top, K, "OM", j=j, i=i))
-    out.append(_pair(A, trivial_subgroup(G), "OM", j=n))
+            out.append(ShodaPair(top, K, "OM"))
+    out.append(ShodaPair(A, trivial_subgroup(G), "OM"))
     return out
 
 
@@ -181,14 +176,12 @@ def ssp_generic_split(G: MetacyclicGroup) -> List[ShodaPair]:
         raise NotGenericFamily(f"{G.name}: action of b is not faithful")
     top = full_subgroup(G)
     A = subgroup_closure(G, [G.a])
-    out = [_pair(top, top, "generic")]
+    out = [ShodaPair(top, top, "generic")]
     for j2 in range(1, l + 1):
         K = subgroup_closure(G, [G.a, _ab(G, 0, p2**j2 % G.M)])
-        out.append(_pair(top, K, "generic", j2=j2))
+        out.append(ShodaPair(top, K, "generic"))
     for j1 in range(1, m + 1):
-        out.append(
-            _pair(A, subgroup_closure(G, [_ab(G, p1**j1 % G.N, 0)]), "generic", j1=j1)
-        )
+        out.append(ShodaPair(A, subgroup_closure(G, [_ab(G, p1**j1 % G.N, 0)]), "generic"))
     return out
 
 
@@ -230,56 +223,56 @@ def ssp_p5(family: int, p: int) -> List[ShodaPair]:
     fam = f"p5_{family}"
     if family == 1:
         for i in range(3):
-            out.append(_pair(top, sg((1, 0), (0, p**i)), fam, kind=0, i=i))
+            out.append(ShodaPair(top, sg((1, 0), (0, p**i)), fam))
         for i in range(p):
-            out.append(_pair(top, sg((i, 1), (p, 0)), fam, kind=1, i=i))
+            out.append(ShodaPair(top, sg((i, 1), (p, 0)), fam))
         for i in range(p):
-            out.append(_pair(top, sg((1, i * p), (p, 0)), fam, kind=2, i=i))
+            out.append(ShodaPair(top, sg((1, i * p), (p, 0)), fam))
         for i in range(1, p):
-            out.append(_pair(top, sg((1, -i * p * p), (p, 0)), fam, kind=3, i=i))
+            out.append(ShodaPair(top, sg((1, -i * p * p), (p, 0)), fam))
         H = sg((2, 1), (0, p))
         for i in range(1, p):
-            out.append(_pair(H, sg((i * p, p * p)), fam, kind=4, i=i))
+            out.append(ShodaPair(H, sg((i * p, p * p)), fam))
         for i in range(p):
             if i == 2:
                 continue
-            out.append(_pair(H, sg((i * p, p), (0, p * p)), fam, kind=5, i=i))
-        out.append(_pair(H, sg((2 * p + 2, 1 - 2 * p), (0, p * p)), fam, kind=6))
+            out.append(ShodaPair(H, sg((i * p, p), (0, p * p)), fam))
+        out.append(ShodaPair(H, sg((2 * p + 2, 1 - 2 * p), (0, p * p)), fam))
     elif family == 2:
         for i in range(3):
-            out.append(_pair(top, sg((1, 0), (0, p**i)), fam, kind=0, i=i))
+            out.append(ShodaPair(top, sg((1, 0), (0, p**i)), fam))
         for k in range(p):
-            out.append(_pair(top, sg((k, 1), (p, 0)), fam, kind=1, i=k))
+            out.append(ShodaPair(top, sg((k, 1), (p, 0)), fam))
         for k in range(1, p):
-            out.append(_pair(top, sg((1, k * p), (p, 0)), fam, kind=2, i=k))
+            out.append(ShodaPair(top, sg((1, k * p), (p, 0)), fam))
         # k = p-1 fails the cyclic-quotient condition (checked at p = 3, 5);
         # the bespoke pair below covers the remaining component.
         H1 = sg((-1, 1), (p, 0))
         for k in range(p - 1):
-            out.append(_pair(H1, sg((k * p, p), (0, p * p)), fam, kind=3, i=k))
+            out.append(ShodaPair(H1, sg((k * p, p), (0, p * p)), fam))
         H2 = sg((-1, 1), (0, p))
-        out.append(_pair(H2, sg((-1, 1 - 2 * p), (0, p * p)), fam, kind=4))
-        out.append(_pair(sg((1, p * p - p)), sg((0, 0)), fam, kind=5))
+        out.append(ShodaPair(H2, sg((-1, 1 - 2 * p), (0, p * p)), fam))
+        out.append(ShodaPair(sg((1, p * p - p)), sg((0, 0)), fam))
     elif family == 3:
         for k in range(p * p):
-            out.append(_pair(top, sg((k, 1), (0, p * p)), fam, kind=0, i=k))
+            out.append(ShodaPair(top, sg((k, 1), (0, p * p)), fam))
         for k in range(1, p):
-            out.append(_pair(top, sg((1, k * p), (0, p * p)), fam, kind=1, i=k))
+            out.append(ShodaPair(top, sg((1, k * p), (0, p * p)), fam))
         for k in range(p):
-            out.append(_pair(top, sg((k, 1), (p, 0)), fam, kind=2, i=k))
+            out.append(ShodaPair(top, sg((k, 1), (p, 0)), fam))
         for i in range(3):
-            out.append(_pair(top, sg((1, 0), (0, p**i)), fam, kind=3, i=i))
+            out.append(ShodaPair(top, sg((1, 0), (0, p**i)), fam))
         H = sg((1, 0), (0, p))
         for k in range(p):
-            out.append(_pair(H, sg((p * (p - 1), p * (p * k + 1))), fam, kind=4, i=k))
+            out.append(ShodaPair(H, sg((p * (p - 1), p * (p * k + 1))), fam))
     else:
         for i in range(4):
-            out.append(_pair(top, sg((1, -1), (0, p**i)), fam, kind=0, i=i))
-        out.append(_pair(top, sg((0, 1)), fam, kind=1))
-        out.append(_pair(sg((p, 0), (-1, 2)), sg((0, 0)), fam, kind=2))
+            out.append(ShodaPair(top, sg((1, -1), (0, p**i)), fam))
+        out.append(ShodaPair(top, sg((0, 1)), fam))
+        out.append(ShodaPair(sg((p, 0), (-1, 2)), sg((0, 0)), fam))
         for k in range(1, p):
             for i in range(3):
-                out.append(_pair(top, sg((1, k * p**i - 1)), fam, kind=3, i=i, k=k))
+                out.append(ShodaPair(top, sg((1, k * p**i - 1)), fam))
     return out
 
 
@@ -298,7 +291,7 @@ def ssp_product(
         for sp2 in pairs2:
             H = _product_subgroup(G, sp1.H, sp2.H)
             K = _product_subgroup(G, sp1.K, sp2.K)
-            out.append(ShodaPair(H, K, "product", sp1.params + sp2.params))
+            out.append(ShodaPair(H, K, "product"))
     return out
 
 
@@ -339,12 +332,12 @@ def ssp_c2_q8(G: ProductGroup) -> List[ShodaPair]:
         [b, G.mul(a, c)],
         [ab, G.mul(b, c)],
     ]
-    out = [_pair(top, top, "C2xQ8")]
+    out = [ShodaPair(top, top, "C2xQ8")]
     for gens in kernels:
-        out.append(_pair(top, subgroup_closure(G, gens + [a2]), "C2xQ8"))
+        out.append(ShodaPair(top, subgroup_closure(G, gens + [a2]), "C2xQ8"))
     H = subgroup_closure(G, [a, c])
-    out.append(_pair(H, subgroup_closure(G, [c]), "C2xQ8"))
-    out.append(_pair(H, subgroup_closure(G, [G.mul(a2, c)]), "C2xQ8"))
+    out.append(ShodaPair(H, subgroup_closure(G, [c]), "C2xQ8"))
+    out.append(ShodaPair(H, subgroup_closure(G, [G.mul(a2, c)]), "C2xQ8"))
     return out
 
 

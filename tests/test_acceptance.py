@@ -47,35 +47,39 @@ def test_criterion_1_idempotent_suite():
 
 
 def test_criterion_2_closed_form_oracle():
-    # matrix instances of the three family tables, plus extra instances that
-    # realise the branches the matrix cannot (q = +1/-1 mod 4 and both
-    # subgroup-membership splits)
-    instances = [
-        (gr.dihedral(16), 3),
-        (gr.dihedral(16), 5),
-        (gr.dihedral(16), 7),
-        (gr.quaternion(16), 3),
-        (gr.ordinary_metacyclic(2, 4), 3),
-        (gr.ordinary_metacyclic(3, 3), 2),
-        (gr.ordinary_metacyclic(3, 3), 5),
-        # extras: the remaining membership branches
+    # every catalogued family: the suite matrix, extra instances that realise
+    # the branches the matrix cannot (q = +1/-1 mod 4 and both
+    # subgroup-membership splits), D8 and Q8, the order-1155 analogue and the
+    # four order-3^5 groups, whose catalogs hold pairs with K not normal in G
+    instances = suite_groups() + [
         (gr.ordinary_metacyclic(2, 4), 5),   # 1+2^(n-1) in <q> mod 2^n
         (gr.ordinary_metacyclic(3, 3), 17),  # 1+p^(n-1) not in <q> mod p^n
         (gr.dihedral(32), 7),                # -1 in <q> mod 2^j at j = 3
         # semidihedral rows (b acts by a -> a^(N/2 - 1)) and deeper 2-power tables
-        (gr.semidihedral(16), 3),
         (gr.semidihedral(16), 7),
         (gr.semidihedral(32), 7),
         (gr.quaternion(32), 17),
         (gr.dihedral(64), 17),
-    ]
-    checked = 0
+        (gr.dihedral(8), 3),
+        (gr.dihedral(8), 5),
+        (gr.quaternion(8), 3),
+        (gr.quaternion(8), 7),
+        (gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                           gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55")), 2),
+    ] + [(sh.p5_group(f, 3), 2) for f in (1, 2, 3, 4)]
+    checked = refused = 0
     branches = set()
     for G, q in instances:
         alg = id_.GroupAlgebra(G, q)
         for pair in sh.ssp_catalog(G):
             od = id_.cosets_and_orbits(G, pair, q)
+            normal = len(pair.normaliser.elements) == G.order
             for k in od.orbit_reps:
+                if not normal:
+                    with pytest.raises(id_.RegimeMismatch):
+                        id_.pci_table_closed_form(alg, pair, k)
+                    refused += 1
+                    continue
                 ref = id_.pci(alg, pair, k)
                 closed = id_.pci_table_closed_form(alg, pair, k)
                 assert np.array_equal(closed.value.vec, ref.value.vec), (
@@ -83,9 +87,10 @@ def test_criterion_2_closed_form_oracle():
                 )
                 checked += 1
         branches.add((q % 4 == 1, G.name.split("^")[0] if "OM" in G.name else "DQ"))
-    assert checked >= 119
+    assert checked >= 252 and refused == 2
     assert {b[0] for b in branches} == {True, False}  # both q = +-1 mod 4
-    _report(2, f"{checked} table rows equal the conjugate-sum construction exactly")
+    _report(2, f"{checked} rows equal the conjugate-sum construction exactly, "
+               f"{refused} with K not normal in G refused")
 
 
 # -- 3: trace predicate sweeps -------------------------------------------------

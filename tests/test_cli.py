@@ -128,13 +128,24 @@ def test_unit_errors_reach_the_error_path(capsys):
     assert rc == 1 and err.startswith("error: ") and "H != G" in err
 
 
-@pytest.mark.parametrize("spec", ["bass", "constructed:1", "alt:", "alt:x", "bass:1:2:3"])
+@pytest.mark.parametrize("spec", ["bass", "constructed:1", "alt:", "alt:x", "bass:1:2:3",
+                                  "bicyclic:1:0"])
 def test_malformed_unit_spec_is_a_usage_error(capsys, spec):
     with pytest.raises(UsageError, match=r"kind:int\[:int\]"):
         _unit_spec(spec)
     rc, _, err = run(capsys, "code", "build", "--spec", "D:14", "--q", "3", "--pci", "1",
                      "--unit", spec)
     assert rc == 1 and "expected kind:int[:int]" in err
+
+
+def test_bicyclic_units_on_the_command_line(capsys):
+    # the default bicyclic unit is b(a, b~); b(b, a~) is 1, as <a> is normal
+    rc, out, _ = run(capsys, "unit", "--kind", "bicyclic", "--spec", "D:14", "--q", "5")
+    assert rc == 0 and out.startswith("bicyclic unit: wt(u) = 5,") and "True" in out
+    rc, out, _ = run(capsys, "code", "build", "--spec", "D:14", "--q", "3", "--pci", "2",
+                     "--beta", "1", "--unit", "bicyclic:1:0:0:1")
+    res = json.loads(out)
+    assert rc == 0 and [res["n"], res["k"], res["d_lo"], res["d_hi"]] == [14, 6, 4, 4]
 
 
 def test_code_build_and_genmat(tmp_path, capsys):

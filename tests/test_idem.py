@@ -244,7 +244,7 @@ def test_normaliser_data_is_computed_once_per_pair(monkeypatch):
     monkeypatch.undo()
     for pair in pairs:
         assert "normaliser" in vars(pair)
-        fresh = sh.ShodaPair(pair.H, pair.K, pair.family, pair.params)
+        fresh = sh.ShodaPair(pair.H, pair.K, pair.family)
         for q in qs:
             assert id_.cosets_and_orbits(G, pair, q) == id_.cosets_and_orbits(G, fresh, q), (pair.label(), q)
     N = pairs[-1].normaliser
@@ -280,11 +280,15 @@ def test_set_level_determinism_under_root_relabeling():
 
 
 def test_closed_form_regime_mismatch():
-    D14 = gr.dihedral(14)
-    alg = id_.GroupAlgebra(D14, 3)
-    pair = find_pair(D14, 7)
+    # K is normal in H but not in G, so the G-conjugates of epsilon are not
+    # epsilons of (H, K) and the closed form does not apply
+    G = sh.p5_group(1, 3)
+    alg = id_.GroupAlgebra(G, 2)
+    pair = sh.ssp_catalog(G)[15]
+    assert pair.label() == "(<a^2*b, b^3> (order 81), <a^8*b^22, b^9> (order 27))"
+    assert pair.H.is_normal_in_G and not pair.K.is_normal_in_G
     with pytest.raises(id_.RegimeMismatch):
-        id_.pci_table_closed_form(alg, pair, 1)  # not a 2-power dihedral
+        id_.pci_table_closed_form(alg, pair, id_.cosets_and_orbits(G, pair, 2).orbit_reps[0])
 
 
 # (h0, orbit_reps, stab_index, action_exps, omega0, SHA-256 of the int64 pci

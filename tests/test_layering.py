@@ -52,21 +52,26 @@ def import_violations(path: Path):
 
 
 def dead_defs(defining, reading):
-    """Non-dunder defs in the defining files whose name no reading file reads
-    as a Name or an Attribute: entry points nothing calls."""
-    read = set()
+    """Non-dunder defs in the defining files that no reading file reads:
+    entry points nothing calls.  A def in a class body is read only as an
+    Attribute (x.name); a bare Name of that spelling is another variable.
+    Any other def is read as a Name or an Attribute."""
+    names, attrs = set(), set()
     for path in reading:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    bad = []
+                attrs.add(node.attr)
+    anywhere, bad = names | attrs, []
     for path in defining:
-        defs = [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_class = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        defs = [node for node in ast.walk(tree)
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in sorted(defs, key=lambda node: node.lineno):
             dunder = node.name.startswith("__") and node.name.endswith("__")
+            read = attrs if id(node) in in_class else anywhere
             if not dunder and node.name not in read:
                 bad.append(f"{path.name}:{node.lineno}: {node.name} is never read")
     return bad
@@ -107,3 +112,11 @@ def test_checker_flags_unread_defs(tmp_path):
     user.write_text("from lib import used\nused()\nA.spare = None\n")
     assert dead_defs([lib], [lib, user]) == [
         "lib.py:6: spare is never read", "lib.py:10: unused is never read"]
+
+
+def test_checker_reads_methods_only_as_attributes(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("class A:\n    @property\n    def params(self):\n        return 1\n"
+                   "def build(params):\n    return params\n"
+                   "def helper():\n    pass\nbuild(helper)\n")
+    assert dead_defs([lib], [lib]) == ["lib.py:3: params is never read"]

@@ -99,7 +99,7 @@ def test_p5_catalogs_verified_at_p3():
     assert sizes[4] == 4 + 1 + 1 + 3 * (p - 1)
     # S(G3) contains the quoted (⟨a,b^p⟩, ⟨a^{p(p-1)} b^{p(pk+1)}⟩) family
     g3_pairs = sh.ssp_p5(3, 3)
-    special = [pr for pr in g3_pairs if pr.params and dict(pr.params).get("kind") == 4]
+    special = [pr for pr in g3_pairs if pr.H.order != pr.group.order]
     assert len(special) == p
 
 
