@@ -99,7 +99,6 @@ def cmd_ssp_list(args) -> int:
             "K_gens": [G.elem_label(g) for g in pair.K.gens],
             "K_order": pair.K.order,
             "index": pair.index,
-            "family": pair.family,
         }
         if args.verify:
             try:

@@ -1,14 +1,15 @@
-"""Strong Shoda pair catalogs for the treated families, plus a verifier."""
+"""Strong Shoda pairs of metacyclic groups and their products, plus a verifier."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .ffield import factorize, is_prime, mult_order
+from .ffield import is_prime, mult_order
 from .groups import (
     FiniteGroup,
     GroupError,
@@ -22,7 +23,6 @@ from .groups import (
     full_subgroup,
     normalizer,
     subgroup_closure,
-    trivial_subgroup,
 )
 
 
@@ -52,7 +52,6 @@ class Normaliser(NamedTuple):
 class ShodaPair:
     H: Subgroup
     K: Subgroup
-    family: str
 
     @property
     def group(self) -> FiniteGroup:
@@ -99,90 +98,83 @@ def _divisors(n: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# catalogs
+# metacyclic groups
 
 
-def ssp_cyclic(G: MetacyclicGroup) -> List[ShodaPair]:
-    """All pairs (G, K) of a cyclic group: every subgroup qualifies."""
-    if G.N > 1 and G.M > 1:
-        raise NotGenericFamily(f"{G.name} is not presented as a cyclic group")
-    gen = G.a if G.N > 1 else G.b
-    top = full_subgroup(G)
-    out = []
-    for d in _divisors(G.order):
-        K = subgroup_closure(G, [G.power(gen, d)])
-        out.append(ShodaPair(top, K, "cyclic"))
-    return out
+def _word_gens(G: MetacyclicGroup, u: int, v: int, elements: List[int]) -> Tuple[int, ...]:
+    """(a^u, a^i b^v) for the subgroup with these sorted elements, which meets
+    <a> in <a^u> and has v the least j > 0 of its a^i b^j (u = N, v = M when
+    there is none); i is the least such i, and the identity is dropped."""
+    gens = [G.encode(u, 0)] if u < G.N else []
+    if v < G.M:
+        gens.append(next(x for x in elements if x % G.M == v))
+    return tuple(gens) or (G.identity,)
 
 
-def _ab(G: MetacyclicGroup, i: int, j: int) -> int:
-    """The word a^i b^j with proper folding of b^M = a^s (floor semantics)."""
-    fold = j // G.M
-    return G.encode(i + G.s * fold, j - fold * G.M)
+def ssp_metacyclic(G: MetacyclicGroup) -> List[ShodaPair]:
+    """S(G) for any metacyclic presentation, one pair per rational pci
+    (Olivieri, del Rio & Simon 2004, Thm 4.7).
 
-
-def ssp_m2(G: MetacyclicGroup) -> List[ShodaPair]:
-    """S(G) for the M = 2 families: dihedral D_2N (r = N - 1, s = 0, N >= 3),
-    generalised quaternion (r = N - 1, s = N/2; N = 2 gives C4) and
-    semidihedral (r = N/2 - 1, s = 0, N = 2^n >= 8), in one list: (G, G),
-    (G, <a>), for even N the kernels of G/<a^2> with cyclic quotient, and
-    (<a>, <a^v>) for each v | N with v > 2."""
-    N, r, s = G.N, G.r, G.s
-    if G.M == 2 and r == N - 1 and s == 0 and N >= 3:
-        family = "dihedral"
-    elif G.M == 2 and r == N - 1 and N % 2 == 0 and s == N // 2:
-        family = "quaternion"
-    elif G.M == 2 and s == 0 and N >= 8 and N & (N - 1) == 0 and r == N // 2 - 1:
-        family = "2group"
-    else:
-        raise NotGenericFamily(f"{G.name} is not dihedral, quaternion or semidihedral")
-    top = full_subgroup(G)
-    A = subgroup_closure(G, [G.a])
-    out = [ShodaPair(top, top, family), ShodaPair(top, A, family)]
-    if N % 2 == 0:  # G/<a^2> is C4 when s is odd, else C2 x C2 with two such kernels
-        for more in [[]] if s % 2 else [[_ab(G, 0, 1)], [_ab(G, 1, 1)]]:
-            out.append(ShodaPair(top, subgroup_closure(G, [_ab(G, 2, 0)] + more), family))
-    for v in [v for v in _divisors(N) if v > 2]:
-        out.append(ShodaPair(A, subgroup_closure(G, [_ab(G, v, 0)]), family))
-    return out
-
-
-def ssp_ordinary_metacyclic(G: MetacyclicGroup) -> List[ShodaPair]:
-    """S(G_{p^(n+1)}): the maximal-cyclic ordinary metacyclic family."""
-    p = G.M
-    if not is_prime(p):
-        raise NotGenericFamily(f"{G.name}: M = {p} is not prime")
-    n = factorize(G.N).get(p, 0)
-    if p**n != G.N or n < 2 or G.s != 0 or G.r != p ** (n - 1) + 1:
-        raise NotGenericFamily(f"{G.name} is not the G_(p^(n+1)) family")
-    top = full_subgroup(G)
-    A = subgroup_closure(G, [G.a])
-    out = [ShodaPair(top, top, "OM"), ShodaPair(top, A, "OM")]
-    for j in range(1, n):
-        for i in range(p):
-            K = subgroup_closure(G, [_ab(G, p**j, 0), _ab(G, i * p ** (j - 1), 1)])
-            out.append(ShodaPair(top, K, "OM"))
-    out.append(ShodaPair(A, trivial_subgroup(G), "OM"))
-    return out
-
-
-def ssp_generic_split(G: MetacyclicGroup) -> List[ShodaPair]:
-    """S(G) for split C_{p1^m} x| C_{p2^l} with faithful action."""
-    f1, f2 = factorize(G.N), factorize(G.M)
-    if len(f1) != 1 or len(f2) != 1 or f1.keys() == f2.keys() or G.s != 0:
-        raise NotGenericFamily(f"{G.name} is not the split two-prime family")
-    ((p1, m),), ((p2, l),) = f1.items(), f2.items()
-    if mult_order(G.r, G.N) != G.M:
-        raise NotGenericFamily(f"{G.name}: action of b is not faithful")
-    top = full_subgroup(G)
-    A = subgroup_closure(G, [G.a])
-    out = [ShodaPair(top, top, "generic")]
-    for j2 in range(1, l + 1):
-        K = subgroup_closure(G, [G.a, _ab(G, 0, p2**j2 % G.M)])
-        out.append(ShodaPair(top, K, "generic"))
-    for j1 in range(1, m + 1):
-        out.append(ShodaPair(A, subgroup_closure(G, [_ab(G, p1**j1 % G.N, 0)]), "generic"))
-    return out
+    With o = ord_N(r), A = C_G(a) = <a, b^o> is maximal abelian and holds G';
+    the subgroups between A and G are B_e = {a^i b^j : e | j} for e | o, with
+    B_e' = <a^gcd(r^e - 1, N)>.  The pairs are (B_d, K) for K the kernels of
+    the linear characters of B_d / B_d' for which d is the least e | o with
+    B_e' <= K <= B_e, one K per class under conjugation by b (a fixes each),
+    the class's least element tuple.  Sorted by (-|H|, -|K|, -|K cap <a>|,
+    K.elements).
+    """
+    N, M, r, s = G.N, G.M, G.r, G.s
+    o = mult_order(r, N) if N > 1 else 1
+    g_of = {e: math.gcd(pow(r, e, N) - 1, N) for e in _divisors(o)}  # B_e' = <a^g_of[e]>
+    r_inv = pow(r, -1, N) if N > 1 else 0
+    idx = np.arange(G.order, dtype=np.int64)
+    pairs: List[Tuple[Tuple, ShodaPair]] = []
+    for d, g in g_of.items():
+        B = idx[idx % d == 0]  # B_d: d | M, so d | i M + j exactly when d | j
+        i, jd = np.divmod(B, M)
+        jd //= d
+        members = B.tolist()
+        H = Subgroup(G, members, gens=_word_gens(G, 1, d, members))
+        # the characters a^i b^j -> al i + be j/d mod L of B_d / B_d': al
+        # kills a^g, and b^M = a^s asks (M/d) be = s al
+        L, c = g * M // d, math.gcd(M // d, g * M // d)
+        al = L // math.gcd(g, L) * np.arange(math.gcd(g, L), dtype=np.int64)
+        al = al[s * al % c == 0]
+        be = s * al % L // c * pow(M // d // c, -1, L // c) % (L // c)
+        al, be = np.repeat(al, c), (be[:, None] + L // c * np.arange(c)).ravel()
+        # the kernel meets <a> in <a^u> and lies in B_e iff e | v
+        w = np.gcd(al, L)
+        u, v = L // w, np.minimum(d * w // np.gcd(be, w), M)
+        keep = np.ones(len(al), dtype=bool)
+        for e in [e for e in g_of if e < d]:
+            keep &= (v % e != 0) | (g_of[e] % u != 0)
+        codes = np.sort((al * L + be)[keep])
+        label, reps = np.full(len(codes), -1), []
+        while len(codes) and label[pos := int(label.argmin())] < 0:
+            # one character per kernel: label the generators k chi of <chi>
+            a1, b1 = divmod(int(codes[pos]), L)
+            n = L // math.gcd(a1, b1, L)
+            ks = np.arange(n, dtype=np.int64)
+            ks = ks[np.gcd(ks, n) == 1]
+            label[np.searchsorted(codes, a1 * ks % L * L + b1 * ks % L)] = len(reps)
+            reps.append((a1, b1))
+        # conjugation by b sends the kernel of (al, be) to that of (al / r, be)
+        ra, rb = np.array(reps, dtype=np.int64).reshape(-1, 2).T
+        conj = label[np.searchsorted(codes, ra * r_inv % L * L + rb)].tolist()
+        done = set()
+        for k, (a1, b1) in enumerate(reps):
+            if k in done:
+                continue
+            orbit = [k]
+            while conj[orbit[-1]] != k:
+                orbit.append(conj[orbit[-1]])
+            done.update(orbit)
+            least = min(B[(reps[x][0] * i + reps[x][1] * jd) % L == 0].tolist() for x in orbit)
+            w = math.gcd(a1, L)
+            uk, vk = L // w, min(d * w // math.gcd(b1, w), M)
+            K = Subgroup(G, least, gens=_word_gens(G, uk, vk, least))
+            pairs.append(((-H.order, -K.order, uk, least), ShodaPair(H, K)))
+    return [pair for _, pair in sorted(pairs, key=lambda kp: kp[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -211,71 +203,6 @@ def p5_group(family: int, p: int) -> MetacyclicGroup:
     return MetacyclicGroup(N, M, r, s, name=f"P5_{family}(p={p})")
 
 
-def ssp_p5(family: int, p: int) -> List[ShodaPair]:
-    """The quoted S(G_i) lists of the order-p^5 families."""
-    G = p5_group(family, p)
-    top = full_subgroup(G)
-
-    def sg(*words: Tuple[int, int]) -> Subgroup:
-        return subgroup_closure(G, [_ab(G, i, j) for i, j in words])
-
-    out: List[ShodaPair] = []
-    fam = f"p5_{family}"
-    if family == 1:
-        for i in range(3):
-            out.append(ShodaPair(top, sg((1, 0), (0, p**i)), fam))
-        for i in range(p):
-            out.append(ShodaPair(top, sg((i, 1), (p, 0)), fam))
-        for i in range(p):
-            out.append(ShodaPair(top, sg((1, i * p), (p, 0)), fam))
-        for i in range(1, p):
-            out.append(ShodaPair(top, sg((1, -i * p * p), (p, 0)), fam))
-        H = sg((2, 1), (0, p))
-        for i in range(1, p):
-            out.append(ShodaPair(H, sg((i * p, p * p)), fam))
-        for i in range(p):
-            if i == 2:
-                continue
-            out.append(ShodaPair(H, sg((i * p, p), (0, p * p)), fam))
-        out.append(ShodaPair(H, sg((2 * p + 2, 1 - 2 * p), (0, p * p)), fam))
-    elif family == 2:
-        for i in range(3):
-            out.append(ShodaPair(top, sg((1, 0), (0, p**i)), fam))
-        for k in range(p):
-            out.append(ShodaPair(top, sg((k, 1), (p, 0)), fam))
-        for k in range(1, p):
-            out.append(ShodaPair(top, sg((1, k * p), (p, 0)), fam))
-        # k = p-1 fails the cyclic-quotient condition (checked at p = 3, 5);
-        # the bespoke pair below covers the remaining component.
-        H1 = sg((-1, 1), (p, 0))
-        for k in range(p - 1):
-            out.append(ShodaPair(H1, sg((k * p, p), (0, p * p)), fam))
-        H2 = sg((-1, 1), (0, p))
-        out.append(ShodaPair(H2, sg((-1, 1 - 2 * p), (0, p * p)), fam))
-        out.append(ShodaPair(sg((1, p * p - p)), sg((0, 0)), fam))
-    elif family == 3:
-        for k in range(p * p):
-            out.append(ShodaPair(top, sg((k, 1), (0, p * p)), fam))
-        for k in range(1, p):
-            out.append(ShodaPair(top, sg((1, k * p), (0, p * p)), fam))
-        for k in range(p):
-            out.append(ShodaPair(top, sg((k, 1), (p, 0)), fam))
-        for i in range(3):
-            out.append(ShodaPair(top, sg((1, 0), (0, p**i)), fam))
-        H = sg((1, 0), (0, p))
-        for k in range(p):
-            out.append(ShodaPair(H, sg((p * (p - 1), p * (p * k + 1))), fam))
-    else:
-        for i in range(4):
-            out.append(ShodaPair(top, sg((1, -1), (0, p**i)), fam))
-        out.append(ShodaPair(top, sg((0, 1)), fam))
-        out.append(ShodaPair(sg((p, 0), (-1, 2)), sg((0, 0)), fam))
-        for k in range(1, p):
-            for i in range(3):
-                out.append(ShodaPair(top, sg((1, k * p**i - 1)), fam))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # direct products
 
@@ -291,7 +218,7 @@ def ssp_product(
         for sp2 in pairs2:
             H = _product_subgroup(G, sp1.H, sp2.H)
             K = _product_subgroup(G, sp1.K, sp2.K)
-            out.append(ShodaPair(H, K, "product"))
+            out.append(ShodaPair(H, K))
     return out
 
 
@@ -332,12 +259,12 @@ def ssp_c2_q8(G: ProductGroup) -> List[ShodaPair]:
         [b, G.mul(a, c)],
         [ab, G.mul(b, c)],
     ]
-    out = [ShodaPair(top, top, "C2xQ8")]
+    out = [ShodaPair(top, top)]
     for gens in kernels:
-        out.append(ShodaPair(top, subgroup_closure(G, gens + [a2]), "C2xQ8"))
+        out.append(ShodaPair(top, subgroup_closure(G, gens + [a2])))
     H = subgroup_closure(G, [a, c])
-    out.append(ShodaPair(H, subgroup_closure(G, [c]), "C2xQ8"))
-    out.append(ShodaPair(H, subgroup_closure(G, [G.mul(a2, c)]), "C2xQ8"))
+    out.append(ShodaPair(H, subgroup_closure(G, [c])))
+    out.append(ShodaPair(H, subgroup_closure(G, [G.mul(a2, c)])))
     return out
 
 
@@ -346,7 +273,7 @@ def ssp_c2_q8(G: ProductGroup) -> List[ShodaPair]:
 
 
 def ssp_catalog(G: FiniteGroup) -> List[ShodaPair]:
-    """The paper's S(G) for any catalogued family."""
+    """The paper's S(G): metacyclic groups, coprime products of them, and C2 x Q8."""
     if isinstance(G, ProductGroup):
         try:
             return ssp_c2_q8(G)
@@ -359,31 +286,7 @@ def ssp_catalog(G: FiniteGroup) -> List[ShodaPair]:
         return ssp_product(G, ssp_catalog(G.left), ssp_catalog(G.right))
     if not isinstance(G, MetacyclicGroup):
         raise NotGenericFamily(f"{G.name} is not a catalogued group")
-    if G.M == 1 or G.N == 1:
-        return ssp_cyclic(G)
-    for builder in (
-        ssp_m2,
-        ssp_ordinary_metacyclic,
-        _ssp_p5_match,
-        ssp_generic_split,
-    ):
-        try:
-            return builder(G)
-        except NotGenericFamily:
-            continue
-    raise NotGenericFamily(f"no catalog matches {G.name} (N={G.N}, M={G.M}, r={G.r}, s={G.s})")
-
-
-def _ssp_p5_match(G: MetacyclicGroup) -> List[ShodaPair]:
-    order = G.order
-    p = round(order ** (1 / 5))
-    if p < 3 or p**5 != order or not is_prime(p):
-        raise NotGenericFamily("not order p^5")
-    for family in (1, 2, 3, 4):
-        ref = p5_group(family, p)
-        if (ref.N, ref.M, ref.r, ref.s) == (G.N, G.M, G.r, G.s):
-            return ssp_p5(family, p)
-    raise NotGenericFamily("no p^5 presentation matches")
+    return ssp_metacyclic(G)
 
 
 def verify_ssp(G: FiniteGroup, pair: ShodaPair, bound: int = 10_000):

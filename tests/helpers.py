@@ -34,6 +34,16 @@ def odd_prime_powers_leq(bound: int) -> List[int]:
     return out
 
 
+def presentations(bound: int):
+    """Every valid (N, M, r, s) of a MetacyclicGroup with N * M <= bound, r and
+    s reduced mod N."""
+    for N in range(1, bound + 1):
+        for M in range(1, bound // N + 1):
+            for r in range(N):
+                if math.gcd(r, N) == 1 and pow(r, M, N) == 1 % N:
+                    yield from ((N, M, r, s) for s in range(N) if s * (r - 1) % N == 0)
+
+
 def base_field_of(q: int) -> FieldCtx:
     ((p, e),) = factorize(q).items()
     return make_field(p, e)

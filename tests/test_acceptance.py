@@ -459,8 +459,8 @@ def test_criterion_9_p5_families():
 
     reports = {}
     for family in (1, 2, 3, 4):
-        pairs = sh.ssp_p5(family, p)
-        G = pairs[0].group
+        G = sh.p5_group(family, p)
+        pairs = sh.ssp_catalog(G)
         for pair in pairs:
             ok, why = sh.verify_ssp(G, pair, bound=300)
             assert ok, (family, pair.label(), why)

@@ -60,6 +60,20 @@ def test_ssp_list_verify(capsys):
     assert all(r["verified"] is True for r in rows)
 
 
+@pytest.mark.parametrize("spec", [{"N": 2, "M": 2, "r": 1, "s": 0}, {"N": 9, "M": 3, "r": 4, "s": 3}])
+def test_ssp_list_and_wedderburn_take_any_presentation(tmp_path, capsys, spec):
+    # C2 x C2 and a non-split group of order 27, outside every hand table
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    rc, out, _ = run(capsys, "ssp", "list", "--spec", str(path), "--verify")
+    rows = json.loads(out)
+    assert rc == 0 and rows and all(r["verified"] is True for r in rows)
+    rc, out, _ = run(capsys, "algebra", "wedderburn", "--spec", str(path), "--q", "5")
+    rep = json.loads(out)
+    dims = sum(c["matrix_size"] ** 2 * c["field_degree"] * c["multiplicity"] for c in rep["components"])
+    assert rc == 0 and dims == rep["total_dim"] == spec["N"] * spec["M"]
+
+
 def test_pci_list_json(capsys):
     rc, out, _ = run(capsys, "pci", "list", "--spec", "D:16", "--q", "3", "--json")
     rows = json.loads(out)

@@ -212,7 +212,7 @@ def test_conjugation_layer_matches_scalar_oracle(matrix):
                 N = gr.normalizer(G, K)
                 assert gr.centralizer_mod(G, N, expect, K) == \
                     helpers.oracle_centralizer_mod(G, N, expect, K), where
-            pair = sh.ShodaPair(H, K, "test")
+            pair = sh.ShodaPair(H, K)
             assert sh.verify_ssp(G, pair) == helpers.oracle_verify_ssp(G, H, K), where
 
 
@@ -285,7 +285,7 @@ def test_cyclic_quotient_generator_not_normal_d8():
     assert helpers.oracle_quotient_generator(D8, gr.full_subgroup(D8), B) == "not normal"
     with pytest.raises(gr.NotNormal):
         gr.cyclic_quotient_generator(D8, gr.full_subgroup(D8), B)
-    assert sh.verify_ssp(D8, sh.ShodaPair(gr.full_subgroup(D8), B, "test")) == \
+    assert sh.verify_ssp(D8, sh.ShodaPair(gr.full_subgroup(D8), B)) == \
         (False, "K is not normal in H")
 
 

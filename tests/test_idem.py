@@ -8,7 +8,7 @@ from metacode import ffield as ff
 from metacode import groups as gr
 from metacode import idem as id_
 from metacode import shoda as sh
-from helpers import count_pcis, oracle_unit_orbits
+from helpers import count_pcis, oracle_unit_orbits, presentations
 
 
 def find_pair(G, H_order, index=None):
@@ -244,7 +244,7 @@ def test_normaliser_data_is_computed_once_per_pair(monkeypatch):
     monkeypatch.undo()
     for pair in pairs:
         assert "normaliser" in vars(pair)
-        fresh = sh.ShodaPair(pair.H, pair.K, pair.family)
+        fresh = sh.ShodaPair(pair.H, pair.K)
         for q in qs:
             assert id_.cosets_and_orbits(G, pair, q) == id_.cosets_and_orbits(G, fresh, q), (pair.label(), q)
     N = pairs[-1].normaliser
@@ -279,12 +279,63 @@ def test_set_level_determinism_under_root_relabeling():
         assert checked
 
 
+def test_p5_pci_sets_pinned():
+    # the sorted int64 pci vectors of the four order-3^5 groups at q = 2, 5, 7,
+    # hashed from the hand tables that ssp_metacyclic replaced: its pairs
+    # differ from theirs, its pcis may not
+    h = hashlib.sha256()
+    for family in (1, 2, 3, 4):
+        G = sh.p5_group(family, 3)
+        for q in (2, 5, 7):
+            for key in sorted(e.value.key() for e in id_.pcis_for_group(id_.GroupAlgebra(G, q))):
+                h.update(key)
+    assert h.hexdigest() == "0554c1e66fdc13709f78cb00cd61820a6ee0b51da403243196f8430d2497f6f6"
+
+
+def check_catalog_oracles(G):
+    """At the least prime q coprime to |G|: each pair passes verify_ssp and its
+    H and K are the closures of their gens; the census dimensions sum to |G|
+    with one row per pci; the pcis sum to one and are pairwise orthogonal."""
+    q = next(q for q in range(2, G.order + 2) if ff.is_prime(q) and G.order % q)
+    pairs = sh.ssp_catalog(G)
+    for pair in pairs:
+        ok, why = sh.verify_ssp(G, pair)
+        assert ok, (G.name, pair.label(), why)
+        for S in (pair.H, pair.K):
+            assert gr.subgroup_closure(G, S.gens) == S, (G.name, pair.label())
+    rows = id_.census(G, q, pairs)
+    assert sum(r.dim for r in rows) == G.order, G.name
+    alg = id_.GroupAlgebra(G, q)
+    idems = id_.pcis_for_group(alg, pairs)
+    assert len(idems) == len(rows), G.name
+    assert id_.sum_idempotents(alg, idems) == alg.one(), G.name
+    for k, e in enumerate(idems):
+        for f in idems[k + 1:]:
+            assert (e.value * f.value).weight() == 0, (G.name, e.pair.label(), f.pair.label())
+
+
+def test_every_small_presentation_meets_the_oracles():
+    groups = [gr.MetacyclicGroup(*P) for P in presentations(24) if P[0] > 1 and P[1] > 1]
+    assert len(groups) == 213
+    for G in groups:
+        check_catalog_oracles(G)
+
+
+@pytest.mark.slow
+def test_every_presentation_to_order_100_meets_the_oracles():
+    groups = [gr.MetacyclicGroup(*P) for P in presentations(100) if P[0] > 1 and P[1] > 1]
+    assert len(groups) == 4052
+    for G in groups:
+        check_catalog_oracles(G)
+
+
 def test_closed_form_regime_mismatch():
     # K is normal in H but not in G, so the G-conjugates of epsilon are not
     # epsilons of (H, K) and the closed form does not apply
     G = sh.p5_group(1, 3)
     alg = id_.GroupAlgebra(G, 2)
-    pair = sh.ssp_catalog(G)[15]
+    pair = sh.ShodaPair(gr.subgroup_closure(G, [G.encode(2, 1), G.encode(0, 3)]),
+                        gr.subgroup_closure(G, [G.encode(8, 22), G.encode(0, 9)]))
     assert pair.label() == "(<a^2*b, b^3> (order 81), <a^8*b^22, b^9> (order 27))"
     assert pair.H.is_normal_in_G and not pair.K.is_normal_in_G
     with pytest.raises(id_.RegimeMismatch):

@@ -4,6 +4,8 @@ import pytest
 
 from metacode import groups as gr
 from metacode import shoda as sh
+from metacode.ffield import factorize, is_prime, mult_order
+from helpers import presentations
 
 
 def verified_catalog(G, bound=10_000):
@@ -18,11 +20,9 @@ def test_generic_split_counts():
     G39 = gr.MetacyclicGroup(13, 3, 9, name="G39")
     assert len(verified_catalog(G39)) == 3  # 1 + l + m with m = l = 1
     D14 = gr.MetacyclicGroup(7, 2, 6, name="D14-generic")
-    assert len(sh.ssp_generic_split(D14)) == 3
+    assert len(sh.ssp_catalog(D14)) == 3
     G = gr.MetacyclicGroup(49, 2, 48, name="49:2")
-    assert len(sh.ssp_generic_split(G)) == 1 + 1 + 2
-    with pytest.raises(sh.NotGenericFamily):
-        sh.ssp_generic_split(gr.ordinary_metacyclic(3, 3))  # same prime twice
+    assert len(sh.ssp_catalog(G)) == 1 + 1 + 2
 
 
 def test_2group_counts():
@@ -35,18 +35,42 @@ def test_2group_counts():
                 assert ok, (G.name, pair.label(), why)
 
 
+def _hand_catalogued(N, M, r, s):
+    """Whether the hand tables that ssp_metacyclic replaced covered the
+    presentation: cyclic; dihedral, quaternion or semidihedral; G_(p^(n+1));
+    or split C_(p1^m) x| C_(p2^l) with faithful action."""
+    if N == 1 or M == 1:
+        return True
+    if M == 2 and (r == N - 1 and (s == 0 and N >= 3 or N % 2 == 0 and s == N // 2)
+                   or s == 0 and N >= 8 and N & (N - 1) == 0 and r == N // 2 - 1):
+        return True
+    fN, fM = factorize(N), factorize(M)
+    if is_prime(M) and set(fN) == {M} and fN[M] >= 2 and s == 0 and r == N // M + 1:
+        return True
+    return len(fN) == len(fM) == 1 and fN.keys() != fM.keys() and s == 0 and mult_order(r, N) == M
+
+
 def test_m2_catalogs_pinned():
-    # (H, K, family) of every pair, in catalog order, for D_2n (n = 3..79),
-    # Q_4m (m = 2..39), SD_2^k (k = 4..8) and C4 presented as N = 2
-    # quaternion, hashed when dihedral, quaternion and semidihedral had one
-    # builder each
+    # (H, K) of every pair, in catalog order, for D_2n (n = 3..79), Q_4m
+    # (m = 2..39), SD_2^k (k = 4..8), C4 presented as N = 2 quaternion and
+    # the 5,250 presentations with N * M <= 100 that the hand tables covered,
+    # hashed from those tables before ssp_metacyclic replaced them
     groups = ([gr.dihedral(2 * n) for n in range(3, 80)] + [gr.quaternion(4 * m) for m in range(2, 40)]
-              + [gr.semidihedral(2**k) for k in range(4, 9)] + [gr.MetacyclicGroup(2, 2, 1, 1)])
+              + [gr.semidihedral(2**k) for k in range(4, 9)] + [gr.MetacyclicGroup(2, 2, 1, 1)]
+              + [gr.MetacyclicGroup(*P) for P in presentations(100) if _hand_catalogued(*P)])
+    assert len(groups) == 121 + 5250
     h = hashlib.sha256()
     for G in groups:
         for p in sh.ssp_catalog(G):
-            h.update(repr((p.H.elements, p.K.elements, p.family)).encode())
-    assert h.hexdigest() == "fc8a350177b569cc6cdb99bdae931449ec06959bcddcbae82856000bcf6cff0e"
+            h.update(repr((p.H.elements, p.K.elements)).encode())
+    assert h.hexdigest() == "b5183c175950a0521fc6ea7e9106cfe5ddf9452aa3455025d3d4edc9acc3cd0b"
+
+
+def test_catalog_scales_without_a_character_by_element_table():
+    # C_65536 has 65536 characters: one kernel is built per cyclic subgroup
+    # of the dual, not one per character; the counts are the hand tables'
+    assert len(sh.ssp_catalog(gr.cyclic(2**16))) == 17
+    assert len(sh.ssp_catalog(gr.MetacyclicGroup(2**15, 2, 2**15 - 1))) == 18
 
 
 def test_ordinary_metacyclic_2_counts():
@@ -88,8 +112,8 @@ def test_quaternion_any_counts():
 def test_p5_catalogs_verified_at_p3():
     sizes = {}
     for family in (1, 2, 3, 4):
-        pairs = sh.ssp_p5(family, 3)
-        G = pairs[0].group
+        G = sh.p5_group(family, 3)
+        pairs = sh.ssp_catalog(G)
         assert G.order == 243
         for pair in pairs:
             ok, why = sh.verify_ssp(G, pair, bound=300)
@@ -98,16 +122,16 @@ def test_p5_catalogs_verified_at_p3():
     p = 3
     assert sizes[4] == 4 + 1 + 1 + 3 * (p - 1)
     # S(G3) contains the quoted (⟨a,b^p⟩, ⟨a^{p(p-1)} b^{p(pk+1)}⟩) family
-    g3_pairs = sh.ssp_p5(3, 3)
+    g3_pairs = sh.ssp_catalog(sh.p5_group(3, 3))
     special = [pr for pr in g3_pairs if pr.H.order != pr.group.order]
     assert len(special) == p
 
 
 def test_p5_bad_family():
     with pytest.raises(sh.BadFamilyIndex):
-        sh.ssp_p5(5, 3)
+        sh.p5_group(5, 3)
     with pytest.raises(sh.BadFamilyIndex):
-        sh.ssp_p5(1, 2)
+        sh.p5_group(1, 2)
 
 
 def test_product_catalog():
@@ -141,14 +165,14 @@ def test_verify_ssp_rejects():
     B = gr.subgroup_closure(D8, [D8.b])
     triv = gr.trivial_subgroup(D8)
     full = gr.full_subgroup(D8)
-    ok, _ = sh.verify_ssp(D8, sh.ShodaPair(full, full, "test"))
+    ok, _ = sh.verify_ssp(D8, sh.ShodaPair(full, full))
     assert ok
-    ok, _ = sh.verify_ssp(D8, sh.ShodaPair(A, triv, "test"))
+    ok, _ = sh.verify_ssp(D8, sh.ShodaPair(A, triv))
     assert ok
-    ok, why = sh.verify_ssp(D8, sh.ShodaPair(B, triv, "test"))
+    ok, why = sh.verify_ssp(D8, sh.ShodaPair(B, triv))
     assert not ok and "normal" in why
     with pytest.raises(sh.TooLarge):
-        sh.verify_ssp(D8, sh.ShodaPair(A, triv, "test"), bound=4)
+        sh.verify_ssp(D8, sh.ShodaPair(A, triv), bound=4)
 
 
 def test_catalogued_H_is_generated_by_its_gens(matrix):
