@@ -13,8 +13,9 @@ searches, for F and for f, are the same Ben-Or irreducibility test over the
 same enumeration, its gcds one Euclid on the Python-int counter codes of
 the coefficients; the steps whose y^(q^i) is still a monomial take that
 gcd directly, before any ring arithmetic.  xi is the first w^s, s =
-(q^o - 1)/m, w in counter order, of order m; the first q - 1 candidates
-are GF(q)-multiples of one element and are tested together in closed form.
+(q^o - 1)/m, w in counter order, of order m; the candidates come in blocks
+of GF(q)-multiples, each walked at one multiple and tested at the others
+together in closed form.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ _ROOT_TABLE_CELLS = 1 << 20
 # builds; the modulus search over a larger GF(p^e) raises FieldTooLarge.
 _GCD_TABLE_CELLS = 1 << 20
 
-# Most elements of GF(q)* that ExtFieldCtx._find_xi's closed-form scan holds
-# at once.
+# Most (multiple, candidate) cells that ExtFieldCtx._block_xi's closed-form
+# scan holds at once.
 _XI_SCAN_ROWS = 1 << 16
 
 # Largest p whose (p-1)^2 is an int64: the echelon forms' exact range.
@@ -404,10 +405,12 @@ def make_field(p: int, e: int = 1) -> FieldCtx:
 # For a monic f of degree o over GF(q), q = p^e, an element of GF(q)[y]/(f)
 # is a flat int64 vector of length o*e over GF(p): entry j*e + s is the
 # coefficient of x^s y^j.  A product packs each GF(q) coefficient into a
-# width-(2e-1) block so that one np.convolve forms the bivariate product
-# without carries; entry j*(2e-1) + s of that product is the coefficient of
-# x^s y^j, and one matmul with the reduction matrix, whose row j*(2e-1) + s
-# is x^s y^j mod (modulus, f), reduces it back to a flat vector.
+# width-(2e-1) block (for e = 1 the flat vector is its own packing) so that
+# one np.convolve forms the bivariate product without carries; entry
+# j*(2e-1) + s of that product is the coefficient of x^s y^j, and one matmul
+# with the reduction matrix, whose row j*(2e-1) + s is x^s y^j mod (modulus,
+# f), reduces it back to a flat vector, kept in float64 between the
+# products of a power.
 
 
 ExtElem = np.ndarray
@@ -523,11 +526,22 @@ class _QuotientRing:
         return np.asarray(a, dtype=np.int64).reshape(self.n) % self.p
 
     def _pack(self, a) -> np.ndarray:
-        """Float64 copy of a with each GF(q) coefficient in a (2e-1)-block."""
+        """a reduced, each GF(q) coefficient in a (2e-1)-block."""
+        return self._spread(self._vec(a))
+
+    def _spread(self, a: np.ndarray) -> np.ndarray:
+        """The reduced flat a in (2e-1)-blocks: a itself for e = 1, else a float64 copy."""
         e = self.base.e
+        if e == 1:
+            return a
         out = np.zeros((self.o, 2 * e - 1))
-        out[:, :e] = self._vec(a).reshape(self.o, e)
+        out[:, :e] = a.reshape(self.o, e)
         return out.ravel()
+
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The reduced float64 flat vector of a * b, both packed."""
+        red = self._red
+        return np.convolve(a, b)[: red.shape[0]] % self.p @ red % self.p
 
     def zero(self) -> ExtElem:
         return np.zeros(self.n, dtype=np.int64)
@@ -541,20 +555,19 @@ class _QuotientRing:
         return (self._vec(a) + self._vec(b)) % self.p
 
     def mul(self, a, b) -> ExtElem:
-        red = self._red
-        prod = np.convolve(self._pack(a), self._pack(b))[: red.shape[0]] % self.p
-        return (prod @ red % self.p).astype(np.int64)
+        return self._product(self._pack(a), self._pack(b)).astype(np.int64)
 
     def pow(self, a, n: int) -> ExtElem:
         if n == 0:
             return self.one()
-        a = self._vec(a)
-        result = a
+        result = self._vec(a)
+        a = self._spread(result)
         for bit in bin(n)[3:]:
-            result = self.mul(result, result)
+            square = self._spread(result)
+            result = self._product(square, square)
             if bit == "1":
-                result = self.mul(result, a)
-        return result
+                result = self._product(self._spread(result), a)
+        return result.astype(np.int64)
 
     def _pow_digits(self, a, digits: List[int]) -> ExtElem:
         """a^s from the base-q digits of s >= 1, least significant first, by
@@ -635,10 +648,11 @@ def _is_irreducible(ring: _QuotientRing, rootless: bool) -> bool:
     as that gcd tests exactly that.  While q^i < d, y^(q^i) - y is already
     reduced mod f, so its gcd is taken directly, without the reduction
     matrix, products or powers: a candidate that fails there never builds
-    `_red`.  Past that range the differences are multiplied together and
-    one gcd is taken per block of steps, the blocks doubling (i, i+1..2i,
-    ...): a reducible f usually fails in the first blocks, an irreducible
-    one costs log d gcds.
+    `_red`.  Past that range the first y^(q^(i-1)) is a row of `_red` while
+    q^(i-1) < 2d - 1, a power only beyond; the differences are multiplied
+    together and one gcd is taken per block of steps, the blocks doubling
+    (i, i+1..2i, ...): a reducible f usually fails in the first blocks, an
+    irreducible one costs log d gcds.
     """
     base, f, d = ring.base, ring.modulus, ring.o
     q, e = base.q, base.e
@@ -651,12 +665,11 @@ def _is_irreducible(ring: _QuotientRing, rootless: bool) -> bool:
         i += 1
     if i > d // 2:
         return True
-    y = ring.zero()
-    y[e] = 1
-    h, acc, check = ring.pow(y, q ** (i - 1)), ring.one(), i
+    ypow, k = ring._red[::2 * e - 1], q ** (i - 1)  # rows (j, 0): y^j mod f, j < 2d - 1
+    h, acc, check = (ypow[k] if k < 2 * d - 1 else ring.pow(ypow[1], k)), ring.one(), i
     for i in range(i, d // 2 + 1):
         h = ring.pow(h, q)
-        acc = ring.mul(acc, h - y)
+        acc = ring.mul(acc, h - ypow[1])
         if i == check or i == d // 2:
             if not _coprime(base, acc.reshape(d, e), f):
                 return False
@@ -755,72 +768,79 @@ class ExtFieldCtx(_QuotientRing):
 
         Every such power has order dividing m, so only the maximal proper
         divisors m/l are tried per candidate; xi^m = 1 is checked once, on
-        the element returned.  The first q - 1 candidates, c y^(o-1) for c
-        in GF(q)*, are tested at once by _first_block_xi; the walk goes on
-        from there one candidate at a time, at most 2^20 of them.  w^s is
-        _pow_digits where that takes fewer NumPy products than
+        the element returned.  Counter order mirrors the base-field lex rule
+        across rows: the least significant base-q digit of the counter is
+        the y^(o-1) coefficient, so block L, the counters of L digits, holds
+        the w whose top nonzero coefficient is at y^(o-L).  _block_xi tests
+        the blocks in turn, up to the first with more than 2^20 powers.  w^s
+        is _pow_digits where that takes fewer NumPy products than
         square-and-multiply, a matrix counting as one, and
         square-and-multiply otherwise; both give the same element."""
         m = self.m
         if m == 1:
             return self.one()
-        base, q, o, ells = self.base, self.q, self.o, factorize(m)
-        s = (self.order - 1) // m
+        q, o, s = self.q, self.o, (self.order - 1) // m
         digits = _base_digits(s, q)
         by_digits = _horner_products(digits) < _sqm_products(s)
-        w = np.zeros((o, base.e), dtype=np.int64)
-        w[o - 1, 0] = 1
-        xi = self._first_block_xi(self._pow_digits(w, digits) if by_digits else self.pow(w, s), s, ells)
-        n = q
-        while xi is None and n < min(self.order, q + (1 << 20)):
-            # counter order mirrors the base-field lex rule across rows: the
-            # least significant base-q digit of n is the y^(o-1) coefficient;
-            # rows above n's leading digit stay zero, as n only grows
-            n_digits = _base_digits(n, q)
-            w[o - len(n_digits):] = base._rows(n_digits[::-1])
-            w_s = self._pow_digits(w, digits) if by_digits else self.pow(w, s)
-            if not any(self.is_one(self.pow(w_s, m // ell)) for ell in ells):
-                xi = w_s
-            n += 1
+        power = (lambda w: self._pow_digits(w, digits)) if by_digits else (lambda w: self.pow(w, s))
+        blocks = (self._block_xi(L, power, factorize(m)) for L in range(1, o + 1) if q ** (L - 1) <= 1 << 20)
+        xi = next((xi for xi in blocks if xi is not None), None)
         if xi is None:
             raise FieldError(f"no element of order {m} found")  # unreachable
         if not self.is_one(self.pow(xi, m)):
             raise FieldError(f"the element found for xi_{m} has xi^{m} != 1")
         return xi
 
-    def _first_block_xi(self, U: ExtElem, s: int, ells: Dict[int, int]) -> Optional[ExtElem]:
-        """The first (c u)^s of exact order m, c in GF(q)* in counter order, u
-        = y^(o-1) and U = u^s; None when no c gives one.
+    def _block_xi(self, L: int, power, ells: Dict[int, int]) -> Optional[ExtElem]:
+        """The first xi in block L, or None when the block holds none.
 
-        Closed form (Lidl & Niederreiter, ch. 2): (c u)^s = c^s U, and its
-        (m/l)-th power is c^E z_l, with z_l = U^(m/l) and E = (q^o - 1)/l
-        mod (q - 1), as c^(q-1) = 1.  That is 1 only when z_l is a scalar
-        lambda and c^E lambda = 1, so one power of U per prime l and a scan
-        over GF(q)* replace q - 1 powers.  The scan takes chunks of c that
-        double up to _XI_SCAN_ROWS, so a large q scans little when an early
-        c passes."""
+        Its candidates are d w, d in GF(q)*, for the q^(L-1) w whose y^(o-L)
+        coefficient is c0, the element of counter code 1 (1 for prime q); d
+        = 1 gives the first q^(L-1) of the walk, tested one by one by W = w^s.
+        Closed form (Lidl & Niederreiter, ch. 2): (d w)^s = d^s W, and its
+        (m/l)-th power is d^E z_l, with z_l = W^(m/l) and E = (q^o - 1)/l mod
+        (q - 1), as d^(q-1) = 1.  That is 1 only when z_l is a scalar lambda
+        and d^E lambda = 1, so when no w passes at d = 1 one scan over the
+        other d and every w replaces (q - 2) q^(L-1) powers; a w with z_l = 1
+        at E = 0 fails at every d, is left out, and needs no further z_l.
+        The scan takes the leading coefficients c = d c0 in counter order, in
+        chunks that double up to _XI_SCAN_ROWS cells, so a large q scans
+        little when an early c passes, and keeps the least d w that passes."""
         base, q, o, e, p = self.base, self.q, self.o, self.base.e, self.p
-        tests = []  # (E, multiplication matrix of lambda) per l at which some c fails
-        for ell in ells:
-            z = self.pow(U, self.m // ell)
-            if z[e:].any():
-                continue  # not a scalar: no c fails at l
-            E = (self.order - 1) // ell % (q - 1)
-            if E:
-                tests.append((E, base._mul_mats(z[:e])))
-            elif self.is_one(z):
-                return None  # c^0 z_l = 1 for every c
-        lo, size = 1, 64
+        T, Es = q ** (L - 1), [(self.order - 1) // ell % (q - 1) for ell in ells]
+        kept = []  # (nonzero rows of w, W, lambda per l: 0, which no d^E cancels, if z_l is no scalar)
+        for k in range(T):
+            w = np.zeros((o, e), dtype=np.int64)
+            w[o - L:] = base._rows(_base_digits(T + k, q)[::-1])  # c0, then k's digits
+            W, z = power(w), []
+            for ell, E in zip(ells, Es):
+                z.append(self.pow(W, self.m // ell))
+                if not E and self.is_one(z[-1]):
+                    break
+            else:
+                if not any(self.is_one(x) for x in z):
+                    return W
+                kept.append((w[o - L:], W, [x[:e] * (not x[e:].any()) for x in z]))
+        if not kept:
+            return None
+        rows, Ws, lams = zip(*kept)
+        lam, codes = base._mul_mats(np.array(lams)), q ** np.arange(L - 1, -1, -1)
+        by_c0_inv = base._mul_mats(base._pow_rows(base._rows([1]), q - 2)[0])
+        cap = max(1, _XI_SCAN_ROWS // len(Ws))
+        lo, size = 2, min(64, cap)
         while lo < q:
-            cs = base._rows(np.arange(lo, min(q, lo + size)))
-            fails = np.zeros(len(cs), dtype=bool)
-            for E, lam in tests:
-                c_lam = base._pow_rows(cs, E) @ lam % p
-                fails |= (c_lam[:, 0] == 1) & ~c_lam[:, 1:].any(axis=1)
+            ds = base._rows(np.arange(lo, min(q, lo + size))) @ by_c0_inv % p
+            fails = np.zeros((len(ds), len(Ws)), dtype=bool)
+            for j, E in enumerate(Es):
+                d_lam = np.einsum("cs,tsu->ctu", base._pow_rows(ds, E), lam[:, j]) % p
+                fails |= (d_lam[..., 0] == 1) & ~d_lam[..., 1:].any(axis=2)
             if not fails.all():
-                c_s = base._pow_rows(cs[fails.argmin()][None], s % (q - 1))[0]
-                return (U.reshape(o, e) @ base._mul_mats(c_s) % p).ravel()
-            lo, size = lo + size, min(2 * size, _XI_SCAN_ROWS)
+                i = (~fails).any(axis=1).argmax()
+                keys = np.array(rows) @ base._mul_mats(ds[i]) % p @ base._code_weights @ codes
+                k = np.where(fails[i], q**L, keys).argmin()  # the least d w that passes
+                d_s = base._pow_rows(ds[i][None], (self.order - 1) // self.m % (q - 1))[0]
+                return (Ws[k].reshape(o, e) @ base._mul_mats(d_s) % p).ravel()
+            lo, size = lo + size, min(2 * size, cap)
         return None
 
 

@@ -647,41 +647,77 @@ def test_find_xi_checks_the_order_of_the_element_it_returns():
 
 # modulus degrees the xi oracle builds per q: every m < 90 for q <= 5
 XI_ORACLE_DEGREE = {2: 200, 3: 200, 4: 200, 5: 200, 7: 24, 9: 24, 13: 12, 25: 8, 27: 8}
+# m past 90 whose xi lies past the first block with a leading counter digit
+# of 2 or more: no candidate of its block with digit 1 passes, and the scan
+# over the other leading coefficients picks it (leading 1 + x for q = 9)
+XI_PAST_THE_WALK = {4: (129,), 9: (206,)}
 
 
 @pytest.mark.parametrize("q", sorted(XI_ORACLE_DEGREE))
 def test_find_xi_matches_the_counter_walk(q):
     # the first block, c y^(o-1) for c in GF(q)*, is tested in closed form;
     # the counter walk tests every candidate by its power
-    ctx, kinds = base_field_of(q), set()
-    for m in range(1, 90):
+    ctx, kinds, scanned = base_field_of(q), set(), set()
+    for m in [*range(1, 90), *XI_PAST_THE_WALK.get(q, ())]:
         if math.gcd(q, m) != 1 or ff.mult_order(q, m) > XI_ORACLE_DEGREE[q]:
             continue
         E = ff.extension_for_root(ctx, m)
         xi, n = oracle_xi(E)
         assert np.array_equal(E.xi, xi), (q, m, n)
         kinds.add((E.o == 1, n < q))
+        if n >= q and ff._base_digits(n, q)[-1] >= 2:
+            scanned.add(m)
     # o = 1; xi inside the first block with o > 1; and past it, where the walk takes over
     assert {(True, True), (False, True), (False, False)} <= kinds, kinds
+    # and past it with a leading digit of 2 or more, found by the scan of its block
+    assert scanned == set(XI_PAST_THE_WALK.get(q, ())), scanned
 
 
-@pytest.mark.parametrize("q,top", [(2, 7), (3, 7), (4, 4)])
-def test_is_irreducible_matches_trial_division(q, top):
+def test_find_xi_scans_no_block_whose_multiples_all_fail(monkeypatch):
+    # over GF(1000003) every c y of xi_8's first block has z_2 = 1 at E = 0
+    # (see test_pci_list_at_a_large_prime_q_finishes), so the block is left
+    # without a scan over its q - 2 other multiples; in the second, 1 fails
+    # and 1 + y passes
+    monkeypatch.setattr(ff, "_EXT_CACHE", {})
+    monkeypatch.setattr(ff.FieldCtx, "_pow_rows", lambda *args: pytest.fail("a scan ran"))
+    E = ff.extension_for_root(ff.make_field(1_000_003), 8)
+    assert E.o == 2 and np.array_equal(E.xi, E.pow([1, 1], (E.order - 1) // 8))
+
+
+@pytest.mark.parametrize("q,top", [(2, 7), (3, 7), (4, 4), (7, 4)])
+def test_is_irreducible_matches_trial_division(monkeypatch, q, top):
     # degrees on both sides of q^i = d, where y^(q^i) stops being a monomial;
-    # rootless skips i = 1, so it is asked only of f without a root
+    # rootless skips i = 1, so it is asked only of f without a root.  The
+    # first y^(q^(i-1)) of the products is a row of _red below 2d - 1 and a
+    # power past it: only q = 7 gets there, rootless at d = 4 (7 >= 2*4 - 1).
+    # Every step multiplies once after its power, so a run with more powers
+    # than products took that power
+    calls = []
+    for name in ("pow", "mul"):
+        method = getattr(ff._QuotientRing, name)
+        monkeypatch.setattr(ff._QuotientRing, name,
+                            lambda self, a, b, _m=method, _n=name: calls.append(_n) or _m(self, a, b))
+
+    def is_irreducible(rows, rootless):
+        calls.clear()
+        verdict = ff._is_irreducible(ff._QuotientRing(base, rows.copy()), rootless)
+        powered.add(calls.count("pow") > calls.count("mul"))
+        return verdict
+
     base, TF = base_field_of(q), TupleField(base_field_of(q))
-    verdicts = set()
+    verdicts, powered = set(), set()
     for d in range(2, top + 1):
         for n in range(q**d):
             f = [TF.element_by_counter(n // q**i % q) for i in range(d)] + [TF.one()]
             want = oracle_irreducible(TF, f)
             rows = np.array(f, dtype=np.int64).reshape(d + 1, base.e)
-            assert ff._is_irreducible(ff._QuotientRing(base, rows.copy()), False) == want, (q, f)
+            assert is_irreducible(rows, False) == want, (q, f)
             rootless = all(_poly_value(TF, f, TF.element_by_counter(x)) != TF.zero() for x in range(q))
             if rootless:
-                assert ff._is_irreducible(ff._QuotientRing(base, rows.copy()), True) == want, (q, f)
+                assert is_irreducible(rows, True) == want, (q, f)
             verdicts.add((rootless, want))
     assert verdicts == {(False, False), (True, False), (True, True)}
+    assert (True in powered) == (q == 7), powered
 
 
 def _poly_value(F, f, x):
@@ -727,6 +763,32 @@ def test_matrix_products_match_ring_products_and_tuples(p, e, o):
             assert all(np.array_equal(P[t], ring.pow(a, t)) for t in range(m)), m
 
 
+@pytest.mark.parametrize("p,e,o", [(2, 1, 5), (3, 1, 4), (13, 1, 3), (1_000_003, 1, 2),
+                                   (2, 2, 3), (3, 2, 3), (13, 2, 2)])
+def test_ring_products_reduce_their_inputs(p, e, o):
+    # mul and pow take entries past p, negative ones (Ben-Or multiplies by
+    # h - y, with -1 entries), float64 rows of _red and (o, e) coefficient
+    # rows, and give the product of the reduced flat vectors
+    base = ff.make_field(p, e)
+    ring, TF = ff._ring(base, o), TupleField(base)
+    f = tuple(as_tuple(row) for row in ring.modulus)
+    as_rows = lambda a: tuple(as_tuple(row) for row in np.reshape(a, (o, e)))  # noqa: E731
+    rng = np.random.default_rng(p * 100 + e * 10 + o)
+    for _ in range(4):
+        a, b = rng.integers(0, p, ring.n), rng.integers(0, p, ring.n)
+        ab = TF.ring_mul(f, as_rows(a), as_rows(b))
+        powers = {n: TF.ring_pow(f, as_rows(a), n) for n in (1, 2, 5, p + 1)}
+        shift = rng.integers(-3, 4, (2, ring.n)) * p
+        for x, y in [(a + shift[0], b + shift[1]), (a - p, b - p),
+                     ((a + p).astype(np.float64), b.astype(np.float64)),
+                     ((a + shift[0]).reshape(o, e), (b - p).reshape(o, e))]:
+            got = ring.mul(x, y)
+            assert got.dtype == np.int64 and as_rows(got) == ab
+            for n, want in powers.items():
+                got = ring.pow(x, n)
+                assert got.dtype == np.int64 and as_rows(got) == want, n
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_doubled_xi_powers_match_sequential_products(q):
     ctx = base_field_of(q)
@@ -740,11 +802,12 @@ def test_doubled_xi_powers_match_sequential_products(q):
         assert np.array_equal(E._powers(E.xi, m), np.array(seq)), m
 
 
-# calls counts the powers w^s: U = u^s of the first block, then one per
-# candidate walked past it
+# calls counts the powers w^s: one per candidate of each block walked at the
+# leading digit 1, the other leading digits taking none
 @pytest.mark.parametrize("q,m,picked,powers", [
-    pytest.param(17, 7, "pow", 3, id="17-7-pow"),  # o = 6: U and 2 walked; 35 products against 30
-    pytest.param(5, 54, "_pow_digits", 24, id="5-54-_pow_digits"),  # o = 18: U and 23 walked; 29 against 52
+    pytest.param(17, 7, "pow", 3, id="17-7-pow"),  # o = 6: U, then 2 in block 2; 35 products against 30
+    # o = 18: U, all 5 of block 2 and 3 in block 3; 29 products against 52
+    pytest.param(5, 54, "_pow_digits", 9, id="5-54-_pow_digits"),
     pytest.param(1_000_037, 87, "pow", 1, id="1000037-87-pow"),  # o = 2: xi in the first block; 50 either way
 ])
 def test_find_xi_takes_the_power_with_fewer_products(monkeypatch, q, m, picked, powers):
