@@ -169,14 +169,16 @@ def min_distance(
 
     Routes: Brouwer-Zimmermann enumeration over disjoint information sets
     (exact) when its worst case, `_worst_case`, is at most ``budget``
-    codewords; otherwise an interval: d_lo reads weights 1 and 2 off the
-    RREF rows (and searches weight 3 up on the parity check while the budget
-    allows), and d_hi is the lightest word over seeded random information
-    sets, row-reduced per part of the code's direct-sum split ``cosets``: for
-    a pci one part per left coset of its pair's H.  High-rate codes
-    whose RREF rows are all heavy can therefore get an interval even when
-    their dual is small.  The witness has weight d_hi.  Failed internal
-    checks (witness weight and membership) raise `CertificateError`.
+    codewords; otherwise an interval, computed part by part on the code's
+    direct-sum split ``cosets`` (`_split`; for a pci one part per left coset
+    of its pair's H): d_lo reads weights 1 and 2 off the RREF rows (and
+    searches weight 3 up on the parity check while the budget allows), and
+    d_hi is the lightest word over seeded random information sets and random
+    combinations of rows.  High-rate codes whose RREF rows are all heavy can
+    therefore get an interval even when their dual is small.  The witness
+    has weight d_hi.  Failed internal checks raise `CertificateError`: a
+    witness of another weight or outside the code (checked part by part on
+    the interval route), and a nonzero of genmat off its row's part.
 
     A code from `ideal_to_code` carries ``perms``, the coordinate permutations
     of G's generators, under which the ideal is invariant.  The enumeration
@@ -194,8 +196,10 @@ def min_distance(
         lo, witness, _ = _brouwer_zimmermann(code.genmat, code.pivots, code.q, code.perms)
         hi = lo
     else:
-        lo = _weight_enum_lower(code, budget)
-        hi, witness = _information_set_upper(code, budget, seed)
+        split = _split(code)
+        lo = _weight_enum_lower(code, budget, split)
+        hi, witness = _information_set_upper(code, budget, seed, split)
+        _check_witness(code, split, hi, witness)
     code.d_lo, code.d_hi, code.witness = lo, hi, witness
     return lo, hi, witness
 
@@ -348,6 +352,37 @@ def _weight_round(gamma: np.ndarray, q: int, w: int) -> Tuple[int, np.ndarray]:
     return best, word
 
 
+# (row weights, parts) of a code's direct-sum split; see `_split`
+_Split = Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]
+
+
+def _split(code: LinearCode) -> _Split:
+    """The code's direct-sum split on ``cosets``, gathered once for the
+    interval route: the weights of genmat's rows, and per part shape (r, c)
+    a triple (rows, cols, blocks) over its P parts: the (P, r) rows whose
+    pivot lies in each part, the (P, c) part's columns in ascending order,
+    and the (P, r, c) blocks genmat[rows, cols].  Parts without rows are
+    left out.  CertificateError when a nonzero of genmat lies off its row's
+    part, which the blocks then miss."""
+    genmat, pivots = code.genmat, code.pivots
+    part = np.zeros(code.n, dtype=np.int64) if code.cosets is None else code.cosets
+    size = np.bincount(part)
+    height = np.bincount(part[pivots], minlength=len(size))
+    by_col = np.argsort(part, kind="stable")  # part by part, each part's ascending
+    by_row = np.argsort(part[pivots], kind="stable")
+    shapes: Dict[Tuple[int, int], List[int]] = {}
+    for b in np.flatnonzero(height).tolist():
+        shapes.setdefault((int(height[b]), int(size[b])), []).append(b)
+    weights, parts = np.count_nonzero(genmat, axis=1), []
+    for (r, c), bs in shapes.items():
+        rows = by_row[(np.cumsum(height) - height)[bs][:, None] + np.arange(r)]
+        cols = by_col[(np.cumsum(size) - size)[bs][:, None] + np.arange(c)]
+        parts.append((rows, cols, genmat[rows[:, :, None], cols[:, None, :]]))
+    _check(sum(np.count_nonzero(blocks) for *_, blocks in parts) == weights.sum(),
+           "a nonzero of genmat lies off its row's part")
+    return weights, parts
+
+
 def _kernel_vector(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
     """A nonzero kernel vector of mat (columns = unknowns), or None."""
     R, pivots = rref_mod(mat, p)
@@ -361,22 +396,30 @@ def _kernel_vector(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
     return x
 
 
-def _weight_enum_lower(code: LinearCode, budget: int) -> int:
+def _weight_enum_lower(code: LinearCode, budget: int, split: Optional[_Split] = None) -> int:
     """Largest w+1 such that no nonzero codeword has weight <= w.  A codeword
     is fixed by its pivot symbols, so weight 1 is a row of weight 1, and
-    weight 2 a row of weight 2 or two rows proportional off the pivots."""
+    weight 2 a row of weight 2 or two rows proportional off the pivots.
+    Rows of different parts have disjoint supports, so only rows of one
+    part can be proportional: the test reads each part's free block."""
     q, n, genmat = code.q, code.n, code.genmat
-    weights = np.count_nonzero(genmat, axis=1)
+    weights, parts = _split(code) if split is None else split
     if weights.min() <= 2:
         return int(weights.min())
-    # proportional free parts are equal once each is scaled by the inverse
-    # of its first nonzero entry
-    rest = genmat[:, np.delete(np.arange(n), code.pivots)]
-    lead = rest[np.arange(len(rest)), (rest != 0).argmax(axis=1)].tolist()
-    inv = np.array([pow(a, -1, q) for a in lead])
-    rows = np.ascontiguousarray(rest * inv[:, None] % q)
-    if len({row.tobytes() for row in rows}) < len(rows):  # hashing beats np.unique(axis=0)'s sort
-        return 2
+    free = np.ones(n, dtype=bool)
+    free[code.pivots] = False
+    for _rows, cols, blocks in parts:
+        P, r, c = blocks.shape
+        # a part holds its rows' pivots and no others: c - r free columns
+        at = free[cols].nonzero()[1].reshape(P, 1, c - r)
+        rest = np.take_along_axis(blocks, at, axis=2)
+        # proportional free parts are equal once each is scaled by the
+        # inverse of its first nonzero entry; hashing beats np.unique's sort
+        lead = np.take_along_axis(rest, (rest != 0).argmax(axis=2)[:, :, None], axis=2)
+        inv = np.array([pow(a, -1, q) for a in lead.ravel().tolist()]).reshape(P, r, 1)
+        scaled = rest * inv % q
+        if len({(j // r, row.tobytes()) for j, row in enumerate(scaled.reshape(P * r, -1))}) < P * r:
+            return 2
     w, H = 3, None
     while math.comb(n, w) * (q - 1) ** (w - 1) <= budget // max(1, n):
         H = parity_check(genmat, code.pivots, q) if H is None else H
@@ -389,62 +432,71 @@ def _weight_enum_lower(code: LinearCode, budget: int) -> int:
     return w
 
 
-def _information_set_upper(code: LinearCode, budget: int, seed: int):
+def _information_set_upper(code: LinearCode, budget: int, seed: int, split: Optional[_Split] = None):
     """Lightest word over the rows of randomly permuted RREFs and random
-    combinations of rows.  The RREF of a direct sum is the union of its
-    summands' RREFs, so a trial's RREF is its parts' on ``cosets``, each
-    row-reduced on its columns in the trial's order: one `rref_stack` takes
-    every trial's parts of one shape.  Each trial offers its rows in pivot
-    order, then its random words, and the first lightest counts."""
+    combinations of rows, part by part on `_split`.  The RREF of a direct
+    sum is the union of its summands' RREFs, so a trial's RREF is its parts',
+    each row-reduced on its columns in the trial's order: one `rref_stack`
+    takes every trial's parts of one shape.  A random word is the sum of its
+    parts' words, one stacked product per shape.  Each trial offers its rows
+    in pivot order, then its 16 random words, and the first lightest counts."""
     q, n, k = code.q, code.n, code.k
+    parts = (_split(code) if split is None else split)[1]
     rng = np.random.default_rng(seed)
     trials = max(8, min(64, budget // max(1, k * n * n)))
     perms, coeffs = [], []
     for _ in range(trials):  # the draws of one trial after another
         perms.append(rng.permutation(n))
-        coeffs += [rng.integers(0, q, size=k) for _ in range(16)]
-    perms = np.array(perms)
-    part = np.zeros(n, dtype=np.int64) if code.cosets is None else code.cosets
-    # cols[t] lists the columns part by part, each part's in trial t's order,
-    # and place[t] their positions in that order
-    place = np.argsort(part[perms], axis=1, kind="stable")
-    cols = np.take_along_axis(perms, place, axis=1)
-    size = np.bincount(part)
-    start = np.cumsum(size) - size
-    rows = [np.flatnonzero(part[code.pivots] == b) for b in range(len(size))]
-    shapes: Dict[Tuple[int, int], List[int]] = {}
-    for b in range(len(size)):
-        if len(rows[b]):
-            shapes.setdefault((len(rows[b]), int(size[b])), []).append(b)
+        coeffs.append(rng.integers(0, q, size=(16, k)))
+    pos = np.argsort(np.array(perms), axis=1)  # pos[t, x]: column x's place in trial t
+    coeffs = np.concatenate(coeffs)
     # key = weight * n + pivot position, least at the first lightest row in pivot order
-    keys, found = [], []
-    for (r, c), parts in shapes.items():
-        at = start[parts][:, None] + np.arange(c)  # (parts, c) positions in cols[t]
-        mats = code.genmat[np.array([rows[b] for b in parts])[None, :, :, None],
-                           cols[:, at][:, :, None]]  # (trials, parts, r, c)
+    keys, found, words = [], [], []
+    weights = np.zeros(len(coeffs), dtype=np.int64)
+    for rows, cols, blocks in parts:
+        P, r, c = blocks.shape
+        at = pos[:, cols]  # (trials, P, c)
+        order = np.argsort(at, axis=2)  # each part's columns in the trial's order
+        mats = np.take_along_axis(blocks[None], order[:, :, None, :], axis=3)
         R, piv = rref_stack(mats.reshape(-1, r, c), q)
-        R, piv = R.reshape(trials, len(parts), r, c), piv.reshape(trials, len(parts), r)
-        lead = np.take_along_axis(place[:, at], piv, axis=2)
+        R, piv = R.reshape(trials, P, r, c), piv.reshape(trials, P, r)
+        lead = np.take_along_axis(np.take_along_axis(at, order, axis=2), piv, axis=2)
         keys.append((np.count_nonzero(R, axis=3) * n + lead).reshape(trials, -1))
-        found += [(R, at, j, i) for j in range(len(parts)) for i in range(r)]
+        found += [(R, cols, order, j, i) for j in range(P) for i in range(r)]
+        # the random words on these parts: (P, 16 trials, c)
+        words.append(matmul_mod(coeffs[:, rows].transpose(1, 0, 2), blocks, q))
+        weights += np.count_nonzero(words[-1], axis=2).sum(axis=0)
     keys = np.concatenate(keys, axis=1)
     first = keys.argmin(axis=1)
-    # a few random combinations of rows per trial, multiplied out together;
-    # the first lightest nonzero word counts
-    words = matmul_mod(np.array(coeffs), code.genmat, q)
-    weights = np.count_nonzero(words, axis=1)
     weights[weights == 0] = n + 1
-    weights = weights.reshape(trials, 16)
-    lightest = weights.argmin(axis=1)
-    best_w, best = n, None
+    lightest = weights.reshape(trials, 16).argmin(axis=1)
+    best_w, best = n + 1, None
     for t in range(trials):
         if keys[t, first[t]] // n < best_w:
-            R, at, j, i = found[first[t]]
+            R, cols, order, j, i = found[first[t]]
             best_w, best = int(keys[t, first[t]]) // n, np.zeros(n, dtype=np.int64)
-            best[cols[t, at[j]]] = R[t, j, i]
-        if weights[t, lightest[t]] < best_w:
-            best_w, best = int(weights[t, lightest[t]]), words[16 * t + lightest[t]].copy()
+            best[cols[j, order[t, j]]] = R[t, j, i]
+        u = 16 * t + lightest[t]
+        if weights[u] < best_w:
+            best_w, best = int(weights[u]), np.zeros(n, dtype=np.int64)
+            for (_rows, cols, _blocks), word in zip(parts, words):
+                best[cols] = word[:, u]
     return best_w, best
+
+
+def _check_witness(code: LinearCode, split: _Split, weight: int, word: np.ndarray) -> None:
+    """CertificateError unless word has the given weight and lies in the row
+    space, part by part: on each part it is its pivot symbols times the
+    part's block, and it vanishes off the parts."""
+    pivots = np.asarray(code.pivots)
+    _check(np.count_nonzero(word) == weight, "interval witness does not have weight d_hi")
+    inside = 0
+    for rows, cols, blocks in split[1]:
+        on = word[cols][:, None, :]
+        inside += np.count_nonzero(on)
+        _check(not matmul_mod(word[pivots[rows]][:, None, :], blocks, code.q, on).any(),
+               "interval witness is not a codeword")
+    _check(inside == weight, "interval witness is not a codeword")
 
 
 # ---------------------------------------------------------------------------

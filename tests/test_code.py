@@ -199,6 +199,7 @@ def test_full_scale_code_spins_without_translate_matrix():
 ISU_PINS = {
     0: (8, "0f2e4ff5ad92d8e9a66cce616a39f8afc6118ddbf4131cf97a04ce0b0b006ed8"),
     1: (8, "7d417cf301c5835674723e4810dc4faa64ebb5382ba7df06fc3a43ce3a8b4f4b"),
+    11: (8, "f6af7ce94288c04fa9674108209c53e4a2ca21a0b62cc482fdf3ce3646313e7c"),
 }
 
 
@@ -230,25 +231,37 @@ def _direct_sum(blocks, zeros, q, rng):
     return *co.rref_mod(mat[:, order], q), order
 
 
+def _split_direct_sum(blocks, zeros, q, rng):
+    """(genmat, pivots, cosets) of `_direct_sum`, cosets[j] being the block
+    of column j, the zero columns one more part."""
+    genmat, pivots, order = _direct_sum(blocks, zeros, q, rng)
+    cosets = np.repeat(np.arange(len(blocks) + 1), [b.shape[1] for b in blocks] + [zeros])[order]
+    return genmat, pivots, cosets
+
+
+def _random_direct_sums(q):
+    """(genmat, pivots, cosets) of up to six random direct sums of unequal
+    blocks, by `_split_direct_sum`; the zero code is skipped."""
+    rng = np.random.default_rng(100 + q)
+    for _ in range(6):
+        blocks = []
+        for _ in range(int(rng.integers(2, 5))):
+            r = int(rng.integers(1, 4))
+            blocks.append(rng.integers(0, q, size=(r, r + int(rng.integers(0, 5)))))
+        genmat, pivots, cosets = _split_direct_sum(blocks, int(rng.integers(0, 3)), q, rng)
+        if pivots:
+            yield genmat, pivots, cosets
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 13])
 def test_information_set_upper_splits_like_one_rref(q):
     # random direct sums of unequal blocks, handed their block of each column
     # as ``cosets``: the split route gives the same (d_hi, witness) as one
     # rref_mod of the whole permuted genmat for every seed, as does the code
     # without them, taken as one part
-    rng = np.random.default_rng(100 + q)
     split = 0
-    for _ in range(6):
-        blocks = []
-        for _ in range(int(rng.integers(2, 5))):
-            r = int(rng.integers(1, 4))
-            blocks.append(rng.integers(0, q, size=(r, r + int(rng.integers(0, 5)))))
-        zeros = int(rng.integers(0, 3))
-        genmat, pivots, order = _direct_sum(blocks, zeros, q, rng)
-        if not pivots:
-            continue
+    for genmat, pivots, cosets in _random_direct_sums(q):
         n = genmat.shape[1]
-        cosets = np.repeat(np.arange(len(blocks) + 1), [b.shape[1] for b in blocks] + [zeros])[order]
         split += len(set(cosets[pivots].tolist())) > 1
         for parts in (cosets, None):
             code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
@@ -261,6 +274,78 @@ def test_information_set_upper_splits_like_one_rref(q):
                 if want[1] is not None:
                     assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
     assert split >= 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 13])
+def test_weight_enum_lower_per_part_matches_parity_check(q):
+    # the weight-1 and weight-2 test reads each part's rows alone; on the
+    # random direct sums, with their split and as one part, it gives min(d, 3)
+    # as the parity-check column test does.  Added: a part with two rows
+    # proportional off the pivots (2); a row of weight 2; and three equal
+    # parts, whose rows agree part by part but are not proportional (3)
+    rng = np.random.default_rng(200 + q)
+    a, b = int(rng.integers(1, q)), int(rng.integers(1, q))
+    lam = q - 1 if q > 2 else 1
+    pair = np.array([[1, 0, a, b, 1], [0, 1, lam * a % q, lam * b % q, lam]])
+    heavy = np.array([[1, 0, 1, 1, 1], [0, 1, 1, q - 1, 0]]) % q
+    light = np.array([[1, 0, 0, a, 0], [0, 1, 1, 1, 0]])
+    cases = list(_random_direct_sums(q))
+    for blocks in ([heavy, pair], [light, heavy], [heavy, heavy, heavy]):
+        # block-diagonal, unshuffled, so that these rows are the RREF's
+        genmat = np.zeros((2 * len(blocks), 5 * len(blocks)), dtype=np.int64)
+        for j, b in enumerate(blocks):
+            genmat[2 * j:2 * j + 2, 5 * j:5 * j + b.shape[1]] = b
+        cases.append((genmat, [c for j in range(len(blocks)) for c in (5 * j, 5 * j + 1)],
+                      np.repeat(np.arange(len(blocks)), 5)))
+        assert np.array_equal(co.rref_mod(genmat, q)[0], genmat)
+    seen = []
+    for genmat, pivots, cosets in cases:
+        n = genmat.shape[1]
+        want = low_weight_from_parity_check(genmat, pivots, q)
+        for parts in (cosets, None):
+            code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
+            assert co._weight_enum_lower(code, 0) == want, (q, genmat, parts)
+        seen.append((want, int(np.count_nonzero(genmat, axis=1).min())))
+    assert seen[-3:] == [(2, 3), (2, 2), (3, 3)]
+
+
+def test_interval_route_rejects_a_false_split():
+    # cosets that cut a row across two parts: the per-part weight-2 test
+    # would miss words that span them, so the split is refused
+    rng = np.random.default_rng(3)
+    genmat, pivots = co.rref_mod(rng.integers(0, 3, size=(8, 16)), 3)
+    assert (genmat[:, ::2].any(axis=1) & genmat[:, 1::2].any(axis=1)).any()
+    code = co.LinearCode(3, 16, genmat, pivots, 1, 16, cosets=np.arange(16) % 2)
+    for call in (lambda: co.min_distance(code, budget=0), lambda: co._weight_enum_lower(code, 0)):
+        with pytest.raises(co.CertificateError, match="off its row's part"):
+            call()
+    code.cosets = None
+    assert co.min_distance(code, budget=0)[0] >= 1
+
+
+def test_interval_witness_check(monkeypatch):
+    # every word of the repetition code has weight n: d_hi = n has a witness too
+    rep = co.LinearCode(3, 5, np.ones((1, 5), dtype=np.int64), [0], 1, 5)
+    assert np.array_equal(co.min_distance(rep, budget=0)[2], np.ones(5))
+    # a direct sum with a zero column: the interval witness must have weight
+    # d_hi and be a codeword on every part and off them
+    rng = np.random.default_rng(4)
+    genmat, pivots, cosets = _split_direct_sum(
+        [rng.integers(0, 5, size=(3, 7)), rng.integers(0, 5, size=(4, 9))], 1, 5, rng)
+    n = genmat.shape[1]
+    code = co.LinearCode(5, n, genmat, pivots, 1, n, cosets=cosets)
+    lo, hi, w = co.min_distance(code, budget=0)
+    zero = int(np.flatnonzero(cosets == 2)[0])
+    moved = w.copy()
+    moved[np.flatnonzero(w)[0]], moved[np.flatnonzero(w == 0)[0]] = 0, 1
+    off = w.copy()
+    off[zero] = 1
+    for weight, word, what in ((hi - 1, w, "weight"), (hi, moved, "codeword"),
+                               (hi + 1, off, "codeword")):
+        monkeypatch.setattr(co, "_information_set_upper",
+                            lambda *args, weight=weight, word=word: (weight, word))
+        with pytest.raises(co.CertificateError, match=what):
+            co.min_distance(code, budget=0)
 
 
 def test_zero_code_raises():
@@ -493,16 +578,30 @@ def test_enumeration_witness_check(monkeypatch):
 
 def test_certificate_errors_survive_python_O():
     # under -O an assert guard would vanish and the corrupted enumeration
-    # would yield a distance: the witness check must be a raised error
+    # would yield a distance: the witness check must be a raised error.  So
+    # must the interval route's checks: a witness that is no codeword, and
+    # cosets that cut rows across parts
     script = (
         "import numpy as np\n"
         "from metacode import code as co\n"
         "mat = np.random.default_rng(21).integers(0, 2, size=(7, 10)).astype(np.int64)\n"
         "g, piv = co.rref_mod(mat, 2)\n"
         "c = co.LinearCode(2, 10, g, piv, 1, 10)\n"
+        "hi, w = co.min_distance(c, budget=0)[1:]\n"
+        "bad = np.roll(w, 1) if w[0] == w[-1] else w[::-1].copy()\n"
+        "print((bad[piv] @ g % 2 != bad).any())\n"  # bad is no codeword
+        "upper = co._information_set_upper\n"
+        "co._information_set_upper = lambda *args: (hi, bad)\n"
         "co._weight_round = lambda gamma, q, w: (2, np.zeros(gamma.shape[1], dtype=np.int64))\n"
+        "for budget in (co.DEFAULT_BUDGET, 0):\n"
+        "    try:\n"
+        "        print(co.min_distance(c, budget=budget))\n"
+        "    except co.CertificateError:\n"
+        "        print('raised')\n"
+        "co._information_set_upper = upper\n"
+        "c.cosets = np.arange(10) % 2\n"
         "try:\n"
-        "    print(co.min_distance(c))\n"
+        "    print(co.min_distance(c, budget=0))\n"
         "except co.CertificateError:\n"
         "    print('raised')\n"
     )
@@ -512,7 +611,7 @@ def test_certificate_errors_survive_python_O():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised"]
+    assert out.stdout.split() == ["True"] + ["raised"] * 3
 
 
 def test_macwilliams_path_matches_enumeration():
