@@ -15,7 +15,6 @@ from typing import Dict, List, Optional
 from . import code as code_mod
 from . import idem, shoda, units
 from .groups import (
-    FiniteGroup,
     ProductGroup,
     full_subgroup,
     group_from_spec,
@@ -30,11 +29,11 @@ def load_claims() -> List[Dict]:
     return json.loads(text)
 
 
-def _find_pci(alg: idem.GroupAlgebra, sel: Dict) -> idem.Idempotent:
-    """Resolve a pci selector {H_order?, index?, K_gens?, k?}."""
+def _find_pci(alg: idem.GroupAlgebra, pairs: List[shoda.ShodaPair], sel: Dict) -> idem.Idempotent:
+    """Resolve a pci selector {H_order?, index?, K_gens?, k?} against S(G)."""
     G = alg.G
     want_k = sel.get("k", 1)
-    for pair in shoda.ssp_catalog(G):
+    for pair in pairs:
         if "H_order" in sel and pair.H.order != sel["H_order"]:
             continue
         if "index" in sel and pair.index != sel["index"]:
@@ -59,64 +58,59 @@ def build_idempotent(alg: idem.GroupAlgebra, spec: Dict) -> idem.AlgebraElement:
     """The example constructions, written exactly as the source expressions."""
     G = alg.G
     kind = spec["kind"]
+    if kind == "complement_left":
+        # (1 - e) B^ with e the all-group averaging idempotent
+        top = full_subgroup(G)
+        return (alg.one() - alg.hat(top)) * _bhat(alg)
+    if kind == "c2q8_best" and not isinstance(G, ProductGroup):
+        raise idem.RegimeMismatch(f"c2q8_best needs C2 x Q8, got {G.name}")
+    pairs = shoda.ssp_catalog(G)  # once per construction
     if kind == "pci":
-        return _find_pci(alg, spec["pci"]).value
+        return _find_pci(alg, pairs, spec["pci"]).value
     if kind == "left_bhat":
-        e = _find_pci(alg, spec["pci"])
+        e = _find_pci(alg, pairs, spec["pci"])
         return e.value * _bhat(alg)
     if kind == "improved_bhat":
         # e (B^ + B^ a (1 - B^)): the corner-unit conjugate of e B^
-        e = _find_pci(alg, spec["pci"])
+        e = _find_pci(alg, pairs, spec["pci"])
         bh = _bhat(alg)
         return e.value * (bh + (bh * alg.basis(G.a)) * (alg.one() - bh))
     if kind == "alt_conj":
-        e = _find_pci(alg, spec["pci"])
+        e = _find_pci(alg, pairs, spec["pci"])
         u = units.alternating(alg, G.a, spec["k"])
         return units.conjugate_idempotent(alg, e, spec.get("beta", 1), u).value
     if kind == "elem_conj":
-        e = _find_pci(alg, spec["pci"])
+        e = _find_pci(alg, pairs, spec["pci"])
         x = alg.element(
             {G.encode(i, j): c for c, i, j in spec["elem"]}
         )
         u = units.unit_from_element(alg, x)
         return units.conjugate_idempotent(alg, e, spec.get("beta", 1), u).value
-    if kind == "complement_left":
-        # (1 - e) B^ with e the all-group averaging idempotent
-        top = full_subgroup(G)
-        return (alg.one() - alg.hat(top)) * _bhat(alg)
     if kind == "c2q8_best":
         # 1 - (e1 + e2 + e3): drop the trivial, the Q8-kernel, and one
         # matrix-component idempotent of C2 x Q8
-        if not isinstance(G, ProductGroup):
-            raise idem.RegimeMismatch(f"c2q8_best needs C2 x Q8, got {G.name}")
-        q8 = G.right
-        e1 = alg.hat(full_subgroup(G))
+        q8, top = G.right, full_subgroup(G)
+        e1 = alg.hat(top)
         K2 = subgroup_closure(G, [G.pair(0, q8.a), G.pair(0, q8.b)])
-        pair2 = _pair_by_K(G, K2)
-        e2 = idem.pci(alg, pair2, 1).value
+        e2 = idem.pci(alg, _pair_with(pairs, top, K2), 1).value
         H3 = subgroup_closure(G, [G.pair(0, q8.a), G.pair(1, 0)])
         K3 = subgroup_closure(G, [G.pair(1, 0)])
-        pair3 = [
-            p
-            for p in shoda.ssp_catalog(G)
-            if p.H.elements == H3.elements and p.K.elements == K3.elements
-        ][0]
-        e3 = idem.pci(alg, pair3, 1).value
+        e3 = idem.pci(alg, _pair_with(pairs, H3, K3), 1).value
         return alg.one() - (e1 + e2 + e3)
     if kind == "d12_mix":
         # e_C(G, G, <a^2, ab>) + B^ e_C(G, <a>, 1)
         K = subgroup_closure(G, [G.encode(2, 0), G.encode(1, 1)])
-        e4 = idem.pci(alg, _pair_by_K(G, K), 1).value
-        e6 = _find_pci(alg, {"H_order": G.N, "index": G.N}).value
+        e4 = idem.pci(alg, _pair_with(pairs, full_subgroup(G), K), 1).value
+        e6 = _find_pci(alg, pairs, {"H_order": G.N, "index": G.N}).value
         return e4 + _bhat(alg) * e6
     raise KeyError(f"unknown construction kind {kind!r}")
 
 
-def _pair_by_K(G: FiniteGroup, K) -> shoda.ShodaPair:
-    for p in shoda.ssp_catalog(G):
-        if p.H.order == G.order and p.K.elements == K.elements:
+def _pair_with(pairs: List[shoda.ShodaPair], H, K) -> shoda.ShodaPair:
+    for p in pairs:
+        if p.H.elements == H.elements and p.K.elements == K.elements:
             return p
-    raise KeyError("no (G, K) pair with that K")
+    raise KeyError("no catalogued pair with that H and K")
 
 
 def run_claim(claim: Dict, budget: int) -> Dict:

@@ -28,10 +28,6 @@ class NotNormal(GroupError):
     pass
 
 
-class NotCoprimeOrders(GroupError):
-    pass
-
-
 class SchemaError(GroupError):
     pass
 
@@ -230,7 +226,6 @@ class ProductGroup(FiniteGroup):
         self.left = left
         self.right = right
         self.order = left.order * right.order
-        self.coprime = math.gcd(left.order, right.order) == 1
         self.name = name or f"{left.name} x {right.name}"
 
     def __repr__(self):
@@ -272,13 +267,7 @@ class ProductGroup(FiniteGroup):
         return f"({self.left.elem_label(x1)}, {self.right.elem_label(x2)})"
 
 
-def direct_product(
-    G1: FiniteGroup, G2: FiniteGroup, allow_non_coprime: bool = False
-) -> ProductGroup:
-    if math.gcd(G1.order, G2.order) != 1 and not allow_non_coprime:
-        raise NotCoprimeOrders(
-            f"|{G1.name}| = {G1.order} and |{G2.name}| = {G2.order} share a factor"
-        )
+def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> ProductGroup:
     return ProductGroup(G1, G2)
 
 
@@ -453,7 +442,7 @@ def cyclic(n: int) -> MetacyclicGroup:
 
 
 def c2_x_q8() -> ProductGroup:
-    G = direct_product(cyclic(2), quaternion(8), allow_non_coprime=True)
+    G = direct_product(cyclic(2), quaternion(8))
     G.name = "C2xQ8"
     return G
 
@@ -493,7 +482,7 @@ def group_from_spec(obj) -> FiniteGroup:
         if not isinstance(specs, list) or len(specs) != 2:
             raise SchemaError("product spec needs exactly two factors")
         G1, G2 = group_from_spec(specs[0]), group_from_spec(specs[1])
-        G = direct_product(G1, G2, allow_non_coprime=bool(obj.get("allow_non_coprime")))
+        G = direct_product(G1, G2)
         if "name" in obj:
             G.name = str(obj["name"])
         return G
@@ -508,9 +497,11 @@ def group_from_spec(obj) -> FiniteGroup:
 
 
 def load_group_file(path) -> FiniteGroup:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: cannot read a group spec ({exc})") from None
     return group_from_spec(spec)

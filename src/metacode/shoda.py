@@ -14,15 +14,12 @@ from .groups import (
     FiniteGroup,
     GroupError,
     MetacyclicGroup,
-    NotCoprimeOrders,
     NotNormal,
     ProductGroup,
     Subgroup,
     centralizer_mod,
     cyclic_quotient_generator,
-    full_subgroup,
     normalizer,
-    subgroup_closure,
 )
 
 
@@ -69,14 +66,21 @@ class ShodaPair:
         return cyclic_quotient_generator(self.group, self.H, self.K)
 
     @cached_property
+    def coset_of(self) -> np.ndarray:
+        """Per element of G, the t with h in K h0^t, -1 off H; needs h0."""
+        G, K = self.group, self.K
+        ts = np.arange(self.index)
+        coset_of = np.full(G.order, -1, dtype=np.int64)
+        coset_of[G.mul_vec(np.array(K.elements)[None, :], G.power(self.h0, ts)[:, None])] = ts[:, None]
+        coset_of.flags.writeable = False  # shared by every caller
+        return coset_of
+
+    @cached_property
     def normaliser(self) -> Normaliser:
         """N = N_G(H) cap N_G(K), the exponent of its action on H/K = <h0 K>
         and a generator of N/H, computed once per pair; needs h0."""
         G, H, K, h0 = self.group, self.H, self.K, self.h0
         m = self.index
-        coset_of = np.full(G.order, -1, dtype=np.int64)  # h in K h0^t has label t
-        ts = np.arange(m)
-        coset_of[G.mul_vec(np.array(K.elements)[None, :], G.power(h0, ts)[:, None])] = ts[:, None]
         all_idx = np.arange(G.order, dtype=np.int64)
         mask = G.conj_mask(H.gens or H.elements, H.elements, all_idx)
         mask &= G.conj_mask(K.gens or K.elements, K.elements, all_idx)
@@ -84,7 +88,7 @@ class ShodaPair:
         x0 = G.identity
         if m > 1 and len(N) > H.order:  # N normalises H, so H is normal in N
             x0 = cyclic_quotient_generator(G, Subgroup(G, N.tolist()), H)
-        exps = coset_of[G.conj_vec(h0, N)]
+        exps = self.coset_of[G.conj_vec(h0, N)]
         N.flags.writeable = exps.flags.writeable = False  # shared by every caller
         return Normaliser(N, exps, x0)
 
@@ -207,18 +211,50 @@ def p5_group(family: int, p: int) -> MetacyclicGroup:
 # direct products
 
 
-def ssp_product(
-    G: ProductGroup, pairs1: List[ShodaPair], pairs2: List[ShodaPair]
-) -> List[ShodaPair]:
-    """Componentwise pairs (H1 x H2, K1 x K2) for coprime factors."""
-    if not G.coprime:
-        raise NotCoprimeOrders(f"{G.name}: factors share an order factor")
+def ssp_product(G: ProductGroup) -> List[ShodaPair]:
+    """S(G1 x G2) from S(G1) and S(G2) (Olivieri, del Rio & Simon 2004).
+
+    Every irreducible character of G1 x G2 is induced from psi1 x psi2 on
+    H = H1 x H2, with psi_i linear of kernel K_i.  For m_i = [H_i:K_i],
+    g = gcd(m1, m2) and l = lcm(m1, m2), the kernels of psi1 x psi2^b, b a
+    unit mod m2, are L_c = {(k1 h01^i, k2 h02^j) : i l/m1 + b j l/m2 = 0 mod l},
+    one per c = b mod g in (Z/g)*; the action exponents of the factor pairs
+    move c, so each pair (H1, K1), (H2, K2) gives one (H, L_c) per class, c
+    its least member and b the least unit mod m2 with b = c mod g.  With
+    g = 1 that is (H, K1 x K2).  Sorted as the factor pairs, then by c.
+    """
+    pairs2 = ssp_catalog(G.right)
     out = []
-    for sp1 in pairs1:
+    for sp1 in ssp_catalog(G.left):
         for sp2 in pairs2:
             H = _product_subgroup(G, sp1.H, sp2.H)
             K = _product_subgroup(G, sp1.K, sp2.K)
-            out.append(ShodaPair(H, K))
+            m1, m2 = sp1.index, sp2.index
+            g = math.gcd(m1, m2)
+            if g == 1:
+                out.append(ShodaPair(H, K))
+                continue
+            l = m1 * m2 // g
+            t1 = sp1.coset_of[list(sp1.H.elements)] * (l // m1)
+            t2 = sp2.coset_of[list(sp2.H.elements)] * (l // m2)
+            S = {1}  # the subgroup of (Z/g)* that the action exponents generate
+            if g > 2:  # (Z/2)* is trivial
+                acts = {e % g for sp in (sp1, sp2) for e in sp.normaliser.exps.tolist()}
+                while len(grown := S | {s * e % g for s in S for e in acts}) > len(S):
+                    S = grown
+            seen = set()
+            for c in range(1, g):
+                if math.gcd(c, g) > 1 or c in seen:
+                    continue
+                seen |= {c * s % g for s in S}
+                b = next(b for b in range(c, m2, g) if math.gcd(b, m2) == 1)
+                inside = (t1[:, None] + b * t2[None, :]) % l == 0
+                # (h01^i, h02^(m2/g)) in L_c generates L_c modulo K1 x K2
+                diag = G.pair(G.left.power(sp1.h0, -b * (m1 // g) % m1),
+                              G.right.power(sp2.h0, m2 // g))
+                gens = tuple(x for x in K.gens if x != G.identity) + (diag,)
+                L = Subgroup(G, np.array(H.elements)[inside.ravel()].tolist(), gens=gens)
+                out.append(ShodaPair(H, L))
     return out
 
 
@@ -229,61 +265,14 @@ def _product_subgroup(G: ProductGroup, S1: Subgroup, S2: Subgroup) -> Subgroup:
     return Subgroup(G, elems, gens=tuple(g for g in gens if g != 0) or (0,))
 
 
-def ssp_c2_q8(G: ProductGroup) -> List[ShodaPair]:
-    """S(C2 x Q8): the (G, K)-type kernels plus the two (⟨a,c⟩, ·) pairs.
-
-    The C2 factor is written c; the Q8 factor carries a, b.  The (G, K)
-    entries are the kernels of the seven order-2 characters of G/⟨a²⟩; the
-    verifier accepts the full list exhaustively.
-    """
-    if not (
-        isinstance(G.left, MetacyclicGroup)
-        and G.left.order == 2
-        and isinstance(G.right, MetacyclicGroup)
-        and (G.right.N, G.right.M, G.right.r, G.right.s) == (4, 2, 3, 2)
-    ):
-        raise NotGenericFamily(f"{G.name} is not C2 x Q8")
-    q8 = G.right
-    c = G.pair(1, 0)
-    a = G.pair(0, q8.a)
-    b = G.pair(0, q8.b)
-    ab = G.mul(a, b)
-    a2 = G.mul(a, a)
-    top = full_subgroup(G)
-    kernels = [
-        [a, b],
-        [a, c],
-        [b, c],
-        [ab, c],
-        [a, G.mul(b, c)],
-        [b, G.mul(a, c)],
-        [ab, G.mul(b, c)],
-    ]
-    out = [ShodaPair(top, top)]
-    for gens in kernels:
-        out.append(ShodaPair(top, subgroup_closure(G, gens + [a2])))
-    H = subgroup_closure(G, [a, c])
-    out.append(ShodaPair(H, subgroup_closure(G, [c])))
-    out.append(ShodaPair(H, subgroup_closure(G, [G.mul(a2, c)])))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dispatcher and verifier
 
 
 def ssp_catalog(G: FiniteGroup) -> List[ShodaPair]:
-    """The paper's S(G): metacyclic groups, coprime products of them, and C2 x Q8."""
+    """The paper's S(G): metacyclic groups and direct products of catalogued groups."""
     if isinstance(G, ProductGroup):
-        try:
-            return ssp_c2_q8(G)
-        except NotGenericFamily:
-            pass
-        if not G.coprime:
-            raise NotGenericFamily(
-                f"{G.name}: only coprime products (or C2 x Q8) are catalogued"
-            )
-        return ssp_product(G, ssp_catalog(G.left), ssp_catalog(G.right))
+        return ssp_product(G)
     if not isinstance(G, MetacyclicGroup):
         raise NotGenericFamily(f"{G.name} is not a catalogued group")
     return ssp_metacyclic(G)

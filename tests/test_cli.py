@@ -60,6 +60,19 @@ def test_ssp_list_verify(capsys):
     assert all(r["verified"] is True for r in rows)
 
 
+def test_ssp_list_takes_a_product_whose_factors_share_a_prime(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"product": [{"N": 7, "M": 3, "r": 2}, {"N": 7, "M": 3, "r": 2}]}))
+    rc, out, _ = run(capsys, "ssp", "list", "--spec", str(path), "--verify")
+    rows = json.loads(out)
+    assert rc == 0 and len(rows) == 11 and all(r["verified"] is True for r in rows)
+
+
+def test_unreadable_spec_file_is_an_error(tmp_path, capsys):
+    rc, out, err = run(capsys, "group", "info", "--spec", str(tmp_path))
+    assert rc == 1 and out == "" and err.startswith(f"error: {tmp_path}: cannot read")
+
+
 @pytest.mark.parametrize("spec", [{"N": 2, "M": 2, "r": 1, "s": 0}, {"N": 9, "M": 3, "r": 4, "s": 3}])
 def test_ssp_list_and_wedderburn_take_any_presentation(tmp_path, capsys, spec):
     # C2 x C2 and a non-split group of order 27, outside every hand table

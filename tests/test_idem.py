@@ -329,6 +329,33 @@ def test_every_presentation_to_order_100_meets_the_oracles():
         check_catalog_oracles(G)
 
 
+def _products_sharing_a_prime():
+    C, dp = gr.cyclic, gr.direct_product
+    G21 = gr.MetacyclicGroup(7, 3, 2, name="G21")
+    return [dp(C(2), C(2)), dp(C(2), gr.dihedral(8)), dp(C(4), C(12)), dp(C(12), C(4)),
+            dp(C(3), G21), dp(gr.dihedral(8), gr.quaternion(8)), dp(C(6), C(10)),
+            gr.ProductGroup(dp(C(2), C(2)), C(2), name="(C2 x C2) x C2"),
+            gr.ProductGroup(C(2), dp(C(2), C(2)), name="C2 x (C2 x C2)")]
+
+
+@pytest.mark.parametrize("G", _products_sharing_a_prime(), ids=lambda G: G.name)
+def test_products_sharing_a_prime_meet_the_oracles(G):
+    # In C4 x C12, the index-4 pair of C4 with the index-12 pair of C12 has
+    # class c = 3 of (Z/4)*; its kernel takes b = 7, the least unit mod 12
+    # that is 3 mod 4, since b = 3 is no unit mod 12 and gives a wrong kernel
+    check_catalog_oracles(G)
+
+
+@pytest.mark.slow
+def test_every_small_product_sharing_a_prime_meets_the_oracles():
+    factors = [gr.MetacyclicGroup(*P) for P in presentations(8) if P[0] * P[1] > 1]
+    products = [gr.direct_product(A, B) for A in factors for B in factors
+                if A.order * B.order <= 48 and math.gcd(A.order, B.order) > 1]
+    assert len(products) == 1467
+    for G in products:
+        check_catalog_oracles(G)
+
+
 def test_closed_form_regime_mismatch():
     # K is normal in H but not in G, so the G-conjugates of epsilon are not
     # epsilons of (H, K) and the closed form does not apply

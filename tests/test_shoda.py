@@ -157,6 +157,23 @@ def test_c2q8_catalog():
     G = gr.c2_x_q8()
     pairs = verified_catalog(G)
     assert len(pairs) == 10
+    # the sorted (H, K) set of the hand table that the product rule replaced,
+    # hashed from that table
+    table = sorted((p.H.elements, p.K.elements) for p in pairs)
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == \
+        "5274437b6ce86394e22bff50603762a0a751281ac776dc7e5e09f31b61f00593"
+
+
+def test_product_sharing_a_prime_catalog():
+    # G21 x G21: each of the 3 x 3 products of factor pairs gives one pair,
+    # except index 3 with index 3, one per unit of (Z/3)* (G acts trivially
+    # on G21/<a>), and index 7 with index 7, one per class of (Z/7)* under
+    # the exponents 1, 2, 4 of b acting on <a>
+    G21 = gr.MetacyclicGroup(7, 3, 2, name="G21")
+    G = gr.direct_product(G21, G21)
+    pairs = verified_catalog(G)
+    assert len(pairs) == 7 + 2 + 2
+    assert [p.index for p in pairs] == [1, 3, 7, 3, 3, 3, 21, 7, 21, 7, 7]
 
 
 def test_verify_ssp_rejects():
@@ -176,10 +193,12 @@ def test_verify_ssp_rejects():
 
 
 def test_catalogued_H_is_generated_by_its_gens(matrix):
-    # ideal_to_code spins the block of a pci under pair.H.gens alone; the
-    # suite groups and G21 x G55, whose pcis the benchmark turns into codes
+    # ideal_to_code spins the block of a pci under pair.H.gens alone, and
+    # structured products and conj_mask read K.gens in place of K; the suite
+    # groups and G21 x G55, whose pcis the benchmark turns into codes
     analogue = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
                                  gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
     for G in {G.name: G for G, _q in matrix + [(analogue, 2)]}.values():
         for pair in sh.ssp_catalog(G):
-            assert pair.H.gens and gr.subgroup_closure(G, pair.H.gens) == pair.H, (G.name, pair.label())
+            for S in (pair.H, pair.K):
+                assert S.gens and gr.subgroup_closure(G, S.gens) == S, (G.name, pair.label())
