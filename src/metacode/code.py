@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,20 +40,6 @@ class GenmatFormatError(CodeError):
 def _check(ok: bool, what: str) -> None:
     if not ok:
         raise CertificateError(what)
-
-
-# ---------------------------------------------------------------------------
-# GF(p) linear algebra (echelon forms live in ffield)
-
-
-def parity_check(genmat: np.ndarray, pivots: List[int], p: int) -> np.ndarray:
-    """Parity-check matrix of the code with RREF generator matrix genmat."""
-    k, n = genmat.shape
-    free = np.delete(np.arange(n), pivots)  # np.setdiff1d would import numpy.ma
-    H = np.zeros((n - k, n), dtype=np.int64)
-    H[np.arange(n - k), free] = 1
-    H[:, pivots] = (-genmat[:, free].T) % p
-    return H
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +156,15 @@ def min_distance(
     (exact) when its worst case, `_worst_case`, is at most ``budget``
     codewords; otherwise an interval, computed part by part on the code's
     direct-sum split ``cosets`` (`_split`; for a pci one part per left coset
-    of its pair's H): d_lo reads weights 1 and 2 off the RREF rows (and
-    searches weight 3 up on the parity check while the budget allows), and
-    d_hi is the lightest word over seeded random information sets and random
-    combinations of rows.  High-rate codes whose RREF rows are all heavy can
-    therefore get an interval even when their dual is small.  The witness
-    has weight d_hi.  Failed internal checks raise `CertificateError`: a
-    witness of another weight or outside the code (checked part by part on
-    the interval route), and a nonzero of genmat off its row's part.
+    of its pair's H): d_lo reads weights 1 and 2 off the RREF rows (and,
+    from weight 3 up while the budget allows, runs Brouwer-Zimmermann rounds
+    on the pivot set), and d_hi is the lightest word over seeded random
+    information sets and random combinations of rows.  High-rate codes whose
+    RREF rows are all heavy can therefore get an interval even when their
+    dual is small.  The witness has weight d_hi.  Failed internal checks
+    raise `CertificateError`: a witness of another weight or outside the
+    code (checked part by part on the interval route), and a nonzero of
+    genmat off its row's part.
 
     A code from `ideal_to_code` carries ``perms``, the coordinate permutations
     of G's generators, under which the ideal is invariant.  The enumeration
@@ -383,27 +369,17 @@ def _split(code: LinearCode) -> _Split:
     return weights, parts
 
 
-def _kernel_vector(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """A nonzero kernel vector of mat (columns = unknowns), or None."""
-    R, pivots = rref_mod(mat, p)
-    ncols = mat.shape[1]
-    free = np.delete(np.arange(ncols), pivots)
-    if not len(free):
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    x[free[0]] = 1
-    x[pivots] = (-R[:, free[0]]) % p
-    return x
-
-
-def _weight_enum_lower(code: LinearCode, budget: int, split: Optional[_Split] = None) -> int:
+def _weight_enum_lower(code: LinearCode, budget: int, split: _Split) -> int:
     """Largest w+1 such that no nonzero codeword has weight <= w.  A codeword
     is fixed by its pivot symbols, so weight 1 is a row of weight 1, and
     weight 2 a row of weight 2 or two rows proportional off the pivots.
     Rows of different parts have disjoint supports, so only rows of one
-    part can be proportional: the test reads each part's free block."""
+    part can be proportional: the test reads each part's free block.  From
+    w = 3 on, while C(n, w) (q-1)^(w-1) <= budget / n, it runs the
+    Brouwer-Zimmermann rounds up to w on the pivot set (`_weight_round`;
+    round 1 is the rows), which see every codeword of weight <= w."""
     q, n, genmat = code.q, code.n, code.genmat
-    weights, parts = _split(code) if split is None else split
+    weights, parts = split
     if weights.min() <= 2:
         return int(weights.min())
     free = np.ones(n, dtype=bool)
@@ -420,19 +396,18 @@ def _weight_enum_lower(code: LinearCode, budget: int, split: Optional[_Split] = 
         scaled = rest * inv % q
         if len({(j // r, row.tobytes()) for j, row in enumerate(scaled.reshape(P * r, -1))}) < P * r:
             return 2
-    w, H = 3, None
+    w, ran, best = 3, 1, int(weights.min())  # rounds 1..ran run, the lightest word seen
     while math.comb(n, w) * (q - 1) ** (w - 1) <= budget // max(1, n):
-        H = parity_check(genmat, code.pivots, q) if H is None else H
-        for support in combinations(range(n), w):
-            sub = H[:, support]
-            word = _kernel_vector(sub, q)  # None when the w columns are independent
-            if word is not None and np.count_nonzero(word) == w:
-                return w
+        while ran < w:
+            ran += 1
+            best = min(best, _weight_round(genmat, q, ran)[0])
+        if best <= w:
+            return best
         w += 1
     return w
 
 
-def _information_set_upper(code: LinearCode, budget: int, seed: int, split: Optional[_Split] = None):
+def _information_set_upper(code: LinearCode, budget: int, seed: int, split: _Split):
     """Lightest word over the rows of randomly permuted RREFs and random
     combinations of rows, part by part on `_split`.  The RREF of a direct
     sum is the union of its summands' RREFs, so a trial's RREF is its parts',
@@ -441,7 +416,7 @@ def _information_set_upper(code: LinearCode, budget: int, seed: int, split: Opti
     parts' words, one stacked product per shape.  Each trial offers its rows
     in pivot order, then its 16 random words, and the first lightest counts."""
     q, n, k = code.q, code.n, code.k
-    parts = (_split(code) if split is None else split)[1]
+    parts = split[1]
     rng = np.random.default_rng(seed)
     trials = max(8, min(64, budget // max(1, k * n * n)))
     perms, coeffs = [], []

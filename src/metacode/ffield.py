@@ -390,7 +390,7 @@ def make_field(p: int, e: int = 1) -> FieldCtx:
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
     if e < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise FieldError(f"extension degree must be >= 1, got {e}")
     key = (p, e)
     ctx = _FIELD_CACHE.get(key)
     if ctx is None:
@@ -994,16 +994,17 @@ def two_power_i_star(q: int) -> int:
 
 def _orbit_sum_is_zero(q: int, M: int, k: int) -> bool:
     """Exact per-k resolution via the trace table (small fields only here)."""
-    tab = trace_table(_prime_power_field(q), M)
+    tab = trace_table(make_field(*prime_power(q)), M)
     return all(v == 0 for v in tab[k % M])
 
 
-def _prime_power_field(q: int) -> FieldCtx:
-    fac = factorize(q)
+def prime_power(q: int) -> Tuple[int, int]:
+    """(p, e) with q = p^e; NonPrimeCharacteristic unless q is a prime power >= 2."""
+    fac = factorize(q) if q >= 2 else {}
     if len(fac) != 1:
         raise NonPrimeCharacteristic(f"q={q} is not a prime power")
     ((p, e),) = fac.items()
-    return make_field(p, e)
+    return p, e
 
 
 def trace_vanishes_two_odd_primes(

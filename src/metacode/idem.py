@@ -17,6 +17,7 @@ from .ffield import (
     trace_table,
     two_power_i_star,
     make_field,
+    prime_power,
     NotCoprime,
 )
 from .groups import FiniteGroup, Subgroup, orbit_labels
@@ -477,6 +478,7 @@ class ComponentRow:
 
 def census(G: FiniteGroup, q: int, pairs: Optional[Sequence[ShodaPair]] = None) -> List[ComponentRow]:
     """Wedderburn component parameters per inequivalent pci, by orbit count."""
+    prime_power(q)  # NonPrimeCharacteristic unless GF(q) exists
     if math.gcd(q, G.order) != 1:
         raise NotSemisimple(f"gcd(q={q}, |G|={G.order}) != 1")
     if pairs is None:

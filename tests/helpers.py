@@ -19,7 +19,6 @@ from metacode.ffield import (
     rel_trace,
     rref_mod,
 )
-from metacode.code import parity_check
 from metacode.idem import census
 
 ORACLE_FIELD_CAP = 140
@@ -309,6 +308,16 @@ def brute_force_min_weight(genmat: np.ndarray, q: int) -> int:
         if w < best:
             best = w
     return best
+
+
+def parity_check(genmat: np.ndarray, pivots: List[int], p: int) -> np.ndarray:
+    """Parity-check matrix of the code with RREF generator matrix genmat."""
+    k, n = genmat.shape
+    free = np.delete(np.arange(n), pivots)  # np.setdiff1d would import numpy.ma
+    H = np.zeros((n - k, n), dtype=np.int64)
+    H[np.arange(n - k), free] = 1
+    H[:, pivots] = (-genmat[:, free].T) % p
+    return H
 
 
 def macwilliams_distance(genmat: np.ndarray, pivots: List[int], q: int) -> int:

@@ -27,6 +27,30 @@ def test_field_rejects_nonprime(capsys):
     assert rc == 1 and "prime" in err
 
 
+@pytest.mark.parametrize("e", ["0", "-1"])
+def test_field_rejects_a_degree_below_one(capsys, e):
+    rc, out, err = run(capsys, "field", "--p", "2", "--e", e)
+    assert rc == 1 and out == "" and err == f"error: extension degree must be >= 1, got {e}\n"
+
+
+def test_closed_stdout_is_no_traceback():
+    # a reader that is gone before the child writes, as `| head` is once it
+    # has read its lines: the write fails with EPIPE, and the command exits 1
+    # without a traceback from its print or from the interpreter's exit flush
+    src = str(Path(id_.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "metacode.cli", "algebra", "wedderburn", "--spec", "D:16", "--q", "3"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=write, stderr=subprocess.PIPE, text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert out.returncode == 1 and "Traceback" not in out.stderr, out.stderr
+
+
 def test_group_info(tmp_path, capsys):
     spec = tmp_path / "d14.json"
     spec.write_text(json.dumps({"N": 7, "M": 2, "r": 6, "s": 0, "name": "D14"}))
@@ -115,6 +139,22 @@ def test_pci_list_at_a_large_prime_q_finishes():
     assert all(e.value.is_idempotent() for e in idems)
     assert all((e.value * f.value).weight() == 0 for i, e in enumerate(idems) for f in idems[i + 1:])
     assert id_.sum_idempotents(alg, idems) == alg.one()
+
+
+def test_code_build_of_the_binary_qr_code_of_c71_finishes():
+    # the [71, 35] code of C71 over GF(2) is past the exact route's budget,
+    # so its d_lo comes from Brouwer-Zimmermann rounds 1..4 on the pivot set
+    # (at most C(35, 4) messages a round), where the parity-check search it
+    # replaced took about a minute over all C(71, 4) supports.  Run in a
+    # child so that a hang fails at the bound
+    src = str(Path(id_.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "metacode.cli", "code", "build", "--spec", "C:71", "--q", "2", "--pci", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20,
+    )
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert (got["n"], got["k"], got["d_lo"], got["d_hi"], got["witness_weight"]) == (71, 35, 5, 12, 12)
 
 
 def test_unit_command(capsys):
@@ -210,6 +250,14 @@ def test_algebra_commands(capsys):
     rc, out, _ = run(capsys, "algebra", "isocheck", "--spec1", "D:16",
                      "--spec2", "SD:16", "--q", "7")
     assert rc == 0 and json.loads(out)["isomorphic"] is False
+
+
+@pytest.mark.parametrize("q", ["15", "1", "-1"])
+def test_algebra_commands_refuse_a_q_that_is_no_prime_power(capsys, q):
+    # coprime to |D14| = 14, but GF(q) does not exist
+    for argv in (("wedderburn", "--spec", "D:14"), ("isocheck", "--spec1", "D:14", "--spec2", "C:14")):
+        rc, out, err = run(capsys, "algebra", *argv, "--q", q)
+        assert rc == 1 and out == "" and err == f"error: q={q} is not a prime power\n", argv
 
 
 def test_verify_examples_subset(capsys):

@@ -16,9 +16,10 @@ from metacode import idem as id_
 from metacode import shoda as sh
 from metacode import units as un
 from metacode.examples import build_idempotent, load_claims
+from metacode.ffield import NonPrimeCharacteristic
 from helpers import (
     brute_force_min_weight, information_set_upper, low_weight_from_parity_check,
-    macwilliams_distance, stacked_translate_code,
+    macwilliams_distance, parity_check, stacked_translate_code,
 )
 
 
@@ -27,7 +28,7 @@ def test_rref_and_rank():
     R, pivots = co.rref_mod(M, 5)
     assert co.rank_mod(M, 5) == 2
     assert pivots == [0, 2]
-    H = co.parity_check(R, pivots, 5)
+    H = parity_check(R, pivots, 5)
     assert not ((R @ H.T) % 5).any()
 
 
@@ -211,7 +212,7 @@ def test_information_set_upper_pinned():
     c = co.ideal_to_code(alg, id_.pci(alg, pair, id_.cosets_and_orbits(G, pair, 2).orbit_reps[0]))
     assert c.k == 450
     for seed, (weight, digest) in ISU_PINS.items():
-        w, word = co._information_set_upper(c, 2_000_000, seed)
+        w, word = co._information_set_upper(c, 2_000_000, seed, co._split(c))
         assert word.dtype == np.int64
         assert (w, hashlib.sha256(word.tobytes()).hexdigest()) == (weight, digest), seed
         assert np.count_nonzero(word) == w
@@ -267,7 +268,7 @@ def test_information_set_upper_splits_like_one_rref(q):
             code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
             for seed in range(4):
                 # budget 0: 8 trials
-                got = co._information_set_upper(code, 0, seed)
+                got = co._information_set_upper(code, 0, seed, co._split(code))
                 want = information_set_upper(code, 0, seed)
                 assert got[0] == want[0], (q, seed, genmat)
                 assert (got[1] is None) == (want[1] is None)
@@ -304,7 +305,7 @@ def test_weight_enum_lower_per_part_matches_parity_check(q):
         want = low_weight_from_parity_check(genmat, pivots, q)
         for parts in (cosets, None):
             code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
-            assert co._weight_enum_lower(code, 0) == want, (q, genmat, parts)
+            assert co._weight_enum_lower(code, 0, co._split(code)) == want, (q, genmat, parts)
         seen.append((want, int(np.count_nonzero(genmat, axis=1).min())))
     assert seen[-3:] == [(2, 3), (2, 2), (3, 3)]
 
@@ -316,7 +317,8 @@ def test_interval_route_rejects_a_false_split():
     genmat, pivots = co.rref_mod(rng.integers(0, 3, size=(8, 16)), 3)
     assert (genmat[:, ::2].any(axis=1) & genmat[:, 1::2].any(axis=1)).any()
     code = co.LinearCode(3, 16, genmat, pivots, 1, 16, cosets=np.arange(16) % 2)
-    for call in (lambda: co.min_distance(code, budget=0), lambda: co._weight_enum_lower(code, 0)):
+    for call in (lambda: co.min_distance(code, budget=0),
+                 lambda: co._weight_enum_lower(code, 0, co._split(code))):
         with pytest.raises(co.CertificateError, match="off its row's part"):
             call()
     code.cosets = None
@@ -552,8 +554,8 @@ def test_cold_certificates_do_not_import_numpy_ma():
         "genmat, pivots = co.rref_mod(np.random.default_rng(33).integers(0, 3, (8, 16)), 3)\n"
         "c = co.LinearCode(3, 16, genmat, pivots, 1, 16)\n"
         "co._brouwer_zimmermann(genmat, pivots, 3)\n"  # the perms-free search takes more sets
-        "co._weight_enum_lower(c, 10**5)\n"  # runs the weight-3 loop on the parity check
-        "co._information_set_upper(c, 0, 0)\n"
+        "co._weight_enum_lower(c, 10**5, co._split(c))\n"  # runs Brouwer-Zimmermann rounds 2 and 3
+        "co._information_set_upper(c, 0, 0, co._split(c))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(co.__file__).resolve().parents[1])
@@ -682,7 +684,7 @@ def test_parity_check_and_low_weight_bound_match_loops():
             if not pivots or summed and q ** len(pivots) > 5000:  # keep the brute force small
                 continue
             n = genmat.shape[1]
-            H = co.parity_check(genmat, pivots, q)
+            H = parity_check(genmat, pivots, q)
             loop = np.zeros_like(H)
             for i, c in enumerate(c for c in range(n) if c not in pivots):
                 loop[i, c] = 1
@@ -690,14 +692,14 @@ def test_parity_check_and_low_weight_bound_match_loops():
             assert np.array_equal(H, loop)
             code = co.LinearCode(q, n, genmat, pivots, 1, n)
             d = brute_force_min_weight(genmat, q)
-            low = co._weight_enum_lower(code, budget=0)
+            low = co._weight_enum_lower(code, 0, co._split(code))
             assert low == min(d, 3) == low_weight_from_parity_check(genmat, pivots, q), (q, genmat)
             seen.add((low, int(np.count_nonzero(genmat, axis=1).min()) <= 2))
             # the weight-3+ loop, at a budget that lets it find d on some codes and stop on others
             budget = 10**5
             costs = {w: math.comb(n, w) * (q - 1) ** (w - 1) for w in range(3, n + 1)}
             stop = min([w for w, cost in costs.items() if cost > budget // n], default=n + 1)
-            assert co._weight_enum_lower(code, budget) == min(d, stop), (q, genmat)
+            assert co._weight_enum_lower(code, budget, co._split(code)) == min(d, stop), (q, genmat)
             if d >= 3:
                 seen.add(("found", d) if d < stop else ("stop", stop))
     # d = 1, 2 and >= 3; weight 2 both from a light row and from a proportional pair
@@ -760,6 +762,17 @@ def test_wedderburn_reports():
     for q in (3, 5, 7, 9):
         rep = co.wedderburn_report(D16, q)
         assert rep.total_dim == 16
+
+
+def test_wedderburn_refuses_a_q_that_is_no_prime_power(monkeypatch):
+    # q coprime to |G| that is no field size is refused before any orbit work
+    D14, C14 = gr.dihedral(14), gr.cyclic(14)
+    monkeypatch.setattr(id_, "cosets_and_orbits", None)
+    for q in (15, 1, 0, -1):
+        for call in (lambda: id_.census(D14, q), lambda: co.wedderburn_report(D14, q),
+                     lambda: co.algebra_isomorphic(D14, C14, q)):
+            with pytest.raises(NonPrimeCharacteristic, match=f"q={q} is not a prime power"):
+                call()
 
 
 def test_algebra_isomorphic_examples():

@@ -126,8 +126,10 @@ def test_typed_errors():
         ff.odd_prime_i0(5, 2)
     with pytest.raises(ValueError):
         ff.odd_prime_i0(5, 9)
-    with pytest.raises(ff.NonPrimeCharacteristic):
-        ff._prime_power_field(6)
+    for q in (6, 1, 0, -1):
+        with pytest.raises(ff.NonPrimeCharacteristic):
+            ff.prime_power(q)
+    assert ff.prime_power(9) == (3, 2)
     big = 100_000_007  # (big - 1)^2 alone passes 2^53, the float64 exactness bound
     assert ff.is_prime(big) and ff.mult_order(big, 3) == 2
     with pytest.raises(ff.FieldTooLarge):

@@ -28,6 +28,21 @@ def test_bicyclic_units():
     assert um.verify()
 
 
+@pytest.mark.parametrize("G,q", [(gr.dihedral(14), 5), (gr.dihedral(16), 3), (gr.quaternion(16), 3)])
+def test_mirrored_bicyclic_unit(G, q):
+    # b(a, b~) = 1 + (1 - b) a b~ and its mirror 1 + b~ a (1 - b): both are
+    # units with the inverse 1 - (middle term), and they differ
+    alg = id_.GroupAlgebra(G, q)
+    u = un.bicyclic(alg, G.a, G.b)
+    um = un.bicyclic(alg, G.a, G.b, mirrored=True)
+    ht = un.group_sum(alg, G.b)
+    mid = ht * alg.basis(G.a) * (alg.one() - alg.basis(G.b))
+    assert um.value == alg.one() + mid and um.inverse == alg.one() - mid
+    for unit in (u, um):
+        assert unit.value * unit.inverse == alg.one() == unit.inverse * unit.value
+    assert mid.weight() > 0 and um.value != u.value
+
+
 def test_bass_units():
     G = gr.MetacyclicGroup(5, 4, 2)  # a has order 5
     alg = id_.GroupAlgebra(G, 3)
