@@ -249,7 +249,7 @@ def cmd_code_build(args) -> int:
     budget = _check_budget(args.budget)
     if c.k == 0:
         raise UsageError("the chosen idempotent generates the zero code")
-    lo, hi, witness = code_mod.min_distance(c, budget=budget, seed=args.seed)
+    lo, hi, witness = code_mod.min_distance(c, budget=budget)
     out = {
         "n": c.n,
         "k": c.k,
@@ -379,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
         if name == "build":
             p.add_argument("--budget", type=int, default=code_mod.DEFAULT_BUDGET, help=BUDGET_HELP)
-            p.add_argument("--seed", type=int, default=0, help="seed of the random information "
-                           "sets that give d_hi when the exact search does not fit the budget")
 
     grp = sub.add_parser("algebra", help="Wedderburn structure reports")
     gsub = grp.add_subparsers(dest="subcommand", required=True)

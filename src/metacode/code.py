@@ -10,7 +10,7 @@ import numpy as np
 
 from .ffield import (
     coset_order, factorize, is_prime, matmul_mod, mult_order, odd_prime_i0, rank_mod, rref_mod,
-    rref_stack, v_adic,
+    v_adic,
 )
 from .groups import FiniteGroup, Subgroup, orbit_labels, quotient_is_cyclic
 from .idem import GroupAlgebra, Idempotent, InvariantError, census
@@ -158,13 +158,15 @@ def min_distance(
     direct-sum split ``cosets`` (`_split`; for a pci one part per left coset
     of its pair's H): d_lo reads weights 1 and 2 off the RREF rows (and,
     from weight 3 up while the budget allows, runs Brouwer-Zimmermann rounds
-    on the pivot set), and d_hi is the lightest word over seeded random
-    information sets and random combinations of rows.  High-rate codes whose
-    RREF rows are all heavy can therefore get an interval even when their
-    dual is small.  The witness has weight d_hi.  Failed internal checks
-    raise `CertificateError`: a witness of another weight or outside the
-    code (checked part by part on the interval route), and a nonzero of
-    genmat off its row's part.
+    on the pivot set, closing the interval when they find d), and d_hi is
+    the lightest word of Brouwer-Zimmermann rounds on each distinct part
+    block (`_block_upper`).  High-rate codes whose RREF rows are all heavy
+    can therefore get an interval even when their dual is small.  Every
+    route is deterministic: ``seed`` is ignored, and kept only so that
+    callers which pass it still run.  The witness has weight d_hi.  Failed
+    internal checks raise `CertificateError`: a witness of another weight
+    or outside the code (checked part by part on the interval route), and a
+    nonzero of genmat off its row's part.
 
     A code from `ideal_to_code` carries ``perms``, the coordinate permutations
     of G's generators, under which the ideal is invariant.  The enumeration
@@ -183,8 +185,8 @@ def min_distance(
         hi = lo
     else:
         split = _split(code)
-        lo = _weight_enum_lower(code, budget, split)
-        hi, witness = _information_set_upper(code, budget, seed, split)
+        lo, witness = _weight_enum_lower(code, budget, split)
+        hi, witness = (lo, witness) if witness is not None else _block_upper(code, budget, split)
         _check_witness(code, split, hi, witness)
     code.d_lo, code.d_hi, code.witness = lo, hi, witness
     return lo, hi, witness
@@ -369,19 +371,24 @@ def _split(code: LinearCode) -> _Split:
     return weights, parts
 
 
-def _weight_enum_lower(code: LinearCode, budget: int, split: _Split) -> int:
-    """Largest w+1 such that no nonzero codeword has weight <= w.  A codeword
-    is fixed by its pivot symbols, so weight 1 is a row of weight 1, and
-    weight 2 a row of weight 2 or two rows proportional off the pivots.
-    Rows of different parts have disjoint supports, so only rows of one
-    part can be proportional: the test reads each part's free block.  From
-    w = 3 on, while C(n, w) (q-1)^(w-1) <= budget / n, it runs the
+def _weight_enum_lower(
+    code: LinearCode, budget: int, split: _Split
+) -> Tuple[int, Optional[np.ndarray]]:
+    """(d_lo, word): d_lo the largest w+1 such that no nonzero codeword has
+    weight <= w, and word a codeword of weight d_lo when the rounds below
+    found one, so that d_lo is d; None otherwise.  A codeword is fixed by
+    its pivot symbols, so weight 1 is a row of weight 1, and weight 2 a row
+    of weight 2 or two rows proportional off the pivots.  Rows of different
+    parts have disjoint supports, so only rows of one part can be
+    proportional: the test reads each part's free block.  From w = 3 on,
+    while C(n, w) (q-1)^(w-1) <= budget / n, it runs the
     Brouwer-Zimmermann rounds up to w on the pivot set (`_weight_round`;
-    round 1 is the rows), which see every codeword of weight <= w."""
+    round 1 is the rows), which see every codeword of weight <= w: the
+    lightest word seen is d once it weighs <= w."""
     q, n, genmat = code.q, code.n, code.genmat
     weights, parts = split
     if weights.min() <= 2:
-        return int(weights.min())
+        return int(weights.min()), None
     free = np.ones(n, dtype=bool)
     free[code.pivots] = False
     for _rows, cols, blocks in parts:
@@ -395,68 +402,47 @@ def _weight_enum_lower(code: LinearCode, budget: int, split: _Split) -> int:
         inv = np.array([pow(a, -1, q) for a in lead.ravel().tolist()]).reshape(P, r, 1)
         scaled = rest * inv % q
         if len({(j // r, row.tobytes()) for j, row in enumerate(scaled.reshape(P * r, -1))}) < P * r:
-            return 2
-    w, ran, best = 3, 1, int(weights.min())  # rounds 1..ran run, the lightest word seen
+            return 2, None
+    i = int(weights.argmin())  # rounds 1..ran run, and the lightest word seen
+    w, ran, best, word = 3, 1, int(weights[i]), genmat[i]
     while math.comb(n, w) * (q - 1) ** (w - 1) <= budget // max(1, n):
         while ran < w:
             ran += 1
-            best = min(best, _weight_round(genmat, q, ran)[0])
+            weight, cw = _weight_round(genmat, q, ran)
+            if weight < best:
+                best, word = weight, cw
         if best <= w:
-            return best
+            return best, word
         w += 1
-    return w
+    return w, None
 
 
-def _information_set_upper(code: LinearCode, budget: int, seed: int, split: _Split):
-    """Lightest word over the rows of randomly permuted RREFs and random
-    combinations of rows, part by part on `_split`.  The RREF of a direct
-    sum is the union of its summands' RREFs, so a trial's RREF is its parts',
-    each row-reduced on its columns in the trial's order: one `rref_stack`
-    takes every trial's parts of one shape.  A random word is the sum of its
-    parts' words, one stacked product per shape.  Each trial offers its rows
-    in pivot order, then its 16 random words, and the first lightest counts."""
-    q, n, k = code.q, code.n, code.k
-    parts = split[1]
-    rng = np.random.default_rng(seed)
-    trials = max(8, min(64, budget // max(1, k * n * n)))
-    perms, coeffs = [], []
-    for _ in range(trials):  # the draws of one trial after another
-        perms.append(rng.permutation(n))
-        coeffs.append(rng.integers(0, q, size=(16, k)))
-    pos = np.argsort(np.array(perms), axis=1)  # pos[t, x]: column x's place in trial t
-    coeffs = np.concatenate(coeffs)
-    # key = weight * n + pivot position, least at the first lightest row in pivot order
-    keys, found, words = [], [], []
-    weights = np.zeros(len(coeffs), dtype=np.int64)
-    for rows, cols, blocks in parts:
+def _block_upper(code: LinearCode, budget: int, split: _Split) -> Tuple[int, np.ndarray]:
+    """Lightest word of Brouwer-Zimmermann rounds on each part's block, part
+    by part on `_split`.  A block is an RREF on its part's columns, so round
+    w (`_weight_round`) gives its lightest word of message weight w, and no
+    unseen word is lighter than w + 1.  Equal blocks have the same words:
+    only the first part with each content runs.  A block runs rounds
+    w = 1, 2, ... while w <= r and C(r, w) (q-1)^(w-1) <= budget / c (round
+    1, its rows, always), and stops before round w once the lightest word
+    seen, on any block, weighs at most w.  The witness is that word on its
+    part's columns."""
+    q, n = code.q, code.n
+    best, word = n + 1, None
+    for _rows, cols, blocks in split[1]:
         P, r, c = blocks.shape
-        at = pos[:, cols]  # (trials, P, c)
-        order = np.argsort(at, axis=2)  # each part's columns in the trial's order
-        mats = np.take_along_axis(blocks[None], order[:, :, None, :], axis=3)
-        R, piv = rref_stack(mats.reshape(-1, r, c), q)
-        R, piv = R.reshape(trials, P, r, c), piv.reshape(trials, P, r)
-        lead = np.take_along_axis(np.take_along_axis(at, order, axis=2), piv, axis=2)
-        keys.append((np.count_nonzero(R, axis=3) * n + lead).reshape(trials, -1))
-        found += [(R, cols, order, j, i) for j in range(P) for i in range(r)]
-        # the random words on these parts: (P, 16 trials, c)
-        words.append(matmul_mod(coeffs[:, rows].transpose(1, 0, 2), blocks, q))
-        weights += np.count_nonzero(words[-1], axis=2).sum(axis=0)
-    keys = np.concatenate(keys, axis=1)
-    first = keys.argmin(axis=1)
-    weights[weights == 0] = n + 1
-    lightest = weights.reshape(trials, 16).argmin(axis=1)
-    best_w, best = n + 1, None
-    for t in range(trials):
-        if keys[t, first[t]] // n < best_w:
-            R, cols, order, j, i = found[first[t]]
-            best_w, best = int(keys[t, first[t]]) // n, np.zeros(n, dtype=np.int64)
-            best[cols[j, order[t, j]]] = R[t, j, i]
-        u = 16 * t + lightest[t]
-        if weights[u] < best_w:
-            best_w, best = int(weights[u]), np.zeros(n, dtype=np.int64)
-            for (_rows, cols, _blocks), word in zip(parts, words):
-                best[cols] = word[:, u]
-    return best_w, best
+        first: Dict[bytes, int] = {}
+        for j in range(P):
+            first.setdefault(blocks[j].tobytes(), j)
+        for j in first.values():
+            for w in range(1, r + 1):
+                if best <= w or w > 1 and math.comb(r, w) * (q - 1) ** (w - 1) > budget // c:
+                    break
+                weight, cw = _weight_round(blocks[j], q, w)
+                if weight < best:
+                    best, word = weight, np.zeros(n, dtype=np.int64)
+                    word[cols[j]] = cw
+    return best, word
 
 
 def _check_witness(code: LinearCode, split: _Split, weight: int, word: np.ndarray) -> None:

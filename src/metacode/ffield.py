@@ -169,17 +169,11 @@ def coset_order(r: int, q: int, m: int) -> int:
 # GF(p) linear algebra
 
 
-def _check_int64_products(p: int) -> None:
-    """FieldTooLarge unless (p-1)^2, the largest product of two reduced
-    entries, is an int64: p <= _INT64_PRODUCT_P."""
-    if p > _INT64_PRODUCT_P:
-        raise FieldTooLarge(f"GF({p}) products are past exact int64 arithmetic")
-
-
 def ref_mod(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     """Row echelon form mod p; returns (nonzero rows, pivot columns).
     FieldTooLarge for p > 3037000500, where int64 products of entries wrap."""
-    _check_int64_products(p)
+    if p > _INT64_PRODUCT_P:
+        raise FieldTooLarge(f"GF({p}) products are past exact int64 arithmetic")
     M = mat % p  # a new array
     nrows, ncols = M.shape
     pivots: List[int] = []
@@ -219,58 +213,6 @@ def rref_mod(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
         if len(hot):
             R[hot, c:] = (R[hot, c:] - np.outer(above[hot], R[i, c:])) % p
     return R, pivots
-
-
-def rref_stack(mats: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon forms mod p of a (B, r, c) stack, all B matrices
-    in one Gauss-Jordan sweep: the int64 (B, r, c) RREFs, zero past each
-    rank, and the (B, r) pivot columns, -1 past it.  `rref_mod` is faster
-    for one matrix.
-
-    Step i takes each matrix's pivot column, the first with a nonzero in
-    rows i.., swaps the first such row v into row i, and subtracts g_j * v
-    from every row j: g_j = M[j, col] / v[col], and 1 - 1 / v[col] in row
-    i, which scales v to a leading 1.  Entries live in the narrowest
-    unsigned dtype that holds 2p - 2, where the difference d = x - y of two
-    reduced entries is min(d, d + p): one of the two wraps past p unless
-    x >= y.  For p <= 4r the multiples a * v are a table of p - 1 such
-    additions, cheaper than r int64 products and reductions per column.
-    FieldTooLarge for p > 3037000500, as `ref_mod`.
-    """
-    _check_int64_products(p)
-    mats = np.asarray(mats)
-    B, r, c = mats.shape
-    dt = np.min_scalar_type(2 * p - 2)
-    M = (mats if mats.size == 0 or 0 <= mats.min() and mats.max() < p else mats % p).astype(dt)
-    pivots = np.full((B, r), -1, dtype=np.int64)
-    at, c0 = np.arange(B), 0  # rows i.. of every matrix are zero left of column c0
-    for i in range(r):
-        live = M[:, i:, c0:].any(axis=1)
-        has = live.any(axis=1)
-        if not has.any():
-            break
-        col = c0 + live.argmax(axis=1)
-        j = i + (M[at, i:, col] != 0).argmax(axis=1)
-        M[at, i, c0:], M[at, j, c0:] = M[at, j, c0:], M[at, i, c0:]
-        v = M[at, i, c0:]
-        inv = np.array([pow(a, -1, p) if a else 0 for a in M[at, i, col].tolist()])
-        g = M[at, :, col].astype(np.int64) * inv[:, None] % p
-        g[:, i] = (1 - inv) % p
-        if p <= 4 * r:
-            table = np.zeros((B, p, c - c0), dtype=dt)
-            for a in range(1, p):
-                s = table[:, a - 1] + v
-                np.minimum(s, s - p, out=table[:, a])
-            g = np.take(table.reshape(B * p, c - c0), g + p * at[:, None], axis=0)
-        else:
-            g = (g[:, :, None] * v[:, None, :].astype(np.int64) % p).astype(dt)
-        d = M[:, :, c0:] - g
-        np.minimum(d, d + p, out=M[:, :, c0:])
-        pivots[has, i] = col[has]
-        c0 = int(col[has].min()) + 1
-        if c0 == c:
-            break
-    return M.astype(np.int64), pivots
 
 
 def rank_mod(mat: np.ndarray, p: int) -> int:

@@ -14,7 +14,6 @@ from metacode.ffield import (
     extension_for_root,
     factorize,
     make_field,
-    matmul_mod,
     mult_order,
     rel_trace,
     rref_mod,
@@ -349,36 +348,6 @@ def macwilliams_distance(genmat: np.ndarray, pivots: List[int], q: int) -> int:
                      // (w + 2) for j in range(n + 1)]
     assert A[0] == 1 and min(A) >= 0 and sum(A) == q**k, "MacWilliams transform is not a distribution"
     return next(w for w in range(1, n + 1) if A[w])
-
-
-def information_set_upper(code, budget: int, seed: int):
-    """The interval route's upper bound with one rref_mod of the whole
-    column-permuted genmat per trial, as it was before the split into
-    components: the oracle that the split keeps (d_hi, witness)."""
-    q, n, k = code.q, code.n, code.k
-    rng = np.random.default_rng(seed)
-    best_w, best = n, None
-    trials = max(8, min(64, budget // max(1, k * n * n)))
-    for _ in range(trials):
-        perm = rng.permutation(n)
-        R, _ = rref_mod(code.genmat[:, perm], q)
-        back = np.empty_like(perm)
-        back[perm] = np.arange(n)
-        R = R[:, back]
-        weights = np.count_nonzero(R, axis=1)
-        i = int(np.argmin(weights))
-        if weights[i] < best_w:
-            best_w, best = int(weights[i]), R[i].copy()
-        # a few random combinations of rows, drawn one message at a time and
-        # multiplied out together; the first lightest nonzero word counts
-        coeffs = np.array([rng.integers(0, q, size=k) for _ in range(16)])
-        words = matmul_mod(coeffs, code.genmat, q)
-        weights = np.count_nonzero(words, axis=1)
-        weights[weights == 0] = n + 1
-        i = int(np.argmin(weights))
-        if weights[i] < best_w:
-            best_w, best = int(weights[i]), words[i]
-    return best_w, best
 
 
 def low_weight_from_parity_check(genmat: np.ndarray, pivots: List[int], q: int) -> int:

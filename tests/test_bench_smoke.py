@@ -4,7 +4,7 @@ perfbench/worker.py drives ffield, idem and code the way the benchmark
 does and checks each instance against the pinned reference values; a
 change to what those functions return shows up here as a reported problem.
 analogue1155 runs at seeds 0, 1 and 11, each checking the interval route's
-seeded d_hi and witness end to end.  Besides the three gated workloads this
+d_hi, pinned per seed, and witness end to end.  Besides the three gated workloads this
 runs sweep56595, which perfbench runs but does not gate: the orbit reps and
 pci digests of all 15 pairs of G1029 x G55 over GF(2), checked for
 idempotency and centrality at |G| = 56595.

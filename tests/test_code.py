@@ -18,7 +18,7 @@ from metacode import units as un
 from metacode.examples import build_idempotent, load_claims
 from metacode.ffield import NonPrimeCharacteristic
 from helpers import (
-    brute_force_min_weight, information_set_upper, low_weight_from_parity_check,
+    brute_force_min_weight, low_weight_from_parity_check,
     macwilliams_distance, parity_check, stacked_translate_code,
 )
 
@@ -195,26 +195,25 @@ def test_full_scale_code_spins_without_translate_matrix():
     assert np.array_equal((w[c.pivots] @ c.genmat) % 2, w)
 
 
-# _information_set_upper on the [1155, 450]_2 analogue code ([H:K] = 77),
-# budget 2,000,000: (weight, SHA-256 of the int64 witness) per seed
-ISU_PINS = {
-    0: (8, "0f2e4ff5ad92d8e9a66cce616a39f8afc6118ddbf4131cf97a04ce0b0b006ed8"),
-    1: (8, "7d417cf301c5835674723e4810dc4faa64ebb5382ba7df06fc3a43ce3a8b4f4b"),
-    11: (8, "f6af7ce94288c04fa9674108209c53e4a2ca21a0b62cc482fdf3ce3646313e7c"),
+# _block_upper on the [1155, 450]_q analogue codes ([H:K] = 77), budget
+# 2,000,000: (d_hi, SHA-256 of the int64 witness) per q, with no seed
+BLOCK_UPPER_PINS = {
+    2: (8, "1ee1e66e968820aaa7b8fa2eeb48442ea487bcc374055851f6ba35ef97bb2722"),
+    19: (20, "b3e54bbf663b934baaef9cecc52d03a4ac2695c0004a5bdd42cd93b70a90442e"),
 }
 
 
-def test_information_set_upper_pinned():
+def test_block_upper_pinned():
     G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
                           gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
-    alg = id_.GroupAlgebra(G, 2)
     pair = [p for p in sh.ssp_catalog(G) if p.index == 77 and p.H.order != G.order][0]
-    c = co.ideal_to_code(alg, id_.pci(alg, pair, id_.cosets_and_orbits(G, pair, 2).orbit_reps[0]))
-    assert c.k == 450
-    for seed, (weight, digest) in ISU_PINS.items():
-        w, word = co._information_set_upper(c, 2_000_000, seed, co._split(c))
+    for q, (weight, digest) in BLOCK_UPPER_PINS.items():
+        alg = id_.GroupAlgebra(G, q)
+        c = co.ideal_to_code(alg, id_.pci(alg, pair, id_.cosets_and_orbits(G, pair, q).orbit_reps[0]))
+        assert c.k == 450
+        w, word = co._block_upper(c, 2_000_000, co._split(c))
         assert word.dtype == np.int64
-        assert (w, hashlib.sha256(word.tobytes()).hexdigest()) == (weight, digest), seed
+        assert (w, hashlib.sha256(word.tobytes()).hexdigest()) == (weight, digest), q
         assert np.count_nonzero(word) == w
 
 
@@ -255,26 +254,68 @@ def _random_direct_sums(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 13])
-def test_information_set_upper_splits_like_one_rref(q):
+def test_block_upper_on_random_direct_sums(q):
     # random direct sums of unequal blocks, handed their block of each column
-    # as ``cosets``: the split route gives the same (d_hi, witness) as one
-    # rref_mod of the whole permuted genmat for every seed, as does the code
-    # without them, taken as one part
+    # as ``cosets``, and as one part when that is small: with every round
+    # allowed each distinct block is enumerated whole, so d_hi is the
+    # brute-force d, the least over the blocks of a direct sum; with budget
+    # 0 only round 1, the rows, runs, so d_hi is the lightest row.  Added: a
+    # sum whose d, 3, lies below its lightest row, 4
+    lighter = np.zeros((3, 11), dtype=np.int64)
+    lighter[:2, :6] = [[1, 0, 1, 1, 1, 1], [0, 1, q - 1, q - 1, q - 1, 0]]
+    lighter[2, 6:] = 1
     split = 0
-    for genmat, pivots, cosets in _random_direct_sums(q):
+    cases = [*_random_direct_sums(q), (lighter, [0, 1, 6], np.repeat([0, 1], [6, 5]))]
+    for genmat, pivots, cosets in cases:
         n = genmat.shape[1]
         split += len(set(cosets[pivots].tolist())) > 1
-        for parts in (cosets, None):
+        d = min(brute_force_min_weight(genmat[genmat[:, on].any(axis=1)][:, on], q)
+                for on in (cosets == b for b in set(cosets[pivots].tolist())))
+        if q ** len(pivots) <= 5000:
+            assert d == brute_force_min_weight(genmat, q)
+        for parts in (cosets, None) if q ** len(pivots) <= 5000 else (cosets,):
             code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
-            for seed in range(4):
-                # budget 0: 8 trials
-                got = co._information_set_upper(code, 0, seed, co._split(code))
-                want = information_set_upper(code, 0, seed)
-                assert got[0] == want[0], (q, seed, genmat)
-                assert (got[1] is None) == (want[1] is None)
-                if want[1] is not None:
-                    assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+            for budget, want in ((10**12, d), (0, int(np.count_nonzero(genmat, axis=1).min()))):
+                hi, word = co._block_upper(code, budget, co._split(code))
+                assert hi == want, (q, budget, genmat, parts)
+                co._check_witness(code, co._split(code), hi, word)
     assert split >= 3
+
+
+def test_block_upper_runs_each_distinct_block_once(monkeypatch):
+    # three equal parts of a [7, 3, 4]_3 block, unshuffled so that their
+    # blocks are equal: rounds 1, 2 and 3 run on the first part only
+    b = np.array([[1, 0, 0, 1, 2, 2, 2], [0, 1, 0, 0, 2, 1, 1], [0, 0, 1, 1, 1, 1, 2]])
+    genmat = np.zeros((9, 21), dtype=np.int64)
+    for j in range(3):
+        genmat[3 * j:3 * j + 3, 7 * j:7 * j + 7] = b
+    code = co.LinearCode(3, 21, genmat, [7 * j + i for j in range(3) for i in range(3)], 1, 21,
+                         cosets=np.repeat(np.arange(3), 7))
+    assert np.array_equal(co.rref_mod(genmat, 3)[0], genmat) and brute_force_min_weight(b, 3) == 4
+    calls, weight_round = [], co._weight_round
+    monkeypatch.setattr(co, "_weight_round",
+                        lambda gamma, q, w: calls.append((gamma.shape, w)) or weight_round(gamma, q, w))
+    hi, word = co._block_upper(code, 10**6, co._split(code))
+    assert hi == 4 and not word[7:].any()
+    assert calls == [((3, 7), 1), ((3, 7), 2), ((3, 7), 3)]
+
+
+def test_weight_enum_lower_closes_the_interval(monkeypatch):
+    # a random [13, 8]_13 code whose RREF rows all weigh 6: its worst case
+    # is past the budget, so it takes the interval route, whose gate still
+    # lets rounds 2 and 3 run on the pivot set; they find a word of weight
+    # 3, which is d, and min_distance returns it without `_block_upper`
+    q, budget = 13, 600_000
+    genmat, pivots = co.rref_mod(np.random.default_rng(101).integers(0, q, (8, 13)), q)
+    assert len(pivots) == 8 and (np.count_nonzero(genmat, axis=1) == 6).all()
+    assert co._worst_case(genmat, q) > budget >= 13 * math.comb(13, 3) * (q - 1) ** 2
+    code = co.LinearCode(q, 13, genmat, pivots, 1, 13)
+    lo, word = co._weight_enum_lower(code, budget, co._split(code))
+    assert lo == np.count_nonzero(word) == 3
+    monkeypatch.setattr(co, "_block_upper", None)
+    lo, hi, w = co.min_distance(code, budget=budget)
+    assert lo == hi == np.count_nonzero(w) == co._brouwer_zimmermann(genmat, pivots, q)[0] == 3
+    assert np.array_equal((w[pivots] @ genmat) % q, w)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 13])
@@ -305,7 +346,7 @@ def test_weight_enum_lower_per_part_matches_parity_check(q):
         want = low_weight_from_parity_check(genmat, pivots, q)
         for parts in (cosets, None):
             code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
-            assert co._weight_enum_lower(code, 0, co._split(code)) == want, (q, genmat, parts)
+            assert co._weight_enum_lower(code, 0, co._split(code))[0] == want, (q, genmat, parts)
         seen.append((want, int(np.count_nonzero(genmat, axis=1).min())))
     assert seen[-3:] == [(2, 3), (2, 2), (3, 3)]
 
@@ -344,7 +385,7 @@ def test_interval_witness_check(monkeypatch):
     off[zero] = 1
     for weight, word, what in ((hi - 1, w, "weight"), (hi, moved, "codeword"),
                                (hi + 1, off, "codeword")):
-        monkeypatch.setattr(co, "_information_set_upper",
+        monkeypatch.setattr(co, "_block_upper",
                             lambda *args, weight=weight, word=word: (weight, word))
         with pytest.raises(co.CertificateError, match=what):
             co.min_distance(code, budget=0)
@@ -555,7 +596,7 @@ def test_cold_certificates_do_not_import_numpy_ma():
         "c = co.LinearCode(3, 16, genmat, pivots, 1, 16)\n"
         "co._brouwer_zimmermann(genmat, pivots, 3)\n"  # the perms-free search takes more sets
         "co._weight_enum_lower(c, 10**5, co._split(c))\n"  # runs Brouwer-Zimmermann rounds 2 and 3
-        "co._information_set_upper(c, 0, 0, co._split(c))\n"
+        "co._block_upper(c, 0, co._split(c))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(co.__file__).resolve().parents[1])
@@ -592,15 +633,15 @@ def test_certificate_errors_survive_python_O():
         "hi, w = co.min_distance(c, budget=0)[1:]\n"
         "bad = np.roll(w, 1) if w[0] == w[-1] else w[::-1].copy()\n"
         "print((bad[piv] @ g % 2 != bad).any())\n"  # bad is no codeword
-        "upper = co._information_set_upper\n"
-        "co._information_set_upper = lambda *args: (hi, bad)\n"
+        "upper = co._block_upper\n"
+        "co._block_upper = lambda *args: (hi, bad)\n"
         "co._weight_round = lambda gamma, q, w: (2, np.zeros(gamma.shape[1], dtype=np.int64))\n"
         "for budget in (co.DEFAULT_BUDGET, 0):\n"
         "    try:\n"
         "        print(co.min_distance(c, budget=budget))\n"
         "    except co.CertificateError:\n"
         "        print('raised')\n"
-        "co._information_set_upper = upper\n"
+        "co._block_upper = upper\n"
         "c.cosets = np.arange(10) % 2\n"
         "try:\n"
         "    print(co.min_distance(c, budget=0))\n"
@@ -692,14 +733,14 @@ def test_parity_check_and_low_weight_bound_match_loops():
             assert np.array_equal(H, loop)
             code = co.LinearCode(q, n, genmat, pivots, 1, n)
             d = brute_force_min_weight(genmat, q)
-            low = co._weight_enum_lower(code, 0, co._split(code))
+            low = co._weight_enum_lower(code, 0, co._split(code))[0]
             assert low == min(d, 3) == low_weight_from_parity_check(genmat, pivots, q), (q, genmat)
             seen.add((low, int(np.count_nonzero(genmat, axis=1).min()) <= 2))
             # the weight-3+ loop, at a budget that lets it find d on some codes and stop on others
             budget = 10**5
             costs = {w: math.comb(n, w) * (q - 1) ** (w - 1) for w in range(3, n + 1)}
             stop = min([w for w, cost in costs.items() if cost > budget // n], default=n + 1)
-            assert co._weight_enum_lower(code, budget, co._split(code)) == min(d, stop), (q, genmat)
+            assert co._weight_enum_lower(code, budget, co._split(code))[0] == min(d, stop), (q, genmat)
             if d >= 3:
                 seen.add(("found", d) if d < stop else ("stop", stop))
     # d = 1, 2 and >= 3; weight 2 both from a light row and from a proportional pair

@@ -540,8 +540,6 @@ def test_echelon_forms_past_int64_products_raise():
         for echelon in (ff.ref_mod, ff.rref_mod, ff.rank_mod):
             with pytest.raises(ff.FieldTooLarge):
                 echelon(mat, p)
-        with pytest.raises(ff.FieldTooLarge):
-            ff.rref_stack(mat[None], p)
     p = 3_037_000_493
     assert ff.is_prime(p) and (p - 1) ** 2 < 2**63 <= 3_037_000_506 ** 2
     mats = [rng.integers(0, p, (3, 4)) for _ in range(4)]
@@ -550,47 +548,6 @@ def test_echelon_forms_past_int64_products_raise():
         want, wp = _python_rref(mat.tolist(), p)
         R, piv = ff.rref_mod(mat, p)
         assert (R.tolist(), piv) == (want, wp)
-        R, piv = ff.rref_stack(mat[None], p)
-        assert R[0, :len(wp)].tolist() == want and piv[0].tolist() == wp + [-1] * (3 - len(wp))
-
-
-def _echelon_cases(rng, p, r, c):
-    """An r x c matrix mod p of a random kind: full, of low rank, with
-    repeated rows, with zero columns, or with entries outside [0, p)."""
-    kind = int(rng.integers(5))
-    if kind == 1:
-        s = int(rng.integers(0, min(r, c) + 1))
-        return rng.integers(0, p, (r, s)) @ rng.integers(0, p, (s, c)) % p
-    mat = rng.integers(0, p, (r, c))
-    if kind == 2 and r > 1:
-        mat[rng.integers(0, r, r // 2)] = mat[rng.integers(0, r)] * int(rng.integers(1, p)) % p
-    if kind == 3:
-        mat[:, rng.random(c) < 0.4] = 0
-    if kind == 4:  # all entries negative, or all at least p
-        mat = mat + p * int(rng.choice([-2, 1]))
-    return mat
-
-
-@pytest.mark.parametrize("p", [2, 3, 13, 127, 131, 251, 65521])
-def test_rref_stack_matches_rref_mod(p):
-    rng = np.random.default_rng(p)
-    # (r, c) per stack: r > c, no rows, one row, table and product paths (p <= 4r or not)
-    shapes = [(3, 2), (0, 5), (1, 6), (5, 9), (9, 7), (12, 30), (64, 70), (6, 90), (6, 90)]
-    for t, (r, c) in enumerate(shapes):
-        mats = np.array([_echelon_cases(rng, p, r, c) for _ in range(1 + t % 5)])
-        if t == len(shapes) - 1:  # a zero run longer than ref_mod's lookahead, then one pivot
-            mats[:, :, 3:3 + ff._LOOKAHEAD + 10] = 0
-            mats[:, 3:, :3] = 0
-        before = mats.copy()
-        R, piv = ff.rref_stack(mats, p)
-        assert np.array_equal(mats, before)
-        assert R.dtype == piv.dtype == np.int64
-        assert R.shape == mats.shape and piv.shape == mats.shape[:2]
-        for b, mat in enumerate(mats):
-            want, wp = ff.rref_mod(mat, p)
-            assert piv[b].tolist() == wp + [-1] * (r - len(wp)), (r, c, b)
-            assert np.array_equal(R[b, :len(wp)], want) and not R[b, len(wp):].any(), (r, c, b)
-    assert ff.rref_stack(np.zeros((0, 4, 3), dtype=np.int64), p)[0].shape == (0, 4, 3)
 
 
 @pytest.mark.parametrize("p,e,degrees", [(2, 1, range(2, 12)), (3, 1, range(2, 8)),
