@@ -159,14 +159,14 @@ def min_distance(
     of its pair's H): d_lo reads weights 1 and 2 off the RREF rows (and,
     from weight 3 up while the budget allows, runs Brouwer-Zimmermann rounds
     on the pivot set, closing the interval when they find d), and d_hi is
-    the lightest word of Brouwer-Zimmermann rounds on each distinct part
-    block (`_block_upper`).  High-rate codes whose RREF rows are all heavy
-    can therefore get an interval even when their dual is small.  Every
-    route is deterministic: ``seed`` is ignored, and kept only so that
-    callers which pass it still run.  The witness has weight d_hi.  Failed
-    internal checks raise `CertificateError`: a witness of another weight
-    or outside the code (checked part by part on the interval route), and a
-    nonzero of genmat off its row's part.
+    the lightest word of Brouwer-Zimmermann rounds on the information set of
+    each distinct part block (`_information_set_upper`).  High-rate codes
+    whose RREF rows are all heavy can therefore get an interval even when
+    their dual is small.  Every route is deterministic: ``seed`` is ignored,
+    and kept only so that callers which pass it still run.  The witness has
+    weight d_hi.  Failed internal checks raise `CertificateError`: a witness
+    of another weight or outside the code (checked part by part on the
+    interval route), and a nonzero of genmat off its row's part.
 
     A code from `ideal_to_code` carries ``perms``, the coordinate permutations
     of G's generators, under which the ideal is invariant.  The enumeration
@@ -186,7 +186,10 @@ def min_distance(
     else:
         split = _split(code)
         lo, witness = _weight_enum_lower(code, budget, split)
-        hi, witness = (lo, witness) if witness is not None else _block_upper(code, budget, split)
+        if witness is None:
+            hi, witness = _information_set_upper(code, budget, split)
+        else:
+            hi = lo
         _check_witness(code, split, hi, witness)
     code.d_lo, code.d_hi, code.witness = lo, hi, witness
     return lo, hi, witness
@@ -417,12 +420,13 @@ def _weight_enum_lower(
     return w, None
 
 
-def _block_upper(code: LinearCode, budget: int, split: _Split) -> Tuple[int, np.ndarray]:
+def _information_set_upper(code: LinearCode, budget: int, split: _Split) -> Tuple[int, np.ndarray]:
     """Lightest word of Brouwer-Zimmermann rounds on each part's block, part
-    by part on `_split`.  A block is an RREF on its part's columns, so round
-    w (`_weight_round`) gives its lightest word of message weight w, and no
-    unseen word is lighter than w + 1.  Equal blocks have the same words:
-    only the first part with each content runs.  A block runs rounds
+    by part on `_split`.  A block is an RREF on its part's columns, its
+    pivots an information set of the part, so round w (`_weight_round`)
+    gives its lightest word of message weight w, and no unseen word is
+    lighter than w + 1.  Equal blocks have the same words: only the first
+    part with each content runs.  A block runs rounds
     w = 1, 2, ... while w <= r and C(r, w) (q-1)^(w-1) <= budget / c (round
     1, its rows, always), and stops before round w once the lightest word
     seen, on any block, weighs at most w.  The witness is that word on its

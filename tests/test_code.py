@@ -195,23 +195,23 @@ def test_full_scale_code_spins_without_translate_matrix():
     assert np.array_equal((w[c.pivots] @ c.genmat) % 2, w)
 
 
-# _block_upper on the [1155, 450]_q analogue codes ([H:K] = 77), budget
+# _information_set_upper on the [1155, 450]_q analogue codes ([H:K] = 77), budget
 # 2,000,000: (d_hi, SHA-256 of the int64 witness) per q, with no seed
-BLOCK_UPPER_PINS = {
+ISU_PINS = {
     2: (8, "1ee1e66e968820aaa7b8fa2eeb48442ea487bcc374055851f6ba35ef97bb2722"),
     19: (20, "b3e54bbf663b934baaef9cecc52d03a4ac2695c0004a5bdd42cd93b70a90442e"),
 }
 
 
-def test_block_upper_pinned():
+def test_information_set_upper_pinned():
     G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
                           gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
     pair = [p for p in sh.ssp_catalog(G) if p.index == 77 and p.H.order != G.order][0]
-    for q, (weight, digest) in BLOCK_UPPER_PINS.items():
+    for q, (weight, digest) in ISU_PINS.items():
         alg = id_.GroupAlgebra(G, q)
         c = co.ideal_to_code(alg, id_.pci(alg, pair, id_.cosets_and_orbits(G, pair, q).orbit_reps[0]))
         assert c.k == 450
-        w, word = co._block_upper(c, 2_000_000, co._split(c))
+        w, word = co._information_set_upper(c, 2_000_000, co._split(c))
         assert word.dtype == np.int64
         assert (w, hashlib.sha256(word.tobytes()).hexdigest()) == (weight, digest), q
         assert np.count_nonzero(word) == w
@@ -254,9 +254,10 @@ def _random_direct_sums(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 13])
-def test_block_upper_on_random_direct_sums(q):
+def test_information_set_upper_splits_like_one_rref(q):
     # random direct sums of unequal blocks, handed their block of each column
-    # as ``cosets``, and as one part when that is small: with every round
+    # as ``cosets``, and as one part, one RREF of the whole genmat, when that
+    # is small; split or not, the bound is the same: with every round
     # allowed each distinct block is enumerated whole, so d_hi is the
     # brute-force d, the least over the blocks of a direct sum; with budget
     # 0 only round 1, the rows, runs, so d_hi is the lightest row.  Added: a
@@ -276,13 +277,13 @@ def test_block_upper_on_random_direct_sums(q):
         for parts in (cosets, None) if q ** len(pivots) <= 5000 else (cosets,):
             code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
             for budget, want in ((10**12, d), (0, int(np.count_nonzero(genmat, axis=1).min()))):
-                hi, word = co._block_upper(code, budget, co._split(code))
+                hi, word = co._information_set_upper(code, budget, co._split(code))
                 assert hi == want, (q, budget, genmat, parts)
                 co._check_witness(code, co._split(code), hi, word)
     assert split >= 3
 
 
-def test_block_upper_runs_each_distinct_block_once(monkeypatch):
+def test_information_set_upper_runs_each_distinct_block_once(monkeypatch):
     # three equal parts of a [7, 3, 4]_3 block, unshuffled so that their
     # blocks are equal: rounds 1, 2 and 3 run on the first part only
     b = np.array([[1, 0, 0, 1, 2, 2, 2], [0, 1, 0, 0, 2, 1, 1], [0, 0, 1, 1, 1, 1, 2]])
@@ -295,7 +296,7 @@ def test_block_upper_runs_each_distinct_block_once(monkeypatch):
     calls, weight_round = [], co._weight_round
     monkeypatch.setattr(co, "_weight_round",
                         lambda gamma, q, w: calls.append((gamma.shape, w)) or weight_round(gamma, q, w))
-    hi, word = co._block_upper(code, 10**6, co._split(code))
+    hi, word = co._information_set_upper(code, 10**6, co._split(code))
     assert hi == 4 and not word[7:].any()
     assert calls == [((3, 7), 1), ((3, 7), 2), ((3, 7), 3)]
 
@@ -304,7 +305,7 @@ def test_weight_enum_lower_closes_the_interval(monkeypatch):
     # a random [13, 8]_13 code whose RREF rows all weigh 6: its worst case
     # is past the budget, so it takes the interval route, whose gate still
     # lets rounds 2 and 3 run on the pivot set; they find a word of weight
-    # 3, which is d, and min_distance returns it without `_block_upper`
+    # 3, which is d, and min_distance returns it without `_information_set_upper`
     q, budget = 13, 600_000
     genmat, pivots = co.rref_mod(np.random.default_rng(101).integers(0, q, (8, 13)), q)
     assert len(pivots) == 8 and (np.count_nonzero(genmat, axis=1) == 6).all()
@@ -312,7 +313,7 @@ def test_weight_enum_lower_closes_the_interval(monkeypatch):
     code = co.LinearCode(q, 13, genmat, pivots, 1, 13)
     lo, word = co._weight_enum_lower(code, budget, co._split(code))
     assert lo == np.count_nonzero(word) == 3
-    monkeypatch.setattr(co, "_block_upper", None)
+    monkeypatch.setattr(co, "_information_set_upper", None)
     lo, hi, w = co.min_distance(code, budget=budget)
     assert lo == hi == np.count_nonzero(w) == co._brouwer_zimmermann(genmat, pivots, q)[0] == 3
     assert np.array_equal((w[pivots] @ genmat) % q, w)
@@ -385,7 +386,7 @@ def test_interval_witness_check(monkeypatch):
     off[zero] = 1
     for weight, word, what in ((hi - 1, w, "weight"), (hi, moved, "codeword"),
                                (hi + 1, off, "codeword")):
-        monkeypatch.setattr(co, "_block_upper",
+        monkeypatch.setattr(co, "_information_set_upper",
                             lambda *args, weight=weight, word=word: (weight, word))
         with pytest.raises(co.CertificateError, match=what):
             co.min_distance(code, budget=0)
@@ -596,7 +597,7 @@ def test_cold_certificates_do_not_import_numpy_ma():
         "c = co.LinearCode(3, 16, genmat, pivots, 1, 16)\n"
         "co._brouwer_zimmermann(genmat, pivots, 3)\n"  # the perms-free search takes more sets
         "co._weight_enum_lower(c, 10**5, co._split(c))\n"  # runs Brouwer-Zimmermann rounds 2 and 3
-        "co._block_upper(c, 0, co._split(c))\n"
+        "co._information_set_upper(c, 0, co._split(c))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(co.__file__).resolve().parents[1])
@@ -633,15 +634,15 @@ def test_certificate_errors_survive_python_O():
         "hi, w = co.min_distance(c, budget=0)[1:]\n"
         "bad = np.roll(w, 1) if w[0] == w[-1] else w[::-1].copy()\n"
         "print((bad[piv] @ g % 2 != bad).any())\n"  # bad is no codeword
-        "upper = co._block_upper\n"
-        "co._block_upper = lambda *args: (hi, bad)\n"
+        "upper = co._information_set_upper\n"
+        "co._information_set_upper = lambda *args: (hi, bad)\n"
         "co._weight_round = lambda gamma, q, w: (2, np.zeros(gamma.shape[1], dtype=np.int64))\n"
         "for budget in (co.DEFAULT_BUDGET, 0):\n"
         "    try:\n"
         "        print(co.min_distance(c, budget=budget))\n"
         "    except co.CertificateError:\n"
         "        print('raised')\n"
-        "co._block_upper = upper\n"
+        "co._information_set_upper = upper\n"
         "c.cosets = np.arange(10) % 2\n"
         "try:\n"
         "    print(co.min_distance(c, budget=0))\n"
