@@ -158,9 +158,9 @@ def min_distance(
     direct-sum split ``cosets`` (`_split`; for a pci one part per left coset
     of its pair's H): d_lo reads weights 1 and 2 off the RREF rows (and,
     from weight 3 up while the budget allows, runs Brouwer-Zimmermann rounds
-    on the pivot set, closing the interval when they find d), and d_hi is
-    the lightest word of Brouwer-Zimmermann rounds on the information set of
-    each distinct part block (`_information_set_upper`).  High-rate codes
+    on the pivot set), and d_hi is the lightest word of Brouwer-Zimmermann
+    rounds on the information set of each distinct part block
+    (`_information_set_upper`), which find d whenever d_lo's rounds do.  High-rate codes
     whose RREF rows are all heavy can therefore get an interval even when
     their dual is small.  Every route is deterministic: ``seed`` is ignored,
     and kept only so that callers which pass it still run.  The witness has
@@ -185,11 +185,8 @@ def min_distance(
         hi = lo
     else:
         split = _split(code)
-        lo, witness = _weight_enum_lower(code, budget, split)
-        if witness is None:
-            hi, witness = _information_set_upper(code, budget, split)
-        else:
-            hi = lo
+        lo = _weight_enum_lower(code, budget, split)
+        hi, witness = _information_set_upper(code, budget, split)
         _check_witness(code, split, hi, witness)
     code.d_lo, code.d_hi, code.witness = lo, hi, witness
     return lo, hi, witness
@@ -374,24 +371,19 @@ def _split(code: LinearCode) -> _Split:
     return weights, parts
 
 
-def _weight_enum_lower(
-    code: LinearCode, budget: int, split: _Split
-) -> Tuple[int, Optional[np.ndarray]]:
-    """(d_lo, word): d_lo the largest w+1 such that no nonzero codeword has
-    weight <= w, and word a codeword of weight d_lo when the rounds below
-    found one, so that d_lo is d; None otherwise.  A codeword is fixed by
-    its pivot symbols, so weight 1 is a row of weight 1, and weight 2 a row
-    of weight 2 or two rows proportional off the pivots.  Rows of different
-    parts have disjoint supports, so only rows of one part can be
-    proportional: the test reads each part's free block.  From w = 3 on,
-    while C(n, w) (q-1)^(w-1) <= budget / n, it runs the
+def _weight_enum_lower(code: LinearCode, budget: int, split: _Split) -> int:
+    """Largest w+1 such that no nonzero codeword has weight <= w.  A codeword
+    is fixed by its pivot symbols, so weight 1 is a row of weight 1, and
+    weight 2 a row of weight 2 or two rows proportional off the pivots.
+    Rows of different parts have disjoint supports, so only rows of one
+    part can be proportional: the test reads each part's free block.  From
+    w = 3 on, while C(n, w) (q-1)^(w-1) <= budget / n, it runs the
     Brouwer-Zimmermann rounds up to w on the pivot set (`_weight_round`;
-    round 1 is the rows), which see every codeword of weight <= w: the
-    lightest word seen is d once it weighs <= w."""
+    round 1 is the rows), which see every codeword of weight <= w."""
     q, n, genmat = code.q, code.n, code.genmat
     weights, parts = split
     if weights.min() <= 2:
-        return int(weights.min()), None
+        return int(weights.min())
     free = np.ones(n, dtype=bool)
     free[code.pivots] = False
     for _rows, cols, blocks in parts:
@@ -405,19 +397,16 @@ def _weight_enum_lower(
         inv = np.array([pow(a, -1, q) for a in lead.ravel().tolist()]).reshape(P, r, 1)
         scaled = rest * inv % q
         if len({(j // r, row.tobytes()) for j, row in enumerate(scaled.reshape(P * r, -1))}) < P * r:
-            return 2, None
-    i = int(weights.argmin())  # rounds 1..ran run, and the lightest word seen
-    w, ran, best, word = 3, 1, int(weights[i]), genmat[i]
+            return 2
+    w, ran, best = 3, 1, int(weights.min())  # rounds 1..ran run, the lightest word seen
     while math.comb(n, w) * (q - 1) ** (w - 1) <= budget // max(1, n):
         while ran < w:
             ran += 1
-            weight, cw = _weight_round(genmat, q, ran)
-            if weight < best:
-                best, word = weight, cw
+            best = min(best, _weight_round(genmat, q, ran)[0])
         if best <= w:
-            return best, word
+            return best
         w += 1
-    return w, None
+    return w
 
 
 def _information_set_upper(code: LinearCode, budget: int, split: _Split) -> Tuple[int, np.ndarray]:

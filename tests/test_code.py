@@ -301,19 +301,17 @@ def test_information_set_upper_runs_each_distinct_block_once(monkeypatch):
     assert calls == [((3, 7), 1), ((3, 7), 2), ((3, 7), 3)]
 
 
-def test_weight_enum_lower_closes_the_interval(monkeypatch):
+def test_interval_closes_when_the_lower_rounds_find_d():
     # a random [13, 8]_13 code whose RREF rows all weigh 6: its worst case
     # is past the budget, so it takes the interval route, whose gate still
-    # lets rounds 2 and 3 run on the pivot set; they find a word of weight
-    # 3, which is d, and min_distance returns it without `_information_set_upper`
+    # lets rounds 2 and 3 run on the pivot set and find d = 3; the block
+    # rounds of `_information_set_upper`, on the one part, pass their gate
+    # whenever these do, so they find d too and the interval closes
     q, budget = 13, 600_000
     genmat, pivots = co.rref_mod(np.random.default_rng(101).integers(0, q, (8, 13)), q)
     assert len(pivots) == 8 and (np.count_nonzero(genmat, axis=1) == 6).all()
     assert co._worst_case(genmat, q) > budget >= 13 * math.comb(13, 3) * (q - 1) ** 2
     code = co.LinearCode(q, 13, genmat, pivots, 1, 13)
-    lo, word = co._weight_enum_lower(code, budget, co._split(code))
-    assert lo == np.count_nonzero(word) == 3
-    monkeypatch.setattr(co, "_information_set_upper", None)
     lo, hi, w = co.min_distance(code, budget=budget)
     assert lo == hi == np.count_nonzero(w) == co._brouwer_zimmermann(genmat, pivots, q)[0] == 3
     assert np.array_equal((w[pivots] @ genmat) % q, w)
@@ -347,7 +345,7 @@ def test_weight_enum_lower_per_part_matches_parity_check(q):
         want = low_weight_from_parity_check(genmat, pivots, q)
         for parts in (cosets, None):
             code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
-            assert co._weight_enum_lower(code, 0, co._split(code))[0] == want, (q, genmat, parts)
+            assert co._weight_enum_lower(code, 0, co._split(code)) == want, (q, genmat, parts)
         seen.append((want, int(np.count_nonzero(genmat, axis=1).min())))
     assert seen[-3:] == [(2, 3), (2, 2), (3, 3)]
 
@@ -734,14 +732,14 @@ def test_parity_check_and_low_weight_bound_match_loops():
             assert np.array_equal(H, loop)
             code = co.LinearCode(q, n, genmat, pivots, 1, n)
             d = brute_force_min_weight(genmat, q)
-            low = co._weight_enum_lower(code, 0, co._split(code))[0]
+            low = co._weight_enum_lower(code, 0, co._split(code))
             assert low == min(d, 3) == low_weight_from_parity_check(genmat, pivots, q), (q, genmat)
             seen.add((low, int(np.count_nonzero(genmat, axis=1).min()) <= 2))
             # the weight-3+ loop, at a budget that lets it find d on some codes and stop on others
             budget = 10**5
             costs = {w: math.comb(n, w) * (q - 1) ** (w - 1) for w in range(3, n + 1)}
             stop = min([w for w, cost in costs.items() if cost > budget // n], default=n + 1)
-            assert co._weight_enum_lower(code, budget, co._split(code))[0] == min(d, stop), (q, genmat)
+            assert co._weight_enum_lower(code, budget, co._split(code)) == min(d, stop), (q, genmat)
             if d >= 3:
                 seen.add(("found", d) if d < stop else ("stop", stop))
     # d = 1, 2 and >= 3; weight 2 both from a light row and from a proportional pair
