@@ -245,8 +245,8 @@ def _build_code(args) -> code_mod.LinearCode:
 
 
 def cmd_code_build(args) -> int:
-    c = _build_code(args)
     budget = _check_budget(args.budget)
+    c = _build_code(args)
     if c.k == 0:
         raise UsageError("the chosen idempotent generates the zero code")
     lo, hi, witness = code_mod.min_distance(c, budget=budget)
@@ -255,7 +255,7 @@ def cmd_code_build(args) -> int:
         "k": c.k,
         "d_lo": lo,
         "d_hi": hi,
-        "witness_weight": int(np.count_nonzero(witness)) if witness is not None else None,
+        "witness_weight": int(np.count_nonzero(witness)),
         "provenance": c.provenance,
     }
     _emit(out, args)

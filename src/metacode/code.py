@@ -59,8 +59,9 @@ class LinearCode:
     # coordinate permutations that map the code onto itself, row i sending v
     # to v[perms[i]]; min_distance checks them before it relies on them
     perms: Optional[np.ndarray] = None
-    # column c lies in part cosets[c], and the code is the direct sum of its
-    # parts on these column sets; None is one part
+    # column c lies in part cosets[c]: a claimed direct-sum split, which
+    # min_distance checks against genmat before it reads the code part by
+    # part (no nonzero off its row's part); None is one part
     cosets: Optional[np.ndarray] = None
 
     @property
@@ -149,24 +150,24 @@ def min_distance(
     code: LinearCode,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-) -> Tuple[int, int, Optional[np.ndarray]]:
+) -> Tuple[int, int, np.ndarray]:
     """``(d_lo, d_hi, witness)``, also stored on ``code``: exact when affordable.
 
     Routes: Brouwer-Zimmermann enumeration over disjoint information sets
     (exact) when its worst case, `_worst_case`, is at most ``budget``
-    codewords; otherwise an interval, computed part by part on the code's
-    direct-sum split ``cosets`` (`_split`; for a pci one part per left coset
-    of its pair's H): d_lo reads weights 1 and 2 off the RREF rows (and,
-    from weight 3 up while the budget allows, runs Brouwer-Zimmermann rounds
-    on the pivot set), and d_hi is the lightest word of Brouwer-Zimmermann
-    rounds on the information set of each distinct part block
-    (`_information_set_upper`), which find d whenever d_lo's rounds do.  High-rate codes
-    whose RREF rows are all heavy can therefore get an interval even when
-    their dual is small.  Every route is deterministic: ``seed`` is ignored,
-    and kept only so that callers which pass it still run.  The witness has
-    weight d_hi.  Failed internal checks raise `CertificateError`: a witness
-    of another weight or outside the code (checked part by part on the
-    interval route), and a nonzero of genmat off its row's part.
+    codewords; otherwise an interval from `_interval`, one pass over the
+    parts of the code's direct-sum split ``cosets`` (for a pci one part per
+    left coset of its pair's H): d_lo reads weights 1 and 2 off the RREF
+    rows (and, from weight 3 up while the budget allows, runs
+    Brouwer-Zimmermann rounds on the pivot set), and d_hi is the lightest
+    word of Brouwer-Zimmermann rounds on each distinct part block, which
+    find d whenever d_lo's rounds do.  High-rate codes whose RREF rows are
+    all heavy can therefore get an interval even when their dual is small.
+    Every route is deterministic: ``seed`` is ignored, and kept only so that
+    callers which pass it still run.  Failed internal checks raise
+    `CertificateError`: the witness of either route, checked once on the
+    whole code, of weight other than d_hi or outside the row space, and a
+    nonzero of genmat off its row's part.
 
     A code from `ideal_to_code` carries ``perms``, the coordinate permutations
     of G's generators, under which the ideal is invariant.  The enumeration
@@ -180,14 +181,15 @@ def min_distance(
     """
     if code.k == 0:
         raise ZeroCode("zero-dimensional code has no distance")
-    if _worst_case(code.genmat, code.q) <= budget:
-        lo, witness, _ = _brouwer_zimmermann(code.genmat, code.pivots, code.q, code.perms)
+    genmat, pivots, q = code.genmat, code.pivots, code.q
+    if _worst_case(genmat, q) <= budget:
+        lo, witness, _ = _brouwer_zimmermann(genmat, pivots, q, code.perms)
         hi = lo
     else:
-        split = _split(code)
-        lo = _weight_enum_lower(code, budget, split)
-        hi, witness = _information_set_upper(code, budget, split)
-        _check_witness(code, split, hi, witness)
+        lo, hi, witness = _interval(code, budget)
+    on = np.flatnonzero(witness[pivots])  # the nonzero message symbols
+    _check(np.count_nonzero(witness) == hi, "the witness does not have weight d_hi")
+    _check(np.array_equal(witness[pivots][on] @ genmat[on] % q, witness), "the witness is not a codeword")
     code.d_lo, code.d_hi, code.witness = lo, hi, witness
     return lo, hi, witness
 
@@ -294,8 +296,6 @@ def _brouwer_zimmermann(
                     done.append(0)
             s = pick(w, j)
         w, j = after(s, w, j)
-    _check(np.count_nonzero(word) == best and np.array_equal((word[pivots] @ genmat) % q, word),
-           "enumerated witness is not a codeword of weight d")
     return best, word, examined
 
 
@@ -340,117 +340,70 @@ def _weight_round(gamma: np.ndarray, q: int, w: int) -> Tuple[int, np.ndarray]:
     return best, word
 
 
-# (row weights, parts) of a code's direct-sum split; see `_split`
-_Split = Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]
+def _interval(code: LinearCode, budget: int) -> Tuple[int, int, np.ndarray]:
+    """(d_lo, d_hi, witness) in one pass over the parts of the code's
+    direct-sum split ``cosets`` that hold a pivot.  Part b's block is
+    genmat[own == b][:, part == b], the rows whose pivot lies in b on b's
+    columns: an RREF whose pivots are an information set of the part.
+    CertificateError when a block misses a nonzero of its rows, on every
+    part, equal ones too: rows of different parts must have disjoint
+    supports for the per-part steps below to be sound.  Equal blocks have
+    the same words, so only the first part with each content goes on.
 
+    d_lo: a codeword is fixed by its pivot symbols, so weight 1 is a row of
+    weight 1, and weight 2 a row of weight 2 or two rows of one part
+    proportional off the pivots, read off each block's free columns.  From
+    w = 3 on, while C(n, w) (q-1)^(w-1) <= budget / n, Brouwer-Zimmermann
+    rounds up to w on the pivot set (`_weight_round`; round 1 is the rows)
+    see every codeword of weight <= w.
 
-def _split(code: LinearCode) -> _Split:
-    """The code's direct-sum split on ``cosets``, gathered once for the
-    interval route: the weights of genmat's rows, and per part shape (r, c)
-    a triple (rows, cols, blocks) over its P parts: the (P, r) rows whose
-    pivot lies in each part, the (P, c) part's columns in ascending order,
-    and the (P, r, c) blocks genmat[rows, cols].  Parts without rows are
-    left out.  CertificateError when a nonzero of genmat lies off its row's
-    part, which the blocks then miss."""
-    genmat, pivots = code.genmat, code.pivots
-    part = np.zeros(code.n, dtype=np.int64) if code.cosets is None else code.cosets
-    size = np.bincount(part)
-    height = np.bincount(part[pivots], minlength=len(size))
-    by_col = np.argsort(part, kind="stable")  # part by part, each part's ascending
-    by_row = np.argsort(part[pivots], kind="stable")
-    shapes: Dict[Tuple[int, int], List[int]] = {}
-    for b in np.flatnonzero(height).tolist():
-        shapes.setdefault((int(height[b]), int(size[b])), []).append(b)
-    weights, parts = np.count_nonzero(genmat, axis=1), []
-    for (r, c), bs in shapes.items():
-        rows = by_row[(np.cumsum(height) - height)[bs][:, None] + np.arange(r)]
-        cols = by_col[(np.cumsum(size) - size)[bs][:, None] + np.arange(c)]
-        parts.append((rows, cols, genmat[rows[:, :, None], cols[:, None, :]]))
-    _check(sum(np.count_nonzero(blocks) for *_, blocks in parts) == weights.sum(),
-           "a nonzero of genmat lies off its row's part")
-    return weights, parts
-
-
-def _weight_enum_lower(code: LinearCode, budget: int, split: _Split) -> int:
-    """Largest w+1 such that no nonzero codeword has weight <= w.  A codeword
-    is fixed by its pivot symbols, so weight 1 is a row of weight 1, and
-    weight 2 a row of weight 2 or two rows proportional off the pivots.
-    Rows of different parts have disjoint supports, so only rows of one
-    part can be proportional: the test reads each part's free block.  From
-    w = 3 on, while C(n, w) (q-1)^(w-1) <= budget / n, it runs the
-    Brouwer-Zimmermann rounds up to w on the pivot set (`_weight_round`;
-    round 1 is the rows), which see every codeword of weight <= w."""
-    q, n, genmat = code.q, code.n, code.genmat
-    weights, parts = split
-    if weights.min() <= 2:
-        return int(weights.min())
+    d_hi: round w on a block gives its lightest word of message weight w,
+    and no unseen word is lighter than w + 1.  A block runs rounds
+    w = 1, 2, ... while w <= r and C(r, w) (q-1)^(w-1) <= budget / c for its
+    r x c shape (round 1, its rows, always), and stops before round w once
+    the lightest word seen, on any block, weighs at most w.  The witness is
+    that word on its part's columns."""
+    q, n, genmat, pivots = code.q, code.n, code.genmat, code.pivots
+    part = np.zeros(n, dtype=np.int64) if code.cosets is None else code.cosets
+    own, weights = part[pivots], np.count_nonzero(genmat, axis=1)
     free = np.ones(n, dtype=bool)
-    free[code.pivots] = False
-    for _rows, cols, blocks in parts:
-        P, r, c = blocks.shape
-        # a part holds its rows' pivots and no others: c - r free columns
-        at = free[cols].nonzero()[1].reshape(P, 1, c - r)
-        rest = np.take_along_axis(blocks, at, axis=2)
-        # proportional free parts are equal once each is scaled by the
-        # inverse of its first nonzero entry; hashing beats np.unique's sort
-        lead = np.take_along_axis(rest, (rest != 0).argmax(axis=2)[:, :, None], axis=2)
-        inv = np.array([pow(a, -1, q) for a in lead.ravel().tolist()]).reshape(P, r, 1)
-        scaled = rest * inv % q
-        if len({(j // r, row.tobytes()) for j, row in enumerate(scaled.reshape(P * r, -1))}) < P * r:
-            return 2
-    w, ran, best = 3, 1, int(weights.min())  # rounds 1..ran run, the lightest word seen
-    while math.comb(n, w) * (q - 1) ** (w - 1) <= budget // max(1, n):
-        while ran < w:
-            ran += 1
-            best = min(best, _weight_round(genmat, q, ran)[0])
-        if best <= w:
-            return best
-        w += 1
-    return w
-
-
-def _information_set_upper(code: LinearCode, budget: int, split: _Split) -> Tuple[int, np.ndarray]:
-    """Lightest word of Brouwer-Zimmermann rounds on each part's block, part
-    by part on `_split`.  A block is an RREF on its part's columns, its
-    pivots an information set of the part, so round w (`_weight_round`)
-    gives its lightest word of message weight w, and no unseen word is
-    lighter than w + 1.  Equal blocks have the same words: only the first
-    part with each content runs.  A block runs rounds
-    w = 1, 2, ... while w <= r and C(r, w) (q-1)^(w-1) <= budget / c (round
-    1, its rows, always), and stops before round w once the lightest word
-    seen, on any block, weighs at most w.  The witness is that word on its
-    part's columns."""
-    q, n = code.q, code.n
-    best, word = n + 1, None
-    for _rows, cols, blocks in split[1]:
-        P, r, c = blocks.shape
-        first: Dict[bytes, int] = {}
-        for j in range(P):
-            first.setdefault(blocks[j].tobytes(), j)
-        for j in first.values():
-            for w in range(1, r + 1):
-                if best <= w or w > 1 and math.comb(r, w) * (q - 1) ** (w - 1) > budget // c:
-                    break
-                weight, cw = _weight_round(blocks[j], q, w)
-                if weight < best:
-                    best, word = weight, np.zeros(n, dtype=np.int64)
-                    word[cols[j]] = cw
-    return best, word
-
-
-def _check_witness(code: LinearCode, split: _Split, weight: int, word: np.ndarray) -> None:
-    """CertificateError unless word has the given weight and lies in the row
-    space, part by part: on each part it is its pivot symbols times the
-    part's block, and it vanishes off the parts."""
-    pivots = np.asarray(code.pivots)
-    _check(np.count_nonzero(word) == weight, "interval witness does not have weight d_hi")
-    inside = 0
-    for rows, cols, blocks in split[1]:
-        on = word[cols][:, None, :]
-        inside += np.count_nonzero(on)
-        _check(not matmul_mod(word[pivots[rows]][:, None, :], blocks, code.q, on).any(),
-               "interval witness is not a codeword")
-    _check(inside == weight, "interval witness is not a codeword")
+    free[pivots] = False
+    lo, hi, word, seen = int(weights.min()), n + 1, None, set()
+    for b in np.flatnonzero(np.bincount(own)).tolist():
+        rows, cols = own == b, part == b
+        block = genmat[rows][:, cols]
+        _check((np.count_nonzero(block, axis=1) == weights[rows]).all(),
+               "a nonzero of genmat lies off its row's part")
+        if (key := (block.shape, block.tobytes())) in seen:
+            continue
+        seen.add(key)
+        if lo > 2:
+            # proportional free rows are equal once each is scaled by the
+            # inverse of its first nonzero entry; hashing beats np.unique's sort
+            rest = block[:, free[cols]]
+            lead = rest[np.arange(len(rest)), (rest != 0).argmax(axis=1)]
+            scaled = rest * np.array([pow(a, -1, q) for a in lead.tolist()])[:, None] % q
+            if len({row.tobytes() for row in scaled}) < len(rest):
+                lo = 2
+        r, c = block.shape
+        for w in range(1, r + 1):
+            if hi <= w or w > 1 and math.comb(r, w) * (q - 1) ** (w - 1) > budget // c:
+                break
+            weight, cw = _weight_round(block, q, w)
+            if weight < hi:
+                hi, word = weight, np.zeros(n, dtype=np.int64)
+                word[cols] = cw
+    if lo > 2:
+        w, ran = 3, 1  # rounds 1..ran have run on the pivot set
+        while math.comb(n, w) * (q - 1) ** (w - 1) <= budget // n:
+            while ran < w:
+                ran += 1
+                lo = min(lo, _weight_round(genmat, q, ran)[0])
+            if lo <= w:
+                break
+            w += 1
+        lo = min(lo, w)
+    return lo, hi, word
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from metacode import groups as gr, idem as id_
+from metacode import cli, groups as gr, idem as id_
 from metacode.cli import UsageError, _unit_spec, main
 
 
@@ -235,12 +235,15 @@ def test_code_build_and_genmat(tmp_path, capsys):
     assert rc == 1 and "unrecognized arguments: --budget" in err
 
 
-def test_budget_floor(tmp_path, capsys):
+def test_budget_floor(tmp_path, capsys, monkeypatch):
+    # a budget below the floor is refused before any code is built
     spec = tmp_path / "g39.json"
     spec.write_text(json.dumps({"N": 13, "M": 3, "r": 9}))
+    built = []
+    monkeypatch.setattr(cli, "_build_code", built.append)
     rc, _, err = run(capsys, "code", "build", "--spec", str(spec), "--q", "2",
                      "--pci", "0", "--budget", "10")
-    assert rc == 1 and "budget" in err
+    assert rc == 1 and "budget" in err and not built
 
 
 def test_algebra_commands(capsys):

@@ -195,8 +195,9 @@ def test_full_scale_code_spins_without_translate_matrix():
     assert np.array_equal((w[c.pivots] @ c.genmat) % 2, w)
 
 
-# _information_set_upper on the [1155, 450]_q analogue codes ([H:K] = 77), budget
-# 2,000,000: (d_hi, SHA-256 of the int64 witness) per q, with no seed
+# the interval route's block rounds on the [1155, 450]_q analogue codes
+# ([H:K] = 77), budget 2,000,000: (d_hi, SHA-256 of the int64 witness) per q,
+# with no seed
 ISU_PINS = {
     2: (8, "1ee1e66e968820aaa7b8fa2eeb48442ea487bcc374055851f6ba35ef97bb2722"),
     19: (20, "b3e54bbf663b934baaef9cecc52d03a4ac2695c0004a5bdd42cd93b70a90442e"),
@@ -210,8 +211,8 @@ def test_information_set_upper_pinned():
     for q, (weight, digest) in ISU_PINS.items():
         alg = id_.GroupAlgebra(G, q)
         c = co.ideal_to_code(alg, id_.pci(alg, pair, id_.cosets_and_orbits(G, pair, q).orbit_reps[0]))
-        assert c.k == 450
-        w, word = co._information_set_upper(c, 2_000_000, co._split(c))
+        assert c.k == 450 and co._worst_case(c.genmat, q) > 2_000_000
+        w, word = co.min_distance(c, budget=2_000_000)[1:]
         assert word.dtype == np.int64
         assert (w, hashlib.sha256(word.tobytes()).hexdigest()) == (weight, digest), q
         assert np.count_nonzero(word) == w
@@ -255,9 +256,10 @@ def _random_direct_sums(q):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 13])
 def test_information_set_upper_splits_like_one_rref(q):
-    # random direct sums of unequal blocks, handed their block of each column
-    # as ``cosets``, and as one part, one RREF of the whole genmat, when that
-    # is small; split or not, the bound is the same: with every round
+    # `_interval`'s d_hi on random direct sums of unequal blocks, handed
+    # their block of each column as ``cosets``, and as one part, one RREF of
+    # the whole genmat, when that is small; split or not, the bound is the
+    # same: with every round
     # allowed each distinct block is enumerated whole, so d_hi is the
     # brute-force d, the least over the blocks of a direct sum; with budget
     # 0 only round 1, the rows, runs, so d_hi is the lightest row.  Added: a
@@ -277,36 +279,44 @@ def test_information_set_upper_splits_like_one_rref(q):
         for parts in (cosets, None) if q ** len(pivots) <= 5000 else (cosets,):
             code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
             for budget, want in ((10**12, d), (0, int(np.count_nonzero(genmat, axis=1).min()))):
-                hi, word = co._information_set_upper(code, budget, co._split(code))
-                assert hi == want, (q, budget, genmat, parts)
-                co._check_witness(code, co._split(code), hi, word)
+                hi, word = co._interval(code, budget)[1:]
+                assert hi == want == np.count_nonzero(word), (q, budget, genmat, parts)
+                assert np.array_equal((word[pivots] @ genmat) % q, word)
     assert split >= 3
 
 
-def test_information_set_upper_runs_each_distinct_block_once(monkeypatch):
-    # three equal parts of a [7, 3, 4]_3 block, unshuffled so that their
-    # blocks are equal: rounds 1, 2 and 3 run on the first part only
+def _three_equal_parts():
+    """A [21, 9, 4]_3 code: three equal parts of a [7, 3, 4]_3 block,
+    unshuffled so that their blocks are equal."""
     b = np.array([[1, 0, 0, 1, 2, 2, 2], [0, 1, 0, 0, 2, 1, 1], [0, 0, 1, 1, 1, 1, 2]])
     genmat = np.zeros((9, 21), dtype=np.int64)
     for j in range(3):
         genmat[3 * j:3 * j + 3, 7 * j:7 * j + 7] = b
-    code = co.LinearCode(3, 21, genmat, [7 * j + i for j in range(3) for i in range(3)], 1, 21,
-                         cosets=np.repeat(np.arange(3), 7))
     assert np.array_equal(co.rref_mod(genmat, 3)[0], genmat) and brute_force_min_weight(b, 3) == 4
+    return co.LinearCode(3, 21, genmat, [7 * j + i for j in range(3) for i in range(3)], 1, 21,
+                         cosets=np.repeat(np.arange(3), 7))
+
+
+def test_information_set_upper_runs_each_distinct_block_once(monkeypatch):
+    # `_interval` on three equal parts: the block rounds 1, 2 and 3 run on
+    # the first part only, then the pivot-set rounds 2 and 3 of d_lo, which
+    # C(21, 4) 2^3 > 10^6 / 21 stops at w = 4
+    code = _three_equal_parts()
     calls, weight_round = [], co._weight_round
     monkeypatch.setattr(co, "_weight_round",
                         lambda gamma, q, w: calls.append((gamma.shape, w)) or weight_round(gamma, q, w))
-    hi, word = co._information_set_upper(code, 10**6, co._split(code))
-    assert hi == 4 and not word[7:].any()
-    assert calls == [((3, 7), 1), ((3, 7), 2), ((3, 7), 3)]
+    lo, hi, word = co._interval(code, 10**6)
+    assert lo == hi == 4 and not word[7:].any()
+    assert [c for c in calls if c[0] == (3, 7)] == [((3, 7), 1), ((3, 7), 2), ((3, 7), 3)]
+    assert calls[3:] == [((9, 21), 2), ((9, 21), 3)]
 
 
 def test_interval_closes_when_the_lower_rounds_find_d():
     # a random [13, 8]_13 code whose RREF rows all weigh 6: its worst case
     # is past the budget, so it takes the interval route, whose gate still
     # lets rounds 2 and 3 run on the pivot set and find d = 3; the block
-    # rounds of `_information_set_upper`, on the one part, pass their gate
-    # whenever these do, so they find d too and the interval closes
+    # rounds of `_interval`, on the one part, pass their gate whenever these
+    # do, so they find d too and the interval closes
     q, budget = 13, 600_000
     genmat, pivots = co.rref_mod(np.random.default_rng(101).integers(0, q, (8, 13)), q)
     assert len(pivots) == 8 and (np.count_nonzero(genmat, axis=1) == 6).all()
@@ -319,7 +329,7 @@ def test_interval_closes_when_the_lower_rounds_find_d():
 
 @pytest.mark.parametrize("q", [2, 3, 5, 13])
 def test_weight_enum_lower_per_part_matches_parity_check(q):
-    # the weight-1 and weight-2 test reads each part's rows alone; on the
+    # `_interval`'s weight-1 and weight-2 test reads each part's rows alone; on the
     # random direct sums, with their split and as one part, it gives min(d, 3)
     # as the parity-check column test does.  Added: a part with two rows
     # proportional off the pivots (2); a row of weight 2; and three equal
@@ -345,22 +355,28 @@ def test_weight_enum_lower_per_part_matches_parity_check(q):
         want = low_weight_from_parity_check(genmat, pivots, q)
         for parts in (cosets, None):
             code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
-            assert co._weight_enum_lower(code, 0, co._split(code)) == want, (q, genmat, parts)
+            assert co._interval(code, 0)[0] == want, (q, genmat, parts)
         seen.append((want, int(np.count_nonzero(genmat, axis=1).min())))
     assert seen[-3:] == [(2, 3), (2, 2), (3, 3)]
 
 
 def test_interval_route_rejects_a_false_split():
     # cosets that cut a row across two parts: the per-part weight-2 test
-    # would miss words that span them, so the split is refused
+    # would miss words that span them, so the split is refused.  Added: three
+    # equal parts, a row of the second with a nonzero in the third part's
+    # free columns; its block still equals the first part's, so a check of
+    # the distinct blocks alone would pass that split
     rng = np.random.default_rng(3)
     genmat, pivots = co.rref_mod(rng.integers(0, 3, size=(8, 16)), 3)
     assert (genmat[:, ::2].any(axis=1) & genmat[:, 1::2].any(axis=1)).any()
     code = co.LinearCode(3, 16, genmat, pivots, 1, 16, cosets=np.arange(16) % 2)
-    for call in (lambda: co.min_distance(code, budget=0),
-                 lambda: co._weight_enum_lower(code, 0, co._split(code))):
-        with pytest.raises(co.CertificateError, match="off its row's part"):
-            call()
+    equal = _three_equal_parts()
+    equal.genmat[3, 19] = 1
+    assert np.array_equal(equal.genmat[3:6, 7:14], equal.genmat[:3, :7])
+    for c in (code, equal):
+        for call in (lambda: co.min_distance(c, budget=0), lambda: co._interval(c, 0)):
+            with pytest.raises(co.CertificateError, match="off its row's part"):
+                call()
     code.cosets = None
     assert co.min_distance(code, budget=0)[0] >= 1
 
@@ -369,8 +385,8 @@ def test_interval_witness_check(monkeypatch):
     # every word of the repetition code has weight n: d_hi = n has a witness too
     rep = co.LinearCode(3, 5, np.ones((1, 5), dtype=np.int64), [0], 1, 5)
     assert np.array_equal(co.min_distance(rep, budget=0)[2], np.ones(5))
-    # a direct sum with a zero column: the interval witness must have weight
-    # d_hi and be a codeword on every part and off them
+    # a direct sum with a zero column: min_distance checks that the interval
+    # witness has weight d_hi and is a codeword, on every part and off them
     rng = np.random.default_rng(4)
     genmat, pivots, cosets = _split_direct_sum(
         [rng.integers(0, 5, size=(3, 7)), rng.integers(0, 5, size=(4, 9))], 1, 5, rng)
@@ -384,8 +400,7 @@ def test_interval_witness_check(monkeypatch):
     off[zero] = 1
     for weight, word, what in ((hi - 1, w, "weight"), (hi, moved, "codeword"),
                                (hi + 1, off, "codeword")):
-        monkeypatch.setattr(co, "_information_set_upper",
-                            lambda *args, weight=weight, word=word: (weight, word))
+        monkeypatch.setattr(co, "_interval", lambda *args, weight=weight, word=word: (lo, weight, word))
         with pytest.raises(co.CertificateError, match=what):
             co.min_distance(code, budget=0)
 
@@ -594,8 +609,8 @@ def test_cold_certificates_do_not_import_numpy_ma():
         "genmat, pivots = co.rref_mod(np.random.default_rng(33).integers(0, 3, (8, 16)), 3)\n"
         "c = co.LinearCode(3, 16, genmat, pivots, 1, 16)\n"
         "co._brouwer_zimmermann(genmat, pivots, 3)\n"  # the perms-free search takes more sets
-        "co._weight_enum_lower(c, 10**5, co._split(c))\n"  # runs Brouwer-Zimmermann rounds 2 and 3
-        "co._information_set_upper(c, 0, co._split(c))\n"
+        "co.min_distance(c, budget=0)\n"  # the interval route and the witness check
+        "co._interval(c, 10**5)\n"  # runs Brouwer-Zimmermann rounds 2 and 3 on the pivot set
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(co.__file__).resolve().parents[1])
@@ -611,11 +626,15 @@ def test_cold_certificates_do_not_import_numpy_ma():
 
 
 def test_enumeration_witness_check(monkeypatch):
+    # min_distance checks the enumerated witness as it checks the interval's:
+    # a word of the wrong weight, and a word of weight d that is no codeword
     genmat, pivots = co.rref_mod(np.array([[1, 1, 0, 1], [0, 1, 1, 1]]), 3)
-    assert co._brouwer_zimmermann(genmat, pivots, 3)[0] == 2
-    monkeypatch.setattr(co, "_weight_round", lambda gamma, q, w: (2, np.zeros(4, int)))
-    with pytest.raises(co.CertificateError):
-        co._brouwer_zimmermann(genmat, pivots, 3)
+    code = co.LinearCode(3, 4, genmat, pivots, 1, 4)
+    assert co.min_distance(code)[:2] == (2, 2)
+    for word, what in ((np.zeros(4, dtype=np.int64), "weight"), (np.array([1, 1, 0, 0]), "codeword")):
+        monkeypatch.setattr(co, "_weight_round", lambda gamma, q, w, word=word: (2, word))
+        with pytest.raises(co.CertificateError, match=what):
+            co.min_distance(code)
 
 
 def test_certificate_errors_survive_python_O():
@@ -632,15 +651,15 @@ def test_certificate_errors_survive_python_O():
         "hi, w = co.min_distance(c, budget=0)[1:]\n"
         "bad = np.roll(w, 1) if w[0] == w[-1] else w[::-1].copy()\n"
         "print((bad[piv] @ g % 2 != bad).any())\n"  # bad is no codeword
-        "upper = co._information_set_upper\n"
-        "co._information_set_upper = lambda *args: (hi, bad)\n"
+        "interval = co._interval\n"
+        "co._interval = lambda *args: (1, hi, bad)\n"
         "co._weight_round = lambda gamma, q, w: (2, np.zeros(gamma.shape[1], dtype=np.int64))\n"
         "for budget in (co.DEFAULT_BUDGET, 0):\n"
         "    try:\n"
         "        print(co.min_distance(c, budget=budget))\n"
         "    except co.CertificateError:\n"
         "        print('raised')\n"
-        "co._information_set_upper = upper\n"
+        "co._interval = interval\n"
         "c.cosets = np.arange(10) % 2\n"
         "try:\n"
         "    print(co.min_distance(c, budget=0))\n"
@@ -692,7 +711,7 @@ def test_interval_mode_brackets_truth():
 
 
 def test_parity_check_and_low_weight_bound_match_loops():
-    # parity_check against the column loop it replaced; _weight_enum_lower
+    # parity_check against the column loop it replaced; `_interval`'s d_lo
     # reads weight 1 (a row of weight 1) and 2 (a row of weight 2, or two
     # rows proportional off the pivots) from the RREF exactly, so with no
     # budget for weight 3 it returns min(d, 3), as the parity-check column
@@ -732,14 +751,14 @@ def test_parity_check_and_low_weight_bound_match_loops():
             assert np.array_equal(H, loop)
             code = co.LinearCode(q, n, genmat, pivots, 1, n)
             d = brute_force_min_weight(genmat, q)
-            low = co._weight_enum_lower(code, 0, co._split(code))
+            low = co._interval(code, 0)[0]
             assert low == min(d, 3) == low_weight_from_parity_check(genmat, pivots, q), (q, genmat)
             seen.add((low, int(np.count_nonzero(genmat, axis=1).min()) <= 2))
             # the weight-3+ loop, at a budget that lets it find d on some codes and stop on others
             budget = 10**5
             costs = {w: math.comb(n, w) * (q - 1) ** (w - 1) for w in range(3, n + 1)}
             stop = min([w for w, cost in costs.items() if cost > budget // n], default=n + 1)
-            assert co._weight_enum_lower(code, budget, co._split(code)) == min(d, stop), (q, genmat)
+            assert co._interval(code, budget)[0] == min(d, stop), (q, genmat)
             if d >= 3:
                 seen.add(("found", d) if d < stop else ("stop", stop))
     # d = 1, 2 and >= 3; weight 2 both from a light row and from a proportional pair
