@@ -220,10 +220,8 @@ def rank_mod(mat: np.ndarray, p: int) -> int:
 
 
 def matmul_mod(A: np.ndarray, B: np.ndarray, p: int, c: Optional[np.ndarray] = None) -> np.ndarray:
-    """A @ B mod p, or c - A @ B mod p when c is given, exact, for integer
-    arrays with entries in [0, p).  B has at least two axes; stacked
-    operands broadcast over their leading axes as in `np.matmul`, and c has
-    the product's shape.
+    """A @ B mod p, or c - A @ B mod p when c is given, exact, for 2-D
+    integer arrays with entries in [0, p); c has the product's shape.
 
     The products run in float64 BLAS over slabs of the inner dimension, each
     short enough that the running total t, reduced after every slab, keeps
@@ -235,10 +233,10 @@ def matmul_mod(A: np.ndarray, B: np.ndarray, p: int, c: Optional[np.ndarray] = N
         raise FieldTooLarge(f"GF({p}) products are past exact float64 sums")
     A, B = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
     # over an empty inner axis the product is the zero array of its shape
-    out = A[..., :0] @ B[..., :0, :] if c is None else np.array(c, dtype=np.float64)
+    out = A[:, :0] @ B[:0] if c is None else np.array(c, dtype=np.float64)
     step, quo = np.add if c is None else np.subtract, np.empty_like(out)
-    for s in range(0, A.shape[-1], slab):
-        step(out, A[..., s:s + slab] @ B[..., s:s + slab, :], out=out)
+    for s in range(0, A.shape[1], slab):
+        step(out, A[:, s:s + slab] @ B[s:s + slab], out=out)
         np.floor(np.divide(out, p, out=quo), out=quo)  # np.remainder takes 5x longer
         out -= np.multiply(quo, p, out=quo)
     return out.astype(np.int64)

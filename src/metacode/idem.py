@@ -9,7 +9,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ffield import (
-    coset_order,
     factorize,
     is_prime,
     mult_order,
@@ -260,8 +259,8 @@ class OrbitData:
     orbits: List[Tuple[int, ...]]  # orbits of coset reps under the * action
     orbit_reps: List[int]
     stab_index: int  # [E : H], equal across orbits
-    action_exps: Tuple[int, ...]  # the t with x^-1 h0 x = h0^t mod K, x in N
-    omega0: Optional[int]  # least w >= 1 with t_b^w in <q> (cyclic N/H only)
+    action_exps: Tuple[int, ...]  # the distinct t with x^-1 h0 x = h0^t mod K, x in N: N/H
+    omega0: Optional[int]  # least w >= 1 with t_b^w in <q>, t_b generating N/H (cyclic N/H only)
 
 
 def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
@@ -271,8 +270,10 @@ def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
     if h0 is None:
         raise AlgebraError(f"H/K is not cyclic for {pair.label()}")
     o = mult_order(q, m)
-    N, t_of_N, x0 = pair.normaliser
-    exps = sorted(set(t_of_N.tolist()))
+    order, exps = pair.normaliser
+    exps = exps.tolist()
+    # the exponents are N/H: every check on the stabilisers follows from this
+    _require(order == H.order * len(exps), "N acts on H/K with a kernel other than H")
 
     cosets = cyclotomic_cosets(m, q)
     rep_of = np.zeros(m, dtype=np.int64)  # unit -> its coset's rep
@@ -281,19 +282,12 @@ def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
     # the orbits of the cosets under the * action: the orbits of <q, exps>
     orbits = [tuple(orb[rep_of[orb] == orb].tolist()) for orb in _unit_orbits(m, [q] + exps)]
     orbit_reps = [o_[0] for o_ in orbits]
-
-    # stabiliser index [E:H] from the first orbit (all agree; checked)
-    stab_indices = []
-    for rep in orbit_reps:
-        count = int(np.count_nonzero(rep_of[rep * t_of_N % m] == rep))
-        _require(count % H.order == 0, "stabiliser count is not a multiple of |H|")
-        stab_indices.append(count // H.order)
-    _require(len(set(stab_indices)) <= 1, "orbits of one pair must have equal stabilisers")
     _require(len({len(o_) for o_ in orbits}) <= 1, "orbits of one pair must have equal size")
 
-    # omega0: least w with t_b^w in <q> mod m, from a generator x0 of N/H when
-    # it is cyclic
-    omega0 = None if x0 is None else coset_order(int(t_of_N[np.searchsorted(N, x0)]), q, m)
+    # [E:H] = |exps cap <q>|; when N/H is cyclic, generated by t_b, an orbit
+    # holds the least w with t_b^w in <q> cosets
+    stab_index = int(np.count_nonzero(rep_of[exps] == rep_of[1 % m]))
+    omega0 = len(orbits[0]) if any(mult_order(t, m) == len(exps) for t in exps) else None
 
     return OrbitData(
         pair=pair,
@@ -304,7 +298,7 @@ def cosets_and_orbits(G: FiniteGroup, pair: ShodaPair, q: int) -> OrbitData:
         cosets=cosets,
         orbits=orbits,
         orbit_reps=orbit_reps,
-        stab_index=stab_indices[0],
+        stab_index=stab_index,
         action_exps=tuple(exps),
         omega0=omega0,
     )
@@ -448,8 +442,8 @@ def pci_table_closed_form(alg: GroupAlgebra, pair: ShodaPair, k: int) -> Idempot
     not normal in G.
     """
     q, m = alg.q, pair.index
-    N, exps, _ = pair.normaliser
-    if len(N) != alg.G.order:
+    order, exps = pair.normaliser
+    if order != alg.G.order:
         raise RegimeMismatch(f"{pair.label()}: H or K is not normal in G")
     rep_of = {u: c.rep for c in cyclotomic_cosets(m, q) for u in c.members}
     T = {rep_of[t] for t in exps.tolist()}

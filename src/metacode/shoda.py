@@ -36,13 +36,12 @@ class TooLarge(GroupError):
 
 
 class Normaliser(NamedTuple):
-    """The q-independent action data of a pair (H, K) with cyclic H/K."""
+    """The q-independent action data of a pair (H, K) with cyclic H/K: x -> t
+    with x^-1 h0 x in K h0^t maps N = N_G(H) cap N_G(K) into (Z/m)*, with
+    kernel H for a strong Shoda pair, so N/H is the group exps."""
 
-    elements: np.ndarray  # N = N_G(H) cap N_G(K), sorted indices
-    exps: np.ndarray  # per element x of N, the t with x^-1 h0 x in K h0^t
-    # the first generator of N/H, None if not cyclic; the identity when N = H
-    # or when m = 1
-    x0: Optional[int]
+    order: int  # |N|
+    exps: np.ndarray  # the distinct t_x, x in N, sorted
 
 
 @dataclass(frozen=True)
@@ -67,30 +66,28 @@ class ShodaPair:
 
     @cached_property
     def coset_of(self) -> np.ndarray:
-        """Per element of G, the t with h in K h0^t, -1 off H; needs h0."""
+        """Per element h of H, by position in H.elements, the t with h in K h0^t."""
         G, K = self.group, self.K
         ts = np.arange(self.index)
-        coset_of = np.full(G.order, -1, dtype=np.int64)
-        coset_of[G.mul_vec(np.array(K.elements)[None, :], G.power(self.h0, ts)[:, None])] = ts[:, None]
+        cosets = G.mul_vec(np.array(K.elements)[None, :], G.power(self.h0, ts)[:, None])
+        coset_of = np.empty(self.H.order, dtype=np.int64)
+        coset_of[np.searchsorted(self.H.elements, cosets)] = ts[:, None]
         coset_of.flags.writeable = False  # shared by every caller
         return coset_of
 
     @cached_property
     def normaliser(self) -> Normaliser:
-        """N = N_G(H) cap N_G(K), the exponent of its action on H/K = <h0 K>
-        and a generator of N/H, computed once per pair; needs h0."""
-        G, H, K, h0 = self.group, self.H, self.K, self.h0
-        m = self.index
+        """|N| for N = N_G(H) cap N_G(K) and the exponents of its action on
+        H/K = <h0 K>, computed once per pair; needs h0."""
+        G, H, K = self.group, self.H, self.K
         all_idx = np.arange(G.order, dtype=np.int64)
         mask = G.conj_mask(H.gens or H.elements, H.elements, all_idx)
         mask &= G.conj_mask(K.gens or K.elements, K.elements, all_idx)
         N = np.flatnonzero(mask)
-        x0 = G.identity
-        if m > 1 and len(N) > H.order:  # N normalises H, so H is normal in N
-            x0 = cyclic_quotient_generator(G, Subgroup(G, N.tolist()), H)
-        exps = self.coset_of[G.conj_vec(h0, N)]
-        N.flags.writeable = exps.flags.writeable = False  # shared by every caller
-        return Normaliser(N, exps, x0)
+        at = np.searchsorted(H.elements, G.conj_vec(self.h0, N))
+        exps = np.array(sorted(set(self.coset_of[at].tolist())), dtype=np.int64)
+        exps.flags.writeable = False  # shared by every caller
+        return Normaliser(len(N), exps)
 
     def label(self) -> str:
         return f"({self.H!r}, {self.K!r})"
@@ -235,8 +232,8 @@ def ssp_product(G: ProductGroup) -> List[ShodaPair]:
                 out.append(ShodaPair(H, K))
                 continue
             l = m1 * m2 // g
-            t1 = sp1.coset_of[list(sp1.H.elements)] * (l // m1)
-            t2 = sp2.coset_of[list(sp2.H.elements)] * (l // m2)
+            t1 = sp1.coset_of * (l // m1)
+            t2 = sp2.coset_of * (l // m2)
             S = {1}  # the subgroup of (Z/g)* that the action exponents generate
             if g > 2:  # (Z/2)* is trivial
                 acts = {e % g for sp in (sp1, sp2) for e in sp.normaliser.exps.tolist()}

@@ -498,6 +498,22 @@ def oracle_orbit_labels(perms) -> List[int]:
     return labels
 
 
+def oracle_action(G, pair) -> Tuple[List[int], List[int]]:
+    """N = N_G(H) cap N_G(K) and, per x in N, the t with x^-1 h0 x in K h0^t,
+    by a walk over the cosets K h0^t: the action data of ShodaPair.normaliser
+    before it is reduced to |N| and the distinct t."""
+    H, K, h0 = pair.H, pair.K, pair.h0
+    N = sorted(set(oracle_normalizer(G, H)) & set(oracle_normalizer(G, K)))
+    kset, powers = set(K.elements), [G.identity]
+    while len(powers) < pair.index:
+        powers.append(G.mul(powers[-1], h0))
+    t_of_N = []
+    for x in N:
+        y = scalar_conjugate(G, h0, x)
+        t_of_N.append(next(t for t, g in enumerate(powers) if G.mul(y, G.inv(g)) in kset))
+    return N, t_of_N
+
+
 def oracle_unit_orbits(m: int, q: int, t_of_N) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]], List[int]]:
     """The q-cosets of the units of Z/m, the orbits of their least members
     under r -> (the rep of r t), t in t_of_N, and per orbit the count of t

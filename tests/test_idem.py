@@ -8,7 +8,7 @@ from metacode import ffield as ff
 from metacode import groups as gr
 from metacode import idem as id_
 from metacode import shoda as sh
-from helpers import count_pcis, oracle_unit_orbits, presentations
+from helpers import count_pcis, oracle_action, oracle_unit_orbits, presentations
 
 
 def find_pair(G, H_order, index=None):
@@ -124,18 +124,23 @@ def test_cyclotomic_cosets():
 
 
 def test_cosets_and_orbits_match_scalar_walks(matrix):
-    # cosets, orbits, reps and stabiliser index against the scalar walks of
-    # oracle_unit_orbits, on every pair of the suite groups and G21 x G55
+    # the action data against oracle_action, and cosets, orbits, reps and
+    # stabiliser index against the scalar walks of oracle_unit_orbits fed the
+    # oracle's per-element exponents, on every pair of the suite groups and
+    # G21 x G55
     analogue = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
                                  gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
     checked = 0
     for G in {G.name: G for G, _q in matrix + [(analogue, 2)]}.values():
         for pair in sh.ssp_catalog(G):
+            N, t_of_N = oracle_action(G, pair)
+            got = pair.normaliser
+            assert (got.order, got.exps.tolist()) == (len(N), sorted(set(t_of_N))), (G.name, pair.label())
             for q in (2, 3, 5, 7, 13):
                 if math.gcd(q, G.order) != 1:
                     continue
                 od = id_.cosets_and_orbits(G, pair, q)
-                cosets, orbits, counts = oracle_unit_orbits(od.m, q, pair.normaliser.exps.tolist())
+                cosets, orbits, counts = oracle_unit_orbits(od.m, q, t_of_N)
                 assert [c.members for c in od.cosets] == cosets, (G.name, pair.label(), q)
                 assert [c.rep for c in od.cosets] == [c[0] for c in cosets]
                 assert od.orbits == orbits and od.orbit_reps == [o[0] for o in orbits]
@@ -159,6 +164,29 @@ def test_orbits_g39_f2_stabiliser():
     od = id_.cosets_and_orbits(G39, pair, 2)
     assert od.o == 12 and len(od.orbits) == 1
     assert od.stab_index == 3  # [E : H] = 3, so the component is M3(F_{2^4})
+
+
+def test_orbits_with_a_noncyclic_exponent_group():
+    # N/H = {1, 4, 11, 14} mod 15 is C2 x C2, so no t_b generates it and
+    # omega0 is None
+    G = gr.direct_product(gr.dihedral(6), gr.dihedral(10))
+    pair = sh.ssp_catalog(G)[8]
+    assert (pair.H.order, pair.K.order) == (15, 1)
+    od = id_.cosets_and_orbits(G, pair, 7)
+    assert (od.h0, od.m, od.o) == (22, 15, 4)
+    assert [c.members for c in od.cosets] == [(1, 4, 7, 13), (2, 8, 11, 14)]
+    assert od.orbits == [(1, 2)] and od.orbit_reps == [1]
+    assert od.stab_index == 2 and od.action_exps == (1, 4, 11, 14)
+    assert od.omega0 is None
+
+
+def test_orbits_refuse_a_pair_whose_kernel_is_not_h():
+    # (1, 1) in C3 is no strong Shoda pair: all of C3 acts trivially on
+    # H/K, so |N| = 3 is not |H| times the one exponent
+    C3 = gr.cyclic(3)
+    T = gr.trivial_subgroup(C3)
+    with pytest.raises(id_.InvariantError):
+        id_.cosets_and_orbits(C3, sh.ShodaPair(T, T), 2)
 
 
 def test_orbit_trivial_character():
