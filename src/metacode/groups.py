@@ -5,14 +5,17 @@ from __future__ import annotations
 import json
 import math
 import re
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ffield import factorize
 
-# entries per block of FiniteGroup.grid: bounds the temporary arrays of every
-# product-table pass whatever the group order
+# entries per block of FiniteGroup.grid, which bounds the temporary arrays of
+# every product-table pass whatever the group order; also the bound on the
+# |G| x |G| tables a group keeps, so a group with |G|^2 <= _GRID_CELLS
+# (|G| <= 256) multiplies, inverts and raises to powers by one gather
 _GRID_CELLS = 1 << 16
 
 
@@ -44,11 +47,34 @@ class FiniteGroup:
     def inv(self, x: int) -> int:
         raise NotImplementedError
 
-    def mul_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def _mul_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def inv_vec(self, xs: np.ndarray) -> np.ndarray:
+    def _inv_vec(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def mul_vec(self, xs, ys) -> np.ndarray:
+        """xs * ys for index arrays or scalars that broadcast: a gather from
+        the Cayley table when |G|^2 <= _GRID_CELLS, else the group's own
+        index arithmetic."""
+        if self.order * self.order > _GRID_CELLS:
+            return self._mul_vec(xs, ys)
+        return self._mul_table[xs, ys]
+
+    def inv_vec(self, xs) -> np.ndarray:
+        """The inverse of each index in xs, from a table under the same bound."""
+        if self.order * self.order > _GRID_CELLS:
+            return self._inv_vec(xs)
+        return self._inv_table[xs]
+
+    @cached_property
+    def _mul_table(self) -> np.ndarray:
+        idx = np.arange(self.order, dtype=np.int64)
+        return self._mul_vec(idx[:, None], idx[None, :])
+
+    @cached_property
+    def _inv_table(self) -> np.ndarray:
+        return self._inv_vec(np.arange(self.order, dtype=np.int64))
 
     def generators(self) -> List[int]:
         raise NotImplementedError
@@ -82,8 +108,27 @@ class FiniteGroup:
                 cache[x] = t
         return t
 
+    @cached_property
+    def _pow_table(self) -> np.ndarray:
+        # column k holds x^k for every x, k < |G|, by doubling: x^(k+j) = x^k x^j
+        n = self.order
+        table = np.empty((n, n), dtype=np.int64)
+        table[:, 0] = self.identity
+        k = 1
+        while k < n:
+            xk = self.mul_vec(table[:, k - 1], np.arange(n))
+            w = min(k, n - k)
+            table[:, k:k + w] = self.mul_vec(xk[:, None], table[:, :w])
+            k += w
+        return table
+
     def power(self, x, n):
-        """x^n by repeated squaring; x and n may be scalars or arrays that broadcast."""
+        """x^n; x and n may be scalars or arrays that broadcast.  A gather from
+        a table of x^k, k < |G|, under the Cayley-table bound, else repeated
+        squaring."""
+        if self.order * self.order <= _GRID_CELLS:
+            out = self._pow_table[x, np.asarray(n) % self.order]
+            return int(out) if out.ndim == 0 else out
         base, n = np.asarray(x, dtype=np.int64), np.asarray(n, dtype=np.int64)
         if (n < 0).any():
             base, n = np.where(n < 0, self.inv_vec(base), base), np.abs(n)
@@ -190,14 +235,14 @@ class MetacyclicGroup(FiniteGroup):
         i2 = (-(i + self.s * carry) * rinv) % self.N
         return i2 * self.M + j2
 
-    def mul_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def _mul_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         i1, j1 = np.divmod(xs, self.M)
         i2, j2 = np.divmod(ys, self.M)
         jj = j1 + j2
         i = (i1 + i2 * self._rpow[j1] + self.s * (jj // self.M)) % self.N
         return i * self.M + jj % self.M
 
-    def inv_vec(self, xs: np.ndarray) -> np.ndarray:
+    def _inv_vec(self, xs: np.ndarray) -> np.ndarray:
         i, j = np.divmod(xs, self.M)
         j2 = (self.M - j) % self.M
         carry = (j > 0).astype(np.int64)
@@ -242,13 +287,13 @@ class ProductGroup(FiniteGroup):
         x1, x2 = divmod(x, n2)
         return self.left.inv(x1) * n2 + self.right.inv(x2)
 
-    def mul_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def _mul_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         n2 = self.right.order
         x1, x2 = np.divmod(xs, n2)
         y1, y2 = np.divmod(ys, n2)
         return self.left.mul_vec(x1, y1) * n2 + self.right.mul_vec(x2, y2)
 
-    def inv_vec(self, xs: np.ndarray) -> np.ndarray:
+    def _inv_vec(self, xs: np.ndarray) -> np.ndarray:
         n2 = self.right.order
         x1, x2 = np.divmod(xs, n2)
         return self.left.inv_vec(x1) * n2 + self.right.inv_vec(x2)
@@ -384,7 +429,8 @@ def cyclic_quotient_generator(
 
     K must be normal in H; raises NotNormal otherwise.  The least o >= 1 with
     h^o in K is m = [H:K] exactly when h^m lies in K and h^(m/p) does not, for
-    every prime p | m.
+    every prime p | m.  H is scanned in chunks of doubling size, so an early
+    h costs a few small power calls and all of H about log2 |H| of them.
     """
     if not G.conj_mask(K.gens or K.elements, K.elements, H.gens or H.elements).all():
         raise NotNormal("K is not normal in H")
@@ -393,10 +439,16 @@ def cyclic_quotient_generator(
         return None
     in_K = np.zeros(G.order, dtype=bool)
     in_K[list(K.elements)] = True
-    hs = np.array(H.elements, dtype=np.int64)
-    lands = in_K[G.power(hs[:, None], [m] + [m // p for p in factorize(m)])]
-    first = np.flatnonzero(lands[:, 0] & ~lands[:, 1:].any(axis=1))
-    return int(hs[first[0]]) if len(first) else None
+    ns = [m] + [m // p for p in factorize(m)]
+    start, size = 0, 1
+    while start < H.order:
+        hs = np.array(H.elements[start:start + size], dtype=np.int64)
+        lands = in_K[G.power(hs[:, None], ns)]
+        first = np.flatnonzero(lands[:, 0] & ~lands[:, 1:].any(axis=1))
+        if len(first):
+            return int(hs[first[0]])
+        start, size = start + size, 2 * size
+    return None
 
 
 def quotient_is_cyclic(G: FiniteGroup, K: Subgroup) -> Optional[int]:

@@ -78,16 +78,29 @@ class ShodaPair:
     @cached_property
     def normaliser(self) -> Normaliser:
         """|N| for N = N_G(H) cap N_G(K) and the exponents of its action on
-        H/K = <h0 K>, computed once per pair; needs h0."""
+        H/K = <h0 K>, computed once per pair; needs h0.  When G's generators
+        normalise H and K, N = G and, x -> t_x being a homomorphism, the t_x
+        of the generators generate the exponents; otherwise N comes from a
+        sweep of all of G."""
         G, H, K = self.group, self.H, self.K
-        all_idx = np.arange(G.order, dtype=np.int64)
-        mask = G.conj_mask(H.gens or H.elements, H.elements, all_idx)
-        mask &= G.conj_mask(K.gens or K.elements, K.elements, all_idx)
-        N = np.flatnonzero(mask)
-        at = np.searchsorted(H.elements, G.conj_vec(self.h0, N))
-        exps = np.array(sorted(set(self.coset_of[at].tolist())), dtype=np.int64)
+        if H.is_normal_in_G and K.is_normal_in_G:
+            xs = np.array(G.generators(), dtype=np.int64)
+            order = G.order
+        else:
+            all_idx = np.arange(G.order, dtype=np.int64)
+            mask = G.conj_mask(H.gens or H.elements, H.elements, all_idx)
+            mask &= G.conj_mask(K.gens or K.elements, K.elements, all_idx)
+            xs = np.flatnonzero(mask)
+            order = len(xs)
+        ts = set(self.coset_of[np.searchsorted(H.elements, G.conj_vec(self.h0, xs))].tolist())
+        m = self.index
+        exps, new = set(), {1 % m}
+        while new:
+            exps |= new
+            new = {e * t % m for e in new for t in ts} - exps
+        exps = np.array(sorted(exps), dtype=np.int64)
         exps.flags.writeable = False  # shared by every caller
-        return Normaliser(len(N), exps)
+        return Normaliser(order, exps)
 
     def label(self) -> str:
         return f"({self.H!r}, {self.K!r})"

@@ -308,3 +308,43 @@ def test_power_matches_repeated_multiplication():
                               [G.identity, x, G.mul(x, x), G.mul(G.mul(x, x), x)])
         assert G.power(x, -1) == G.inv(x)
         assert G.element_order(x) == helpers.oracle_element_order(G, x)
+
+
+def test_small_group_tables_match_the_arithmetic():
+    # every presentation with N, M >= 2 and N*M <= 24, C2 x Q8, G21 and G55:
+    # mul_vec on all of G x G, inv_vec on all of G and power for exponents
+    # -3..2|G|+1, read from the tables, equal walks of scalar mul and inv
+    small = [gr.MetacyclicGroup(*nmrs) for nmrs in helpers.presentations(24) if min(nmrs[:2]) >= 2]
+    small += [gr.c2_x_q8(), analogue_1155().left, analogue_1155().right]
+    for G in small:
+        xs = np.arange(G.order)
+        assert G.mul_vec(xs[:, None], xs[None, :]).tolist() == \
+            [[G.mul(x, y) for y in G.elements()] for x in G.elements()], G.name
+        assert G.inv_vec(xs).tolist() == [G.inv(x) for x in G.elements()], G.name
+        ks = np.arange(-3, 2 * G.order + 2)
+        want = []
+        for x in G.elements():
+            up, down = [G.identity], [G.identity]
+            while len(up) < ks[-1] + 1:
+                up.append(G.mul(up[-1], x))
+            while len(down) < 4:
+                down.append(G.mul(down[-1], G.inv(x)))
+            want.append([up[k] if k >= 0 else down[-k] for k in ks])
+        assert G.power(xs[:, None], ks[None, :]).tolist() == want, G.name
+        assert all(f"_{t}_table" in vars(G) for t in ("mul", "inv", "pow")), G.name
+    assert len(small) > 200
+
+
+def test_groups_past_the_table_bound_hold_no_table():
+    # G1029 x G55 multiplies through its factors: G55 (55^2 <= _GRID_CELLS)
+    # reads its tables, G1029 and D2000 keep their index arithmetic
+    big = gr.direct_product(gr.MetacyclicGroup(343, 3, pow(18, -1, 343), name="G1029"),
+                            gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    for G in (big, gr.dihedral(2000)):
+        assert G.order ** 2 > gr._GRID_CELLS
+        xs = np.arange(G.order)
+        assert not G.mul_vec(xs, G.inv_vec(xs)).any()
+        assert G.power(xs[:7], 3).tolist() == [G.mul(G.mul(x, x), x) for x in range(7)]
+    for G in (big, big.left, gr.dihedral(2000)):
+        assert not any(f"_{t}_table" in vars(G) for t in ("mul", "inv", "pow")), G.name
+    assert "_mul_table" in vars(big.right) and "_inv_table" in vars(big.right)

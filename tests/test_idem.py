@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -254,21 +255,25 @@ def test_census_matches_table_footnote_counts():
 
 
 def test_normaliser_data_is_computed_once_per_pair(monkeypatch):
-    # census over four q calls conj_mask for the first q only, two sweeps of
-    # all of G per pair among them; every OrbitData equals one computed on a
+    # census over four q calls conj_mask for the first q only and evaluates
+    # each pair's normaliser once; every OrbitData equals one computed on a
     # fresh copy of its pair
     G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
                           gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
     pairs = sh.ssp_catalog(G)
     sweeps, conj_mask = [], G.conj_mask
     monkeypatch.setattr(G, "conj_mask", lambda ss, target, xs: sweeps.append(len(xs)) or conj_mask(ss, target, xs))
+    evaluated, body = [], sh.ShodaPair.normaliser.func
+    counted = functools.cached_property(lambda pair: evaluated.append(pair) or body(pair))
+    counted.__set_name__(sh.ShodaPair, "normaliser")
+    monkeypatch.setattr(sh.ShodaPair, "normaliser", counted)
     qs = (2, 13, 17, 19)
     counts = []
     for q in qs:
         id_.census(G, q, pairs)
         counts.append(len(sweeps))
     assert counts == [counts[0]] * len(qs)
-    assert sweeps.count(G.order) >= 2 * len(pairs)
+    assert sorted(map(id, evaluated)) == sorted(map(id, pairs))
     monkeypatch.undo()
     for pair in pairs:
         assert "normaliser" in vars(pair)

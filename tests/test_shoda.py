@@ -5,7 +5,7 @@ import pytest
 from metacode import groups as gr
 from metacode import shoda as sh
 from metacode.ffield import factorize, is_prime, mult_order
-from helpers import presentations
+from helpers import oracle_action, oracle_is_normal, oracle_quotient_generator, presentations
 
 
 def verified_catalog(G, bound=10_000):
@@ -202,3 +202,25 @@ def test_catalogued_H_is_generated_by_its_gens(matrix):
         for pair in sh.ssp_catalog(G):
             for S in (pair.H, pair.K):
                 assert S.gens and gr.subgroup_closure(G, S.gens) == S, (G.name, pair.label())
+
+
+def test_pair_action_data_and_h0_match_scalar_oracles():
+    # normaliser against oracle_action and h0 against the scalar scan of
+    # H.elements, on every pair of the presentations with N, M >= 2 and
+    # N*M <= 24, C2 x Q8 and G21 x G55; the pairs whose K is not normal in G,
+    # M(4,4,3,2)'s (<a, b^2>, <ab^2>) among them, take the sweep of all of G
+    groups = [gr.MetacyclicGroup(*nmrs) for nmrs in presentations(24) if min(nmrs[:2]) >= 2]
+    groups += [gr.c2_x_q8(), gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                                               gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))]
+    checked, swept = 0, []
+    for G in groups:
+        for pair in sh.ssp_catalog(G):
+            assert pair.h0 == oracle_quotient_generator(G, pair.H, pair.K), (G.name, pair.label())
+            N, t_of_N = oracle_action(G, pair)
+            got = pair.normaliser
+            assert (got.order, got.exps.tolist()) == (len(N), sorted(set(t_of_N))), (G.name, pair.label())
+            if not oracle_is_normal(G, pair.K):
+                swept.append((G.name, pair.label()))
+            checked += 1
+    assert ("M(4,4,r=3,s=2)", "(<a, b^2> (order 8), <a*b^2> (order 2))") in swept
+    assert checked > 1300
