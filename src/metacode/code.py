@@ -12,7 +12,7 @@ from .ffield import (
     coset_order, factorize, is_prime, matmul_mod, mult_order, odd_prime_i0, rank_mod, rref_mod,
     v_adic,
 )
-from .groups import FiniteGroup, Subgroup, orbit_labels, quotient_is_cyclic
+from .groups import FiniteGroup, Subgroup, full_subgroup, orbit_labels, quotient_is_cyclic
 from .idem import GroupAlgebra, Idempotent, InvariantError, census
 DEFAULT_BUDGET = 500_000_000
 
@@ -89,20 +89,22 @@ def ideal_to_code(alg: GroupAlgebra, e, provenance: Optional[Dict] = None) -> Li
     space (v = v[pivots] @ block), an RREF being unique; otherwise it is
     row-reduced (no reordered coset of the 20 `analogue1155` pci codes is).
     The RREF of a direct sum is the union of its summands' RREFs, so the
-    rows sorted by pivot are the RREF of all |G| stacked translates g*e.  The code
-    carries ``cosets``, each column's coset, and ``perms``, G's generators'
-    permutations of all n columns, for `min_distance`.
+    rows sorted by pivot are the RREF of all |G| stacked translates g*e:
+    every row's pivot is known before any row is written, and each row is
+    written once, in its place.  The cosets, their columns and the spin
+    permutations depend on S alone and come from `Subgroup.geometry`, built
+    once per subgroup.  The code carries ``cosets``, each column's coset,
+    and ``perms``, G's generators' permutations of all n columns, for
+    `min_distance`; both are read-only arrays that every code of S shares.
     """
     G, q = alg.G, alg.q
-    n = G.order
-    gens, members = G.generators(), np.arange(n)  # S = G: one coset
+    S = full_subgroup(G)  # one coset
     if isinstance(e, Idempotent):
         H, e = getattr(e.pair, "H", None), e.value
         if H is not None and H.gens and all(x in H for x in e.support().tolist()):
-            gens, members = list(H.gens), np.array(H.elements, dtype=np.int64)
-    m = len(members)  # x in S is the block's column searchsorted(members, x)
-    # row i permutes the block as generator s_i of S: (s_i*v)[x] = v[spin[i, x]]
-    spin = np.searchsorted(members, G.mul_vec(G.inv_vec(np.array(gens))[:, None], members[None, :]))
+            S = H
+    geo, members = S.geometry, S.array  # x in S is the block's column searchsorted(members, x)
+    m = len(members)
     block, pivots, is_free = np.zeros((0, m), dtype=np.int64), [], np.ones(m, dtype=bool)
     new = e.vec[members][None, :]
     while True:
@@ -119,27 +121,25 @@ def ideal_to_code(alg: GroupAlgebra, e, provenance: Optional[Dict] = None) -> Li
             block = matmul_mod(block[:, piv], new, q, block)
         block, pivots = np.concatenate([block, new]), pivots + piv
         is_free[piv] = False
-        new = new[:, spin].transpose(1, 0, 2).reshape(-1, m)
-    genmat, lead = np.zeros((n // m * len(pivots), n), dtype=np.int64), []
-    # the left cosets gS, numbered by least element: the running maximum of
-    # the labels first reaches c at the least element of coset c
-    cosets = orbit_labels(G.mul_vec(np.arange(n)[None, :], np.array(gens)[:, None]))
-    top = np.maximum.accumulate(cosets)
-    for g in np.searchsorted(top, np.arange(top[-1] + 1)):
-        cols = G.mul_vec(g, members)
-        at = np.argsort(cols)
-        R, piv = block, pivots
-        if not (np.diff(cols) > 0).all():
-            moved = block[:, at]
-            if matmul_mod(moved[:, pivots], block, q, moved).any():
-                R, piv = rref_mod(moved, q)
-        genmat[len(lead):len(lead) + len(piv), cols[at]] = R
-        lead += cols[at][piv].tolist()
-    order = np.argsort(lead)
-    # row i is the permutation of G's generator s_i: (s_i*v)[x] = v[perms[i, x]]
-    perms = G.mul_vec(G.inv_vec(np.array(G.generators()))[:, None], np.arange(n)[None, :])
-    return LinearCode(q, n, genmat[order], [lead[i] for i in order], 1, n,
-                      provenance=dict(provenance or {}, side="left"), perms=perms, cosets=cosets)
+        new = new[:, geo.spin].transpose(1, 0, 2).reshape(-1, m)
+    # every row's lead first: coset c's rows are the block on its columns
+    # cols[c], unless a reordered coset's translate has an RREF of its own
+    lead, own = geo.cols[:, pivots], {}
+    for c in geo.moved.tolist():
+        translate = block[:, geo.at[c]]
+        if matmul_mod(translate[:, pivots], block, q, translate).any():
+            own[c], piv = rref_mod(translate, q)
+            lead[c] = geo.cols[c, piv]
+    # then each coset's rows go straight to their places in pivot order
+    order = np.argsort(lead, axis=None)
+    row = np.argsort(order).reshape(lead.shape)  # row[c, i]: where coset c's row i goes
+    genmat = np.zeros((lead.size, G.order), dtype=np.int64)
+    genmat[row[:, :, None], geo.cols[:, None, :]] = block
+    for c, R in own.items():
+        genmat[row[c][:, None], geo.cols[c]] = R
+    return LinearCode(q, G.order, genmat, lead.ravel()[order].tolist(), 1, G.order,
+                      provenance=dict(provenance or {}, side="left"), perms=G.generator_perms,
+                      cosets=geo.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +182,12 @@ def min_distance(
     if code.k == 0:
         raise ZeroCode("zero-dimensional code has no distance")
     genmat, pivots, q = code.genmat, code.pivots, code.q
-    if _worst_case(genmat, q) <= budget:
+    weights = np.count_nonzero(genmat, axis=1)
+    if _worst_case(weights, q) <= budget:
         lo, witness, _ = _brouwer_zimmermann(genmat, pivots, q, code.perms)
         hi = lo
     else:
-        lo, hi, witness = _interval(code, budget)
+        lo, hi, witness = _interval(code, budget, weights)
     on = np.flatnonzero(witness[pivots])  # the nonzero message symbols
     _check(np.count_nonzero(witness) == hi, "the witness does not have weight d_hi")
     _check(np.array_equal(witness[pivots][on] @ genmat[on] % q, witness), "the witness is not a codeword")
@@ -194,14 +195,13 @@ def min_distance(
     return lo, hi, witness
 
 
-def _worst_case(genmat: np.ndarray, q: int) -> int:
-    """Codewords `_brouwer_zimmermann` examines at most on the RREF genmat:
-    the messages of rounds 1..min(k, max(1, rho - 1)) on the pivot set, rho
-    the lightest row weight.  Round 1 sees every row, so the pivot set alone
-    proves the minimum by round rho - 1, and the search takes more sets only
-    when its projection says they cost less."""
-    k = genmat.shape[0]
-    rho = int(np.count_nonzero(genmat, axis=1).min())
+def _worst_case(weights: np.ndarray, q: int) -> int:
+    """Codewords `_brouwer_zimmermann` examines at most on an RREF genmat
+    with these row weights: the messages of rounds 1..min(k, max(1, rho - 1))
+    on the pivot set, rho the lightest row weight.  Round 1 sees every row,
+    so the pivot set alone proves the minimum by round rho - 1, and the
+    search takes more sets only when its projection says they cost less."""
+    k, rho = len(weights), int(weights.min())
     total, size = 0, k  # size = C(k, w) (q-1)^(w-1), the messages of round w
     for w in range(1, min(k, max(1, rho - 1)) + 1):
         total, size = total + size, size * (k - w) * (q - 1) // (w + 1)
@@ -340,11 +340,12 @@ def _weight_round(gamma: np.ndarray, q: int, w: int) -> Tuple[int, np.ndarray]:
     return best, word
 
 
-def _interval(code: LinearCode, budget: int) -> Tuple[int, int, np.ndarray]:
-    """(d_lo, d_hi, witness) in one pass over the parts of the code's
-    direct-sum split ``cosets`` that hold a pivot.  Part b's block is
-    genmat[own == b][:, part == b], the rows whose pivot lies in b on b's
-    columns: an RREF whose pivots are an information set of the part.
+def _interval(code: LinearCode, budget: int, weights: np.ndarray) -> Tuple[int, int, np.ndarray]:
+    """(d_lo, d_hi, witness), given genmat's row weights, in one pass over
+    the parts of the code's direct-sum split ``cosets`` that hold a pivot.
+    Part b's block is genmat[own == b][:, part == b], the rows whose pivot
+    lies in b on b's columns: an RREF whose pivots are an information set
+    of the part.
     CertificateError when a block misses a nonzero of its rows, on every
     part, equal ones too: rows of different parts must have disjoint
     supports for the per-part steps below to be sound.  Equal blocks have
@@ -365,7 +366,7 @@ def _interval(code: LinearCode, budget: int) -> Tuple[int, int, np.ndarray]:
     that word on its part's columns."""
     q, n, genmat, pivots = code.q, code.n, code.genmat, code.pivots
     part = np.zeros(n, dtype=np.int64) if code.cosets is None else code.cosets
-    own, weights = part[pivots], np.count_nonzero(genmat, axis=1)
+    own = part[pivots]
     free = np.ones(n, dtype=bool)
     free[pivots] = False
     lo, hi, word, seen = int(weights.min()), n + 1, None, set()

@@ -70,10 +70,6 @@ _XI_SCAN_ROWS = 1 << 16
 # Largest p whose (p-1)^2 is an int64: the echelon forms' exact range.
 _INT64_PRODUCT_P = math.isqrt(2**63 - 1) + 1
 
-# Zero columns ref_mod steps over one at a time before it scans for the end of
-# the run: a rank-deficient matrix then stops soon after its last pivot.
-_LOOKAHEAD = 64
-
 
 # ---------------------------------------------------------------------------
 # elementary number theory
@@ -177,19 +173,19 @@ def ref_mod(mat: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     M = mat % p  # a new array
     nrows, ncols = M.shape
     pivots: List[int] = []
-    r = c = misses = 0
+    r = c = 0
     while r < nrows and c < ncols:
         nz = M[r:, c].nonzero()[0]
         if len(nz) == 0:
-            misses += 1
-            c += 1
-            if misses % _LOOKAHEAD == 0:  # a long zero run: find its end, or that rows r.. are zero
-                ahead = M[r:, c:].any(axis=0).nonzero()[0]
-                if len(ahead) == 0:
-                    break
-                c += int(ahead[0])
+            # a zero run: the next column with a nonzero in rows r.., found in
+            # windows of 8, 16, 32, ... columns, so a long run costs a few
+            # scans and a rank-deficient matrix stops soon after its last pivot
+            c, width = c + 1, 8
+            while c < ncols and not (hit := M[r:, c:c + width].any(axis=0)).any():
+                c, width = c + width, 2 * width
+            if c < ncols:
+                c += int(hit.argmax())
             continue
-        misses = 0
         piv = r + int(nz[0])
         if piv != r:
             M[[r, piv]] = M[[piv, r]]

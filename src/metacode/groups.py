@@ -6,7 +6,7 @@ import json
 import math
 import re
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,6 +17,12 @@ from .ffield import factorize
 # |G| x |G| tables a group keeps, so a group with |G|^2 <= _GRID_CELLS
 # (|G| <= 256) multiplies, inverts and raises to powers by one gather
 _GRID_CELLS = 1 << 16
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only because several callers share it."""
+    arr.flags.writeable = False
+    return arr
 
 
 class GroupError(Exception):
@@ -124,12 +130,16 @@ class FiniteGroup:
 
     def power(self, x, n):
         """x^n; x and n may be scalars or arrays that broadcast.  A gather from
-        a table of x^k, k < |G|, under the Cayley-table bound, else repeated
-        squaring."""
+        a table of x^k, k < |G|, under the Cayley-table bound, else the
+        group's own `_power`."""
         if self.order * self.order <= _GRID_CELLS:
             out = self._pow_table[x, np.asarray(n) % self.order]
-            return int(out) if out.ndim == 0 else out
-        base, n = np.asarray(x, dtype=np.int64), np.asarray(n, dtype=np.int64)
+        else:
+            out = self._power(np.asarray(x, dtype=np.int64), np.asarray(n, dtype=np.int64))
+        return int(out) if np.ndim(out) == 0 else out
+
+    def _power(self, base: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """x^n by repeated squaring."""
         if (n < 0).any():
             base, n = np.where(n < 0, self.inv_vec(base), base), np.abs(n)
         out = np.full(np.broadcast_shapes(base.shape, n.shape), self.identity, dtype=np.int64)
@@ -137,7 +147,14 @@ class FiniteGroup:
             out = np.where(n & 1, self.mul_vec(out, base), out)
             n = n >> 1
             base = self.mul_vec(base, base) if n.any() else base
-        return int(out) if out.ndim == 0 else out
+        return out
+
+    @cached_property
+    def generator_perms(self) -> np.ndarray:
+        """Row i permutes the coordinates of F_q G as generator s_i of G acting
+        on the left: (s_i v)[x] = v[perms[i, x]]; built on first use."""
+        return _read_only(self.mul_vec(self.inv_vec(np.array(self.generators()))[:, None],
+                                       np.arange(self.order)[None, :]))
 
     def element_order(self, x: int) -> int:
         o = self.order
@@ -151,10 +168,10 @@ class FiniteGroup:
         xs = np.asarray(xs, dtype=np.int64)
         return self.mul_vec(self.mul_vec(self.inv_vec(xs), g), xs)
 
-    def conj_mask(self, ss: Iterable[int], target: Iterable[int], xs) -> np.ndarray:
+    def conj_mask(self, ss: Iterable[int], target: Sequence[int], xs) -> np.ndarray:
         """For each x in xs, whether x^-1 s x lies in target for every s in ss."""
         inside = np.zeros(self.order, dtype=bool)
-        inside[list(target)] = True
+        inside[np.asarray(target, dtype=np.int64)] = True
         mask = np.ones(len(xs), dtype=bool)
         for s in ss:
             mask &= inside[self.conj_vec(s, xs)]
@@ -298,6 +315,12 @@ class ProductGroup(FiniteGroup):
         x1, x2 = np.divmod(xs, n2)
         return self.left.inv_vec(x1) * n2 + self.right.inv_vec(x2)
 
+    def _power(self, base: np.ndarray, n: np.ndarray) -> np.ndarray:
+        # (x1, x2)^n = (x1^n, x2^n), each factor by its own table or route
+        n2 = self.right.order
+        x1, x2 = np.divmod(base, n2)
+        return self.left.power(x1, n) * n2 + self.right.power(x2, n)
+
     def generators(self) -> List[int]:
         n2 = self.right.order
         gens = [g * n2 for g in self.left.generators() if g != self.left.identity]
@@ -320,8 +343,22 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> ProductGroup:
 # subgroups
 
 
+class CosetGeometry(NamedTuple):
+    """The left cosets gS of a subgroup S, which every code built on S's
+    block shares whatever q is.  Coset c is numbered by its least element
+    g_c; block column j is the element S.array[j], and the translate g_c s
+    of it lands in column g_c s of F_q G."""
+
+    labels: np.ndarray  # (|G|,) the coset of each element
+    cols: np.ndarray  # (cosets, |S|) coset c's columns, ascending
+    at: np.ndarray  # (cosets, |S|) block column that lands in cols[c, i]
+    moved: np.ndarray  # the cosets c whose at[c] is not the identity
+    spin: np.ndarray  # (gens, |S|) (s_i v)[x] = v[spin[i, x]] on S's columns
+
+
 class Subgroup:
-    """Explicit subgroup: full sorted element list plus lazy flags."""
+    """Explicit subgroup: full sorted element list plus lazy flags and
+    cached arrays, all read-only because every caller shares them."""
 
     def __init__(self, group: FiniteGroup, elements: Iterable[int], gens=()):
         self.group = group
@@ -356,9 +393,34 @@ class Subgroup:
         if self._is_normal is None:
             G = self.group
             self._is_normal = bool(
-                G.conj_mask(self.gens or self.elements, self.elements, G.generators()).all()
+                G.conj_mask(self.gens or self.elements, self.array, G.generators()).all()
             )
         return self._is_normal
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The elements as one sorted int64 array."""
+        return _read_only(np.array(self.elements, dtype=np.int64))
+
+    @cached_property
+    def geometry(self) -> CosetGeometry:
+        """The left cosets of S, built on first use.  S = G is one coset,
+        spun by G's generators."""
+        G, members = self.group, self.array
+        if self.order == G.order:
+            cols = members[None, :]  # 0..|G|-1: the columns and their identity `at`
+            return CosetGeometry(_read_only(np.zeros(G.order, dtype=np.int64)), cols,
+                                 cols, np.zeros(0, dtype=np.int64), G.generator_perms)
+        gens = np.array(self.gens or self.elements, dtype=np.int64)
+        # the running maximum of the labels first reaches c at g_c
+        labels = orbit_labels(G.mul_vec(np.arange(G.order)[None, :], gens[:, None]))
+        top = np.maximum.accumulate(labels)
+        cols = G.mul_vec(np.searchsorted(top, np.arange(top[-1] + 1))[:, None], members[None, :])
+        at = np.argsort(cols, axis=1)
+        moved = np.flatnonzero((at != np.arange(len(members))).any(axis=1))
+        spin = np.searchsorted(members, G.mul_vec(G.inv_vec(gens)[:, None], members[None, :]))
+        return CosetGeometry(*map(_read_only, (labels, np.take_along_axis(cols, at, axis=1),
+                                              at, moved, spin)))
 
 
 def orbit_labels(perms) -> np.ndarray:
@@ -400,11 +462,15 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, range(G.order), gens=tuple(G.generators()))
+    """G as a subgroup of itself, built once per group, with its cached arrays."""
+    whole = G.__dict__.get("_whole")
+    if whole is None:
+        whole = G.__dict__["_whole"] = Subgroup(G, range(G.order), gens=tuple(G.generators()))
+    return whole
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    mask = G.conj_mask(H.gens or H.elements, H.elements, G.elements())
+    mask = G.conj_mask(H.gens or H.elements, H.array, G.elements())
     return Subgroup(G, np.flatnonzero(mask).tolist(), gens=())
 
 
@@ -413,8 +479,7 @@ def centralizer_mod(G: FiniteGroup, N: Subgroup, h0: int, K: Subgroup) -> List[i
 
     [x, h0] = x^-1 h0^-1 x h0 lies in K exactly when x^-1 h0 x lies in h0 K.
     """
-    h0K = G.mul_vec(np.full(K.order, h0), np.array(K.elements))
-    return [x for x, ok in zip(N.elements, G.conj_mask([h0], h0K, N.elements)) if ok]
+    return N.array[G.conj_mask([h0], G.mul_vec(h0, K.array), N.array)].tolist()
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -432,17 +497,17 @@ def cyclic_quotient_generator(
     every prime p | m.  H is scanned in chunks of doubling size, so an early
     h costs a few small power calls and all of H about log2 |H| of them.
     """
-    if not G.conj_mask(K.gens or K.elements, K.elements, H.gens or H.elements).all():
+    if not G.conj_mask(K.gens or K.elements, K.array, H.gens or H.elements).all():
         raise NotNormal("K is not normal in H")
     m = H.order // K.order
     if m == 0:  # K is larger than H
         return None
     in_K = np.zeros(G.order, dtype=bool)
-    in_K[list(K.elements)] = True
+    in_K[K.array] = True
     ns = [m] + [m // p for p in factorize(m)]
     start, size = 0, 1
     while start < H.order:
-        hs = np.array(H.elements[start:start + size], dtype=np.int64)
+        hs = H.array[start:start + size]
         lands = in_K[G.power(hs[:, None], ns)]
         first = np.flatnonzero(lands[:, 0] & ~lands[:, 1:].any(axis=1))
         if len(first):

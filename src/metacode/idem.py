@@ -86,7 +86,7 @@ class GroupAlgebra:
             raise NotCoprime(f"|S| = {len(S.elements)} not invertible mod {self.q}")
         inv = pow(len(S.elements), -1, self.q)
         vec = np.zeros(self.G.order, dtype=np.int64)
-        vec[list(S.elements)] = inv
+        vec[S.array] = inv
         return AlgebraElement(self, vec, parts=((S, {self.G.identity: 1}),))
 
 
@@ -170,11 +170,10 @@ class AlgebraElement:
         vec[tab] = self.vec
         parts = None
         if self.parts is not None:
-            tab = tab.tolist()
             parts = tuple(
                 (
-                    Subgroup(G, [tab[s] for s in K.elements], gens=[tab[s] for s in K.gens]),
-                    {tab[h]: c for h, c in terms.items()},
+                    Subgroup(G, tab[K.array].tolist(), gens=tab[list(K.gens)].tolist()),
+                    dict(zip(tab[list(terms)].tolist(), terms.values())),
                 )
                 for K, terms in self.parts
             )
@@ -426,7 +425,7 @@ def _assemble(
     cs = np.array([coeffs[t] % q for t in ts.tolist()], dtype=np.int64)
     hs = G.power(g0, -ts)
     vec = np.zeros(G.order, dtype=np.int64)  # the cosets K g0^-t are disjoint
-    vec[G.mul_vec(np.array(K.elements)[None, :], hs[:, None])] = (cs * pow(K.order, -1, q))[:, None]
+    vec[G.mul_vec(K.array[None, :], hs[:, None])] = (cs * pow(K.order, -1, q))[:, None]
     return AlgebraElement(alg, vec % q, parts=((K, dict(zip(hs.tolist(), cs.tolist()))),))
 
 

@@ -69,9 +69,10 @@ class ShodaPair:
         """Per element h of H, by position in H.elements, the t with h in K h0^t."""
         G, K = self.group, self.K
         ts = np.arange(self.index)
-        cosets = G.mul_vec(np.array(K.elements)[None, :], G.power(self.h0, ts)[:, None])
-        coset_of = np.empty(self.H.order, dtype=np.int64)
-        coset_of[np.searchsorted(self.H.elements, cosets)] = ts[:, None]
+        # the cosets K h0^t tile H: t by element of G, then read at H's elements
+        by_element = np.empty(G.order, dtype=np.int64)
+        by_element[G.mul_vec(K.array[None, :], G.power(self.h0, ts)[:, None])] = ts[:, None]
+        coset_of = by_element[self.H.array]
         coset_of.flags.writeable = False  # shared by every caller
         return coset_of
 
@@ -88,11 +89,11 @@ class ShodaPair:
             order = G.order
         else:
             all_idx = np.arange(G.order, dtype=np.int64)
-            mask = G.conj_mask(H.gens or H.elements, H.elements, all_idx)
-            mask &= G.conj_mask(K.gens or K.elements, K.elements, all_idx)
+            mask = G.conj_mask(H.gens or H.elements, H.array, all_idx)
+            mask &= G.conj_mask(K.gens or K.elements, K.array, all_idx)
             xs = np.flatnonzero(mask)
             order = len(xs)
-        ts = set(self.coset_of[np.searchsorted(H.elements, G.conj_vec(self.h0, xs))].tolist())
+        ts = set(self.coset_of[np.searchsorted(H.array, G.conj_vec(self.h0, xs))].tolist())
         m = self.index
         exps, new = set(), {1 % m}
         while new:
@@ -263,7 +264,7 @@ def ssp_product(G: ProductGroup) -> List[ShodaPair]:
                 diag = G.pair(G.left.power(sp1.h0, -b * (m1 // g) % m1),
                               G.right.power(sp2.h0, m2 // g))
                 gens = tuple(x for x in K.gens if x != G.identity) + (diag,)
-                L = Subgroup(G, np.array(H.elements)[inside.ravel()].tolist(), gens=gens)
+                L = Subgroup(G, H.array[inside.ravel()].tolist(), gens=gens)
                 out.append(ShodaPair(H, L))
     return out
 

@@ -293,6 +293,23 @@ def oracle_irreducible(F: TupleField, f) -> bool:
     return True
 
 
+def oracle_rref(rows, p):
+    """(RREF rows, pivots) mod p by Gauss-Jordan on Python ints."""
+    M, pivots = [[int(x) % p for x in row] for row in rows], []
+    for c in range(len(M[0]) if M else 0):
+        j = next((j for j in range(len(pivots), len(M)) if M[j][c]), None)
+        if j is None:
+            continue
+        r = len(pivots)
+        M[r], M[j] = M[j], M[r]
+        inv = pow(M[r][c], -1, p)
+        M[r] = [x * inv % p for x in M[r]]
+        M = [row if i == r else [(x - row[c] * y) % p for x, y in zip(row, M[r])]
+             for i, row in enumerate(M)]
+        pivots.append(c)
+    return M[:len(pivots)], pivots
+
+
 def brute_force_min_weight(genmat: np.ndarray, q: int) -> int:
     """Plain full enumeration over all messages (test-scale oracle)."""
     k, n = genmat.shape

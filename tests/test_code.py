@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -21,6 +22,10 @@ from helpers import (
     brute_force_min_weight, low_weight_from_parity_check,
     macwilliams_distance, parity_check, stacked_translate_code,
 )
+
+
+def _row_weights(genmat):
+    return np.count_nonzero(genmat, axis=1)
 
 
 def test_rref_and_rank():
@@ -69,6 +74,51 @@ def test_analogue_1155_genmat_pinned():
         digest.update(np.asarray(c.pivots, dtype=np.int64).tobytes())
         got.append((pair.index, c.k, digest.hexdigest()))
     assert got == ANALOGUE_1155_GENMAT_PINS
+
+
+def _analogue_codes():
+    """The five proper-H pci codes of G21 x G55 per q, on new group objects."""
+    G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                          gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    pairs = [p for p in sh.ssp_catalog(G) if p.H.order != G.order]
+    codes = {}
+    for q in (2, 13, 17, 19):
+        alg = id_.GroupAlgebra(G, q)
+        for pair in pairs:
+            e = id_.pci(alg, pair, id_.cosets_and_orbits(G, pair, q).orbit_reps[0])
+            codes[q, pair.index] = co.ideal_to_code(alg, e)
+    return G, pairs, codes
+
+
+def test_analogue_codes_build_coset_geometry_once_per_subgroup(monkeypatch):
+    # 20 codes: each H's coset geometry and G's generator permutations are
+    # built once and shared read-only, and every code equals the one built
+    # on new group objects
+    built = []
+    for cls, name in ((gr.Subgroup, "geometry"), (gr.FiniteGroup, "generator_perms")):
+        body = getattr(cls, name).func
+        counted = functools.cached_property(
+            lambda obj, body=body, name=name: built.append((name, obj)) or body(obj))
+        counted.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, counted)
+    G, pairs, codes = _analogue_codes()
+    assert len(codes) == 20 and len(pairs) == 5
+    assert sorted(id(obj) for name, obj in built if name == "geometry") == sorted(id(p.H) for p in pairs)
+    assert [obj for name, obj in built if name == "generator_perms"] == [G]
+    monkeypatch.undo()
+    fresh = _analogue_codes()[2]
+    for key, c in codes.items():
+        f = fresh[key]
+        assert np.array_equal(c.genmat, f.genmat) and c.pivots == f.pivots, key
+        assert np.array_equal(c.cosets, f.cosets) and np.array_equal(c.perms, f.perms), key
+        assert c.perms is G.generator_perms
+    shared = [G.generator_perms]
+    for pair in pairs:
+        shared += [pair.H.array, *pair.H.geometry]
+        assert codes[2, pair.index].cosets is codes[19, pair.index].cosets is pair.H.geometry.labels
+    for arr in shared:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1
 
 
 def _assert_spin_matches_stacked(alg, e, what, parts=1):
@@ -211,7 +261,7 @@ def test_information_set_upper_pinned():
     for q, (weight, digest) in ISU_PINS.items():
         alg = id_.GroupAlgebra(G, q)
         c = co.ideal_to_code(alg, id_.pci(alg, pair, id_.cosets_and_orbits(G, pair, q).orbit_reps[0]))
-        assert c.k == 450 and co._worst_case(c.genmat, q) > 2_000_000
+        assert c.k == 450 and co._worst_case(_row_weights(c.genmat), q) > 2_000_000
         w, word = co.min_distance(c, budget=2_000_000)[1:]
         assert word.dtype == np.int64
         assert (w, hashlib.sha256(word.tobytes()).hexdigest()) == (weight, digest), q
@@ -279,7 +329,7 @@ def test_information_set_upper_splits_like_one_rref(q):
         for parts in (cosets, None) if q ** len(pivots) <= 5000 else (cosets,):
             code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
             for budget, want in ((10**12, d), (0, int(np.count_nonzero(genmat, axis=1).min()))):
-                hi, word = co._interval(code, budget)[1:]
+                hi, word = co._interval(code, budget, _row_weights(code.genmat))[1:]
                 assert hi == want == np.count_nonzero(word), (q, budget, genmat, parts)
                 assert np.array_equal((word[pivots] @ genmat) % q, word)
     assert split >= 3
@@ -305,7 +355,7 @@ def test_information_set_upper_runs_each_distinct_block_once(monkeypatch):
     calls, weight_round = [], co._weight_round
     monkeypatch.setattr(co, "_weight_round",
                         lambda gamma, q, w: calls.append((gamma.shape, w)) or weight_round(gamma, q, w))
-    lo, hi, word = co._interval(code, 10**6)
+    lo, hi, word = co._interval(code, 10**6, _row_weights(code.genmat))
     assert lo == hi == 4 and not word[7:].any()
     assert [c for c in calls if c[0] == (3, 7)] == [((3, 7), 1), ((3, 7), 2), ((3, 7), 3)]
     assert calls[3:] == [((9, 21), 2), ((9, 21), 3)]
@@ -320,7 +370,7 @@ def test_interval_closes_when_the_lower_rounds_find_d():
     q, budget = 13, 600_000
     genmat, pivots = co.rref_mod(np.random.default_rng(101).integers(0, q, (8, 13)), q)
     assert len(pivots) == 8 and (np.count_nonzero(genmat, axis=1) == 6).all()
-    assert co._worst_case(genmat, q) > budget >= 13 * math.comb(13, 3) * (q - 1) ** 2
+    assert co._worst_case(_row_weights(genmat), q) > budget >= 13 * math.comb(13, 3) * (q - 1) ** 2
     code = co.LinearCode(q, 13, genmat, pivots, 1, 13)
     lo, hi, w = co.min_distance(code, budget=budget)
     assert lo == hi == np.count_nonzero(w) == co._brouwer_zimmermann(genmat, pivots, q)[0] == 3
@@ -355,7 +405,7 @@ def test_weight_enum_lower_per_part_matches_parity_check(q):
         want = low_weight_from_parity_check(genmat, pivots, q)
         for parts in (cosets, None):
             code = co.LinearCode(q, n, genmat, pivots, 1, n, cosets=parts)
-            assert co._interval(code, 0)[0] == want, (q, genmat, parts)
+            assert co._interval(code, 0, _row_weights(code.genmat))[0] == want, (q, genmat, parts)
         seen.append((want, int(np.count_nonzero(genmat, axis=1).min())))
     assert seen[-3:] == [(2, 3), (2, 2), (3, 3)]
 
@@ -374,7 +424,8 @@ def test_interval_route_rejects_a_false_split():
     equal.genmat[3, 19] = 1
     assert np.array_equal(equal.genmat[3:6, 7:14], equal.genmat[:3, :7])
     for c in (code, equal):
-        for call in (lambda: co.min_distance(c, budget=0), lambda: co._interval(c, 0)):
+        for call in (lambda: co.min_distance(c, budget=0),
+                     lambda: co._interval(c, 0, _row_weights(c.genmat))):
             with pytest.raises(co.CertificateError, match="off its row's part"):
                 call()
     code.cosets = None
@@ -470,7 +521,7 @@ def test_brouwer_zimmermann_matches_bruteforce(q):
         assert np.count_nonzero(w) == d
         assert np.array_equal((w[pivots] @ genmat) % q, w)
         assert examined <= (q ** len(pivots) - 1) // (q - 1)
-        assert examined <= co._worst_case(genmat, q)
+        assert examined <= co._worst_case(_row_weights(genmat), q)
 
 
 def test_brouwer_zimmermann_work_counts():
@@ -507,7 +558,7 @@ def _assert_group_route(c, what):
     examined, which is at most the worst case that min_distance admits."""
     d, w, examined = co._brouwer_zimmermann(c.genmat, c.pivots, c.q, c.perms)
     d0, _, examined0 = co._brouwer_zimmermann(c.genmat, c.pivots, c.q)
-    assert d == d0 and examined <= examined0 <= co._worst_case(c.genmat, c.q), what
+    assert d == d0 and examined <= examined0 <= co._worst_case(_row_weights(c.genmat), c.q), what
     if c.q**c.k <= 1024:
         assert d == brute_force_min_weight(c.genmat, c.q), what
     elif c.q**c.k > co.DEFAULT_BUDGET >= c.q ** (c.n - c.k):  # high rate, small dual
@@ -610,7 +661,8 @@ def test_cold_certificates_do_not_import_numpy_ma():
         "c = co.LinearCode(3, 16, genmat, pivots, 1, 16)\n"
         "co._brouwer_zimmermann(genmat, pivots, 3)\n"  # the perms-free search takes more sets
         "co.min_distance(c, budget=0)\n"  # the interval route and the witness check
-        "co._interval(c, 10**5)\n"  # runs Brouwer-Zimmermann rounds 2 and 3 on the pivot set
+        # runs Brouwer-Zimmermann rounds 2 and 3 on the pivot set
+        "co._interval(c, 10**5, np.count_nonzero(genmat, axis=1))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(co.__file__).resolve().parents[1])
@@ -751,14 +803,14 @@ def test_parity_check_and_low_weight_bound_match_loops():
             assert np.array_equal(H, loop)
             code = co.LinearCode(q, n, genmat, pivots, 1, n)
             d = brute_force_min_weight(genmat, q)
-            low = co._interval(code, 0)[0]
+            low = co._interval(code, 0, _row_weights(code.genmat))[0]
             assert low == min(d, 3) == low_weight_from_parity_check(genmat, pivots, q), (q, genmat)
             seen.add((low, int(np.count_nonzero(genmat, axis=1).min()) <= 2))
             # the weight-3+ loop, at a budget that lets it find d on some codes and stop on others
             budget = 10**5
             costs = {w: math.comb(n, w) * (q - 1) ** (w - 1) for w in range(3, n + 1)}
             stop = min([w for w, cost in costs.items() if cost > budget // n], default=n + 1)
-            assert co._interval(code, budget)[0] == min(d, stop), (q, genmat)
+            assert co._interval(code, budget, _row_weights(code.genmat))[0] == min(d, stop), (q, genmat)
             if d >= 3:
                 seen.add(("found", d) if d < stop else ("stop", stop))
     # d = 1, 2 and >= 3; weight 2 both from a light row and from a proportional pair

@@ -21,6 +21,7 @@ from helpers import (
     direct_trace_vanishes,
     oracle_coprime,
     oracle_irreducible,
+    oracle_rref,
     oracle_vanishes,
     oracle_xi,
     phi_all_vanish,
@@ -490,23 +491,6 @@ def test_matmul_mod_field_too_large():
         ff.matmul_mod(np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64), 2**31 - 1)
 
 
-def _python_rref(rows, p):
-    """(RREF rows, pivots) mod p by Gauss-Jordan on Python ints."""
-    M, pivots = [[int(x) % p for x in row] for row in rows], []
-    for c in range(len(M[0]) if M else 0):
-        j = next((j for j in range(len(pivots), len(M)) if M[j][c]), None)
-        if j is None:
-            continue
-        r = len(pivots)
-        M[r], M[j] = M[j], M[r]
-        inv = pow(M[r][c], -1, p)
-        M[r] = [x * inv % p for x in M[r]]
-        M = [row if i == r else [(x - row[c] * y) % p for x, y in zip(row, M[r])]
-             for i, row in enumerate(M)]
-        pivots.append(c)
-    return M[:len(pivots)], pivots
-
-
 def test_echelon_forms_past_int64_products_raise():
     # 3037000493 is the largest prime with (p-1)^2 an int64, 3037000507 the
     # least without; at p = 4294967311 rref_mod returned a wrong RREF
@@ -521,9 +505,30 @@ def test_echelon_forms_past_int64_products_raise():
     mats = [rng.integers(0, p, (3, 4)) for _ in range(4)]
     mats.append(np.full((3, 4), p - 1) - np.eye(3, 4, dtype=int))  # entries p - 1 and p - 2
     for mat in mats:
-        want, wp = _python_rref(mat.tolist(), p)
+        want, wp = oracle_rref(mat.tolist(), p)
         R, piv = ff.rref_mod(mat, p)
         assert (R.tolist(), piv) == (want, wp)
+
+
+@pytest.mark.parametrize("p", [2, 13, 65521])
+def test_rref_mod_matches_python_elimination_across_zero_runs(p):
+    # runs of 0..300 columns with no nonzero in the rows below the last
+    # pivot: before the first pivot, between pivots while rows above are
+    # nonzero there (combinations of earlier columns), and at the end; two
+    # all-zero rows trail each matrix
+    rng = np.random.default_rng(p)
+    for run in (0, 1, 7, 8, 9, 63, 64, 65, 300):
+        head = rng.integers(0, p, (6, 3))
+        mats = [np.concatenate([np.zeros((6, run), dtype=np.int64), head], axis=1),
+                np.concatenate([head, head @ rng.integers(0, p, (3, run)) % p,
+                                rng.integers(0, p, (6, 2))], axis=1),
+                np.concatenate([head, np.zeros((6, run), dtype=np.int64)], axis=1)]
+        for mat in mats:
+            mat = np.concatenate([mat, np.zeros((2, mat.shape[1]), dtype=np.int64)])
+            want, wp = oracle_rref(mat.tolist(), p)
+            R, piv = ff.rref_mod(mat, p)
+            assert (R.tolist(), piv) == (want, wp), (p, run)
+            assert ff.rank_mod(mat, p) == len(wp)
 
 
 @pytest.mark.parametrize("p,e,degrees", [(2, 1, range(2, 12)), (3, 1, range(2, 8)),

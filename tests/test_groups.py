@@ -335,6 +335,38 @@ def test_small_group_tables_match_the_arithmetic():
     assert len(small) > 200
 
 
+def test_product_power_goes_through_the_factors(monkeypatch):
+    # past the table bound (x1, x2)^n = (x1^n, x2^n): G21 x G55 reads both
+    # factors' tables, G1029 x G55 squares on G1029; exponents -3..2|G|+1
+    # on a sample of elements, as scalars and broadcast, equal walks of
+    # scalar mul and inv.  No power multiplies on the product itself
+    big = gr.direct_product(gr.MetacyclicGroup(343, 3, pow(18, -1, 343), name="G1029"),
+                            gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    rng = np.random.default_rng(30)
+    for G in (analogue_1155(), big):
+        assert G.order ** 2 > gr._GRID_CELLS
+        monkeypatch.setattr(G, "_mul_vec", lambda xs, ys: pytest.fail("power multiplied on the product"))
+        xs = np.concatenate([[G.identity, G.generators()[-1]], rng.integers(1, G.order, 2)])
+        ks = np.arange(-3, 2 * G.order + 2)
+        want = []
+        for x in xs.tolist():
+            up, down = [G.identity], [G.identity]
+            while len(up) < ks[-1] + 1:
+                up.append(G.mul(up[-1], x))
+            while len(down) < 4:
+                down.append(G.mul(down[-1], G.inv(x)))
+            want.append([up[k] if k >= 0 else down[-k] for k in ks])
+        assert G.power(xs[:, None], ks[None, :]).tolist() == want, G.name
+        for x, row in zip(xs.tolist(), want):
+            assert G.power(x, ks).tolist() == row
+            for i in (0, 2, 3, 4, len(ks) - 1):
+                got = G.power(x, int(ks[i]))
+                assert type(got) is int and got == row[i], (G.name, x, ks[i])
+        for i in (1, 5, len(ks) // 2):
+            assert G.power(xs, int(ks[i])).tolist() == [row[i] for row in want]
+        assert not any(f"_{t}_table" in vars(G) for t in ("mul", "inv", "pow")), G.name
+
+
 def test_groups_past_the_table_bound_hold_no_table():
     # G1029 x G55 multiplies through its factors: G55 (55^2 <= _GRID_CELLS)
     # reads its tables, G1029 and D2000 keep their index arithmetic
