@@ -63,6 +63,11 @@ class LinearCode:
     # min_distance checks against genmat before it reads the code part by
     # part (no nonzero off its row's part); None is one part
     cosets: Optional[np.ndarray] = None
+    # permutations of one part's columns, in ascending order, that map every
+    # part's block onto itself: S's generators (Subgroup.geometry.spin) when
+    # every coset holds the spun block; _interval checks them on each
+    # distinct block before it relies on them.  None carries none
+    part_perms: Optional[np.ndarray] = None
 
     @property
     def k(self) -> int:
@@ -96,6 +101,9 @@ def ideal_to_code(alg: GroupAlgebra, e, provenance: Optional[Dict] = None) -> Li
     once per subgroup.  The code carries ``cosets``, each column's coset,
     and ``perms``, G's generators' permutations of all n columns, for
     `min_distance`; both are read-only arrays that every code of S shares.
+    When no coset has an RREF of its own, every part's block is the spun
+    one, which S's generators map onto itself, so the code also carries
+    ``part_perms``, their permutations of a part's columns (`geo.spin`).
     """
     G, q = alg.G, alg.q
     S = full_subgroup(G)  # one coset
@@ -139,7 +147,7 @@ def ideal_to_code(alg: GroupAlgebra, e, provenance: Optional[Dict] = None) -> Li
         genmat[row[c][:, None], geo.cols[c]] = R
     return LinearCode(q, G.order, genmat, lead.ravel()[order].tolist(), 1, G.order,
                       provenance=dict(provenance or {}, side="left"), perms=G.generator_perms,
-                      cosets=geo.labels)
+                      cosets=geo.labels, part_perms=None if own else geo.spin)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +185,13 @@ def min_distance(
     coordinate k times, so its weight is at least ceil(n(w + 1)/k), and the
     search stops when that reaches the lightest weight seen.  The
     permutations are checked first (invariance, transitivity); a failure
-    raises `CertificateError`.
+    raises `CertificateError`.  The interval route's block rounds stop at
+    the same bound, ceil(c w / r) for an r x c block after its rounds
+    1..w - 1, with ``perms`` on a block that is the whole code and, on the
+    parts of a pci code, the ``part_perms`` that `ideal_to_code` carries,
+    H's generators on a part's columns; each distinct block checks them
+    before it relies on them.  A code that carries neither, such as one from
+    `parse_genmat`, runs every round its budget allows.
     """
     if code.k == 0:
         raise ZeroCode("zero-dimensional code has no distance")
@@ -362,8 +376,18 @@ def _interval(code: LinearCode, budget: int, weights: np.ndarray) -> Tuple[int, 
     and no unseen word is lighter than w + 1.  A block runs rounds
     w = 1, 2, ... while w <= r and C(r, w) (q-1)^(w-1) <= budget / c for its
     r x c shape (round 1, its rows, always), and stops before round w once
-    the lightest word seen, on any block, weighs at most w.  The witness is
-    that word on its part's columns."""
+    the lightest word seen, on any block, weighs at most w.  A block that
+    carries coordinate permutations (``perms`` when it is the whole code,
+    ``part_perms`` otherwise) also stops before round w >= 2 once
+    ceil(c w / r) reaches that weight: a word of the block lighter than every
+    word seen is unseen with all its images, so it has at least w nonzeros
+    on every translate of the block's pivot set, and its weight is at least
+    c w / r (the group bound of `_brouwer_zimmermann`).  Only a strictly
+    lighter word replaces the witness, so the stop changes neither d_hi nor
+    the witness.  Before it relies on them `_check_automorphisms` checks the
+    permutations on the block, once per distinct block, and raises
+    CertificateError unless they map it onto itself and are transitive.  The
+    witness is that word on its part's columns."""
     q, n, genmat, pivots = code.q, code.n, code.genmat, code.pivots
     part = np.zeros(n, dtype=np.int64) if code.cosets is None else code.cosets
     own = part[pivots]
@@ -387,8 +411,12 @@ def _interval(code: LinearCode, budget: int, weights: np.ndarray) -> Tuple[int, 
             if len({row.tobytes() for row in scaled}) < len(rest):
                 lo = 2
         r, c = block.shape
+        perms = code.perms if cols.all() else code.part_perms
         for w in range(1, r + 1):
             if hi <= w or w > 1 and math.comb(r, w) * (q - 1) ** (w - 1) > budget // c:
+                break
+            if w > 1 and perms is not None and -(-c * w // r) >= hi:
+                _check_automorphisms(block, np.flatnonzero(~free[cols]), q, perms)
                 break
             weight, cw = _weight_round(block, q, w)
             if weight < hi:

@@ -114,19 +114,24 @@ class FiniteGroup:
                 cache[x] = t
         return t
 
-    @cached_property
-    def _pow_table(self) -> np.ndarray:
-        # column k holds x^k for every x, k < |G|, by doubling: x^(k+j) = x^k x^j
-        n = self.order
-        table = np.empty((n, n), dtype=np.int64)
+    def powers(self, xs, m: int) -> np.ndarray:
+        """Row i holds xs[i]^0, ..., xs[i]^(m-1), m >= 1, by doubling:
+        x^(k+j) = x^k x^j, so about m products per x in log2(m) passes."""
+        xs = np.asarray(xs, dtype=np.int64)
+        table = np.empty((len(xs), m), dtype=np.int64)
         table[:, 0] = self.identity
         k = 1
-        while k < n:
-            xk = self.mul_vec(table[:, k - 1], np.arange(n))
-            w = min(k, n - k)
+        while k < m:
+            xk = self.mul_vec(table[:, k - 1], xs)
+            w = min(k, m - k)
             table[:, k:k + w] = self.mul_vec(xk[:, None], table[:, :w])
             k += w
         return table
+
+    @cached_property
+    def _pow_table(self) -> np.ndarray:
+        # column k holds x^k for every x, k < |G|
+        return self.powers(np.arange(self.order), self.order)
 
     def power(self, x, n):
         """x^n; x and n may be scalars or arrays that broadcast.  A gather from
@@ -455,10 +460,6 @@ def subgroup_closure(G: FiniteGroup, gens: Sequence[int]) -> Subgroup:
     labels = orbit_labels(G.mul_vec(np.arange(G.order)[None, :], np.array(gens)[:, None]))
     members = np.flatnonzero(labels == labels[G.identity])
     return Subgroup(G, members.tolist(), gens=tuple(dict.fromkeys(gens)))
-
-
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, [G.identity], gens=(G.identity,))
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:

@@ -387,13 +387,6 @@ def left_idempotents(
     )
 
 
-def sum_idempotents(alg: GroupAlgebra, idems: Sequence[Idempotent]) -> AlgebraElement:
-    total = alg.zero()
-    for e in idems:
-        total = total + e.value
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the closed form from the action of G on H/K
 
@@ -477,16 +470,16 @@ def census(G: FiniteGroup, q: int, pairs: Optional[Sequence[ShodaPair]] = None) 
     if pairs is None:
         pairs = ssp_catalog(G)
     rows: List[ComponentRow] = []
-    seen = set()
+    seen: Dict[Tuple, set] = {}  # (H, K) elements -> the orbit reps taken
     for pair in pairs:
         od = cosets_and_orbits(G, pair, q)
         size = G.order // pair.H.order
         _require(od.o % od.stab_index == 0, "stabiliser index does not divide the orbit degree")
         deg = od.o // od.stab_index
+        # H and K hold up to |G| elements: hash them once per pair, not per rep
+        reps = seen.setdefault((pair.H.elements, pair.K.elements), set())
         for rep in od.orbit_reps:
-            key = (pair.H.elements, pair.K.elements, rep)
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(ComponentRow(pair, rep, size, deg, size * size * deg))
+            if rep not in reps:
+                reps.add(rep)
+                rows.append(ComponentRow(pair, rep, size, deg, size * size * deg))
     return rows

@@ -71,7 +71,8 @@ class ShodaPair:
         ts = np.arange(self.index)
         # the cosets K h0^t tile H: t by element of G, then read at H's elements
         by_element = np.empty(G.order, dtype=np.int64)
-        by_element[G.mul_vec(K.array[None, :], G.power(self.h0, ts)[:, None])] = ts[:, None]
+        h0_ts = G.powers([self.h0], self.index)[0]
+        by_element[G.mul_vec(K.array[None, :], h0_ts[:, None])] = ts[:, None]
         coset_of = by_element[self.H.array]
         coset_of.flags.writeable = False  # shared by every caller
         return coset_of

@@ -18,6 +18,7 @@ from metacode.ffield import (
     rel_trace,
     rref_mod,
 )
+from metacode.groups import Subgroup
 from metacode.idem import census
 
 ORACLE_FIELD_CAP = 140
@@ -390,6 +391,18 @@ def count_pcis(G, q: int):
     for r in rows:
         per_pair[r.pair.label()] = per_pair.get(r.pair.label(), 0) + 1
     return {"per_pair": per_pair, "total_dim": sum(r.dim for r in rows)}
+
+
+def sum_idempotents(alg, idems):
+    """The sum of the idempotents' values in alg."""
+    total = alg.zero()
+    for e in idems:
+        total = total + e.value
+    return total
+
+
+def trivial_subgroup(G) -> Subgroup:
+    return Subgroup(G, [G.identity], gens=(G.identity,))
 
 
 def stacked_translate_code(alg, e):

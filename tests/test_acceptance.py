@@ -14,7 +14,7 @@ from metacode import shoda as sh
 from metacode import units as un
 from metacode.examples import run_examples
 from conftest import suite_groups
-from helpers import odd_prime_powers_leq, oracle_vanishes, phi_all_vanish
+from helpers import odd_prime_powers_leq, oracle_vanishes, phi_all_vanish, sum_idempotents
 
 
 def _report(num, text):
@@ -35,7 +35,7 @@ def test_criterion_1_idempotent_suite():
         for i, e in enumerate(idems):
             for f in idems[i + 1 :]:
                 assert (e.value * f.value).weight() == 0, (G.name, q)
-        assert id_.sum_idempotents(alg, idems) == alg.one(), (G.name, q)
+        assert sum_idempotents(alg, idems) == alg.one(), (G.name, q)
         total = sum(r.dim for r in id_.census(G, q))
         assert total == G.order, (G.name, q)
     elapsed = time.time() - t0
@@ -385,7 +385,7 @@ def test_criterion_8_scaled_analogue():
     idems = id_.pcis_for_group(alg)
     for e in idems:
         assert e.value.is_idempotent() and e.value.is_central()
-    assert id_.sum_idempotents(alg, idems) == alg.one()
+    assert sum_idempotents(alg, idems) == alg.one()
     rows = id_.census(G, 2)
     assert sum(r.dim for r in rows) == 1155
     assert len(rows) == len(idems)
@@ -469,7 +469,7 @@ def test_criterion_9_p5_families():
             idems = id_.pcis_for_group(alg, pairs)
             for e in idems:
                 assert e.value.is_idempotent() and e.value.is_central()
-            assert id_.sum_idempotents(alg, idems) == alg.one()
+            assert sum_idempotents(alg, idems) == alg.one()
             rep = co.wedderburn_report(G, q)
             flat = tuple(
                 sorted((s, d) for (s, d, mult) in rep.components for _ in range(mult))

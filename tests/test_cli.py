@@ -8,6 +8,7 @@ import pytest
 
 from metacode import cli, groups as gr, idem as id_
 from metacode.cli import UsageError, _unit_spec, main
+from helpers import sum_idempotents
 
 
 def run(capsys, *argv):
@@ -138,15 +139,17 @@ def test_pci_list_at_a_large_prime_q_finishes():
     assert [(r["pair"], r["k"]) for r in rows] == [(e.pair.label(), e.k) for e in idems]
     assert all(e.value.is_idempotent() for e in idems)
     assert all((e.value * f.value).weight() == 0 for i, e in enumerate(idems) for f in idems[i + 1:])
-    assert id_.sum_idempotents(alg, idems) == alg.one()
+    assert sum_idempotents(alg, idems) == alg.one()
 
 
 def test_code_build_of_the_binary_qr_code_of_c71_finishes():
     # the [71, 35] code of C71 over GF(2) is past the exact route's budget,
     # so its d_lo comes from Brouwer-Zimmermann rounds 1..4 on the pivot set
     # (at most C(35, 4) messages a round), where the parity-check search it
-    # replaced took about a minute over all C(71, 4) supports.  Run in a
-    # child so that a hang fails at the bound
+    # replaced took about a minute over all C(71, 4) supports.  Its d_hi
+    # rounds stop before round 6 at the group bound ceil(71 * 6 / 35) = 13
+    # >= 12: about 0.5 s in all on a 2-core Xeon, where rounds 6 and 7 took
+    # 3.4 s more.  Run in a child so that a hang fails at the bound
     src = str(Path(id_.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-m", "metacode.cli", "code", "build", "--spec", "C:71", "--q", "2", "--pci", "1"],

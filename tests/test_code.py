@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -17,10 +18,10 @@ from metacode import idem as id_
 from metacode import shoda as sh
 from metacode import units as un
 from metacode.examples import build_idempotent, load_claims
-from metacode.ffield import NonPrimeCharacteristic
+from metacode.ffield import NonPrimeCharacteristic, is_prime
 from helpers import (
     brute_force_min_weight, low_weight_from_parity_check,
-    macwilliams_distance, parity_check, stacked_translate_code,
+    macwilliams_distance, parity_check, presentations, stacked_translate_code, trivial_subgroup,
 )
 
 
@@ -197,7 +198,7 @@ def test_block_path_reduces_reordered_cosets():
     # x = y*(1 - h)*(1 - h')*z for random y, z in F_q[H] spans a proper left
     # ideal of F_q[H].  Unlike a pci's block, its block need not be mapped
     # onto itself by the column order of a coset gH, and then that coset's
-    # translate has an RREF of its own
+    # translate has an RREF of its own, and the code carries no part_perms
     G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4), gr.MetacyclicGroup(5, 4, 2))
     alg = id_.GroupAlgebra(G, 13)
     rng = np.random.default_rng(5)
@@ -212,8 +213,10 @@ def test_block_path_reduces_reordered_cosets():
                                          pair.H.index)
         block = c.genmat[:, c.cosets == 0]
         block = block[block.any(axis=1)]
-        moved += any(not np.array_equal(co.rref_mod(block[:, np.argsort(cols)], 13)[0], block)
-                     for cols in (G.mul_vec(g, members) for g in range(G.order)))
+        own = any(not np.array_equal(co.rref_mod(block[:, np.argsort(cols)], 13)[0], block)
+                  for cols in (G.mul_vec(g, members) for g in range(G.order)))
+        assert (c.part_perms is None) == own, pair.label()
+        moved += own
     assert moved == 3
 
 
@@ -456,6 +459,107 @@ def test_interval_witness_check(monkeypatch):
             co.min_distance(code, budget=0)
 
 
+def _small_pci_code():
+    """The [18, 4]_7 pci code of M(3, 6, 2) on the pair (<a, b^2>, <b^2>):
+    two parts that hold one 2 x 9 block.  Its worst case, 400, sends it to
+    the interval route at budget 300, where the block stops after round 1
+    at the group bound ceil(9 * 2 / 2) = 9 >= 6."""
+    alg = id_.GroupAlgebra(gr.MetacyclicGroup(3, 6, 2), 7)
+    c = co.ideal_to_code(alg, id_.pcis_for_group(alg)[6])
+    assert (c.n, c.k, len(set(c.cosets.tolist())), c.part_perms.shape) == (18, 4, 2, (2, 9))
+    assert co._worst_case(_row_weights(c.genmat), 7) == 400
+    return c
+
+
+def _shift(k, n):
+    return np.roll(np.arange(n), k)[None, :]
+
+
+def test_interval_route_rejects_bad_carried_permutations():
+    # the block rounds stop at the group bound only once the carried
+    # permutations pass their check on the block: a shift by one column
+    # moves the block; the identity, and a shift by three (three orbits),
+    # are not transitive; a row of zeros is no permutation
+    c = _small_pci_code()
+    assert co.min_distance(c, budget=300)[:2] == (3, 6)
+    bad = ((_shift(1, 9), "onto itself"), (np.tile(np.arange(9), (2, 1)), "not transitive"),
+           (_shift(3, 9), "not transitive"), (np.zeros((1, 9), dtype=np.int64), "not a permutation"))
+    for part_perms, what in bad:
+        with pytest.raises(co.CertificateError, match=what):
+            co.min_distance(dataclasses.replace(c, part_perms=part_perms), budget=300)
+    # as one part the block is the whole code, and takes G's generators, perms
+    one, weights = dataclasses.replace(c, cosets=None), _row_weights(c.genmat)
+    assert co._interval(one, 10**4, weights)[:2] == (3, 6)
+    for perms, what in ((_shift(1, 18), "onto itself"), (np.tile(np.arange(18), (2, 1)), "not transitive")):
+        with pytest.raises(co.CertificateError, match=what):
+            co._interval(dataclasses.replace(one, perms=perms), 10**4, weights)
+
+
+def _counted_rounds(monkeypatch):
+    """Patch `_weight_round` to log (gamma's shape, w) of every call."""
+    calls, weight_round = [], co._weight_round
+    monkeypatch.setattr(co, "_weight_round",
+                        lambda gamma, q, w: calls.append((gamma.shape, w)) or weight_round(gamma, q, w))
+    return calls
+
+
+def test_interval_block_rounds_stop_at_the_group_bound(monkeypatch):
+    # the first [1155, 50]_2 analogue code, d_hi 42: its 10 x 231 block runs
+    # round 1 only, as ceil(231 * 2 / 10) = 47 >= 42, where with its
+    # permutations stripped it runs rounds 1..10
+    calls = _counted_rounds(monkeypatch)
+    G = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                          gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    alg = id_.GroupAlgebra(G, 2)
+    pair = next(p for p in sh.ssp_catalog(G) if p.H.order != G.order and p.index == 11)
+    c = co.ideal_to_code(alg, id_.pci(alg, pair, id_.cosets_and_orbits(G, pair, 2).orbit_reps[0]))
+    assert c.k == 50 and c.part_perms is pair.H.geometry.spin
+    got = co.min_distance(c, budget=2_000_000)
+    assert got[:2] == (3, 42) and calls == [((10, 231), 1)]
+    calls.clear()
+    bare = co.min_distance(dataclasses.replace(c, perms=None, part_perms=None), budget=2_000_000)
+    assert bare[:2] == got[:2] and np.array_equal(bare[2], got[2])
+    assert calls == [((10, 231), w) for w in range(1, 11)]
+    # the [71, 35]_2 QR code of C71 is one part, whose block is the code:
+    # its rounds stop before round 6, as ceil(71 * 6 / 35) = 13 >= 12, where
+    # they ran rounds 1..7; then d_lo's rounds 2..4 run on the pivot set
+    calls.clear()
+    alg = id_.GroupAlgebra(gr.cyclic(71), 2)
+    c = co.ideal_to_code(alg, id_.pcis_for_group(alg)[1])
+    assert c.cosets is not None and not c.cosets.any()
+    assert co.min_distance(c)[:2] == (5, 12)
+    assert calls == [((35, 71), w) for w in (1, 2, 3, 4, 5, 2, 3, 4)]
+
+
+def test_interval_group_bound_matches_stripped_permutations(monkeypatch):
+    # every pci code of the presentations with N, M >= 2 and N * M <= 24,
+    # and of G21 x G55, over the two least primes q prime to |G|: at budget
+    # 300 the interval route gives the same (d_lo, d_hi, witness) with the
+    # carried permutations as with them stripped, in fewer block rounds
+    groups = [gr.MetacyclicGroup(*P) for P in presentations(24) if P[0] > 1 and P[1] > 1]
+    groups.append(gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                                    gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55")))
+    calls = _counted_rounds(monkeypatch)
+    codes, rounds = 0, [0, 0]
+    for G in groups:
+        for q in [q for q in range(2, 20) if is_prime(q) and G.order % q][:2]:
+            alg = id_.GroupAlgebra(G, q)
+            for e in id_.pcis_for_group(alg):
+                c = co.ideal_to_code(alg, e)
+                if co._worst_case(_row_weights(c.genmat), q) <= 300:
+                    continue
+                assert c.part_perms is not None, (G.name, q, e.pair.label())
+                results = []
+                for side, code in enumerate((c, dataclasses.replace(c, perms=None, part_perms=None))):
+                    calls.clear()
+                    results.append(co.min_distance(code, budget=300))
+                    rounds[side] += len(calls)
+                (lo, hi, w), (lo0, hi0, w0) = results
+                assert (lo, hi) == (lo0, hi0) and np.array_equal(w, w0), (G.name, q, e.pair.label())
+                codes += 1
+    assert codes > 300 and rounds[0] < rounds[1], (codes, rounds)
+
+
 def test_zero_code_raises():
     G39 = gr.MetacyclicGroup(13, 3, 9)
     alg = id_.GroupAlgebra(G39, 2)
@@ -620,11 +724,17 @@ def test_group_route_rejects_bad_permutations():
 
 def test_automorphism_errors_survive_python_O():
     # under -O an assert guard would vanish and the bound would be credited
-    # to permutations that move the code or are not transitive
+    # to permutations that move the code or are not transitive: on the exact
+    # route, and on the interval route's block rounds (`_small_pci_code`)
     script = (
         "import numpy as np\n"
         "from metacode import code as co, groups as gr, idem as id_\n"
         "from metacode.examples import build_idempotent, load_claims\n"
+        "def run(c, budget):\n"
+        "    try:\n"
+        "        print(co.min_distance(c, budget=budget))\n"
+        "    except co.CertificateError:\n"
+        "        print('raised')\n"
         "claim = [c for c in load_claims() if c['tag'] == 'f3-d14-improved'][0]\n"
         "alg = id_.GroupAlgebra(gr.group_from_spec(claim['group']), claim['q'])\n"
         "c = co.ideal_to_code(alg, build_idempotent(alg, claim['build']))\n"
@@ -632,10 +742,12 @@ def test_automorphism_errors_survive_python_O():
         "right = G.mul_vec(np.arange(c.n)[None, :], G.inv_vec(np.array(G.generators()))[:, None])\n"
         "for perms in (right, np.tile(np.arange(c.n), (2, 1))):\n"
         "    c.perms = perms\n"
-        "    try:\n"
-        "        print(co.min_distance(c))\n"
-        "    except co.CertificateError:\n"
-        "        print('raised')\n"
+        "    run(c, co.DEFAULT_BUDGET)\n"
+        "alg = id_.GroupAlgebra(gr.MetacyclicGroup(3, 6, 2), 7)\n"
+        "c = co.ideal_to_code(alg, id_.pcis_for_group(alg)[6])\n"
+        "for part_perms in (np.roll(np.arange(9), 1)[None, :], np.tile(np.arange(9), (2, 1))):\n"
+        "    c.part_perms = part_perms\n"
+        "    run(c, 300)\n"
     )
     src = str(Path(co.__file__).resolve().parents[1])
     out = subprocess.run(
@@ -643,7 +755,7 @@ def test_automorphism_errors_survive_python_O():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised", "raised"]
+    assert out.stdout.split() == ["raised"] * 4
 
 
 def test_cold_certificates_do_not_import_numpy_ma():
@@ -845,7 +957,7 @@ def test_theorem21_bounds_examples():
     assert (c.n, c.k, d) == (27, 2, 18)
     assert tb.contains(d)
     with pytest.raises(co.QuotientNotCyclic):
-        co.theorem21_bounds(alg, gr.trivial_subgroup(OM27), e)
+        co.theorem21_bounds(alg, trivial_subgroup(OM27), e)
 
 
 def test_theorem61_params_examples():

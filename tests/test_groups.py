@@ -73,7 +73,7 @@ def test_subgroup_closure():
     G39 = gr.MetacyclicGroup(13, 3, 9)
     A = gr.subgroup_closure(G39, [G39.a])
     assert A.order == 13 and A.is_normal_in_G
-    assert gr.cyclic_quotient_generator(G39, A, gr.trivial_subgroup(G39)) is not None
+    assert gr.cyclic_quotient_generator(G39, A, helpers.trivial_subgroup(G39)) is not None
 
 
 def test_quotient_is_cyclic():
@@ -83,7 +83,7 @@ def test_quotient_is_cyclic():
     A = gr.subgroup_closure(D8, [D8.a])
     g = gr.quotient_is_cyclic(D8, A)
     assert g is not None and g not in A
-    triv = gr.trivial_subgroup(D8)
+    triv = helpers.trivial_subgroup(D8)
     assert gr.quotient_is_cyclic(D8, triv) is None  # D8 is not cyclic
     B = gr.subgroup_closure(D8, [D8.b])
     with pytest.raises(gr.NotNormal):
@@ -190,7 +190,7 @@ def analogue_1155():
 
 def _candidate_pairs(G):
     """The catalogued pairs plus pairs that fail each strong Shoda condition."""
-    top, triv = gr.full_subgroup(G), gr.trivial_subgroup(G)
+    top, triv = gr.full_subgroup(G), helpers.trivial_subgroup(G)
     pairs = [(p.H, p.K) for p in sh.ssp_catalog(G)]
     out = list(pairs) + [(K, H) for H, K in pairs] + [(top, triv)]
     for g in G.generators():
@@ -236,7 +236,7 @@ def test_subgroup_closure_matches_scalar_bfs(matrix):
 
 def _sample_subgroups(G):
     """Trivial, whole, each catalogued H and K, and each generator's closure."""
-    out = [gr.trivial_subgroup(G), gr.full_subgroup(G)]
+    out = [helpers.trivial_subgroup(G), gr.full_subgroup(G)]
     out += [S for p in sh.ssp_catalog(G) for S in (p.H, p.K)]
     return out + [gr.subgroup_closure(G, [g]) for g in G.generators()]
 

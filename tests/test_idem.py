@@ -1,6 +1,10 @@
 import functools
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,9 @@ from metacode import ffield as ff
 from metacode import groups as gr
 from metacode import idem as id_
 from metacode import shoda as sh
-from helpers import count_pcis, oracle_action, oracle_unit_orbits, presentations
+from helpers import (
+    count_pcis, oracle_action, oracle_unit_orbits, presentations, sum_idempotents, trivial_subgroup,
+)
 
 
 def find_pair(G, H_order, index=None):
@@ -29,7 +35,7 @@ def test_algebra_requires_semisimplicity():
 def test_hat_examples():
     G39 = gr.MetacyclicGroup(13, 3, 9)
     alg = id_.GroupAlgebra(G39, 2)
-    assert alg.hat(gr.trivial_subgroup(G39)) == alg.one()
+    assert alg.hat(trivial_subgroup(G39)) == alg.one()
     hg = alg.hat(gr.full_subgroup(G39))
     assert hg * hg == hg
     A = gr.subgroup_closure(G39, [G39.a])
@@ -185,7 +191,7 @@ def test_orbits_refuse_a_pair_whose_kernel_is_not_h():
     # (1, 1) in C3 is no strong Shoda pair: all of C3 acts trivially on
     # H/K, so |N| = 3 is not |H| times the one exponent
     C3 = gr.cyclic(3)
-    T = gr.trivial_subgroup(C3)
+    T = trivial_subgroup(C3)
     with pytest.raises(id_.InvariantError):
         id_.cosets_and_orbits(C3, sh.ShodaPair(T, T), 2)
 
@@ -341,7 +347,7 @@ def check_catalog_oracles(G):
     alg = id_.GroupAlgebra(G, q)
     idems = id_.pcis_for_group(alg, pairs)
     assert len(idems) == len(rows), G.name
-    assert id_.sum_idempotents(alg, idems) == alg.one(), G.name
+    assert sum_idempotents(alg, idems) == alg.one(), G.name
     for k, e in enumerate(idems):
         for f in idems[k + 1:]:
             assert (e.value * f.value).weight() == 0, (G.name, e.pair.label(), f.pair.label())
@@ -360,6 +366,24 @@ def test_every_presentation_to_order_100_meets_the_oracles():
     assert len(groups) == 4052
     for G in groups:
         check_catalog_oracles(G)
+
+
+@pytest.mark.slow
+def test_census_of_c999999_finishes():
+    # census dedupes its rows by one key per pair: hashing H's and K's
+    # million-element tuples once per orbit rep took 88 s of the 95 s this
+    # census once took; it takes about 6 s on a 2-core Xeon, and peaks at
+    # about 880 MB.  Run in a child so that a hang fails at the bound
+    script = (
+        "from metacode import groups as gr, idem as id_\n"
+        "rows = id_.census(gr.group_from_spec('C:999999'), 2)\n"
+        "print(len(rows), sum(r.dim for r in rows))\n"
+    )
+    src = str(Path(id_.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["7743", "999999"]
 
 
 def _products_sharing_a_prime():

@@ -1,11 +1,14 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from metacode import groups as gr
 from metacode import shoda as sh
 from metacode.ffield import factorize, is_prime, mult_order
-from helpers import oracle_action, oracle_is_normal, oracle_quotient_generator, presentations
+from helpers import (
+    oracle_action, oracle_is_normal, oracle_quotient_generator, presentations, trivial_subgroup,
+)
 
 
 def verified_catalog(G, bound=10_000):
@@ -153,6 +156,24 @@ def test_product_table_shape_full_scale():
     assert len(pairs) == 5 * 3  # catalog sizes multiply
 
 
+def test_coset_of_powers_by_doubling_past_the_table_bound():
+    # past the Cayley-table bound G.power raises h0 to each exponent by
+    # repeated squaring (D2000) or through the factors (G21 x G55); the
+    # powers by doubling that coset_of reads agree with it, and every h in H
+    # lies in K h0^t for its t
+    G21G55 = gr.direct_product(gr.MetacyclicGroup(7, 3, 4, name="G21"),
+                               gr.MetacyclicGroup(11, 5, pow(4, -1, 11), name="G55"))
+    for G, top in ((gr.dihedral(2000), 1000), (G21G55, 77)):
+        assert G.order ** 2 > gr._GRID_CELLS
+        pairs = sh.ssp_catalog(G)
+        for pair in pairs:
+            powers = G.powers([pair.h0], pair.index)[0]
+            assert powers.tolist() == G.power(pair.h0, np.arange(pair.index)).tolist(), pair.label()
+            moved = G.mul_vec(pair.H.array, G.inv_vec(powers[pair.coset_of]))
+            assert set(moved.tolist()) <= set(pair.K.elements), pair.label()
+        assert max(pair.index for pair in pairs) == top
+
+
 def test_c2q8_catalog():
     G = gr.c2_x_q8()
     pairs = verified_catalog(G)
@@ -180,7 +201,7 @@ def test_verify_ssp_rejects():
     D8 = gr.dihedral(8)
     A = gr.subgroup_closure(D8, [D8.a])
     B = gr.subgroup_closure(D8, [D8.b])
-    triv = gr.trivial_subgroup(D8)
+    triv = trivial_subgroup(D8)
     full = gr.full_subgroup(D8)
     ok, _ = sh.verify_ssp(D8, sh.ShodaPair(full, full))
     assert ok
